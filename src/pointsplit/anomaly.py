@@ -31,7 +31,6 @@ from .modeops import apply_operator, hamiltonian, smeared_charge
 from .trigpoly import TrigPoly
 
 __all__ = [
-    "TrigPoly",
     "AnomalyReport",
     "double_commutator_direct",
     "double_commutator_spectral",
@@ -108,8 +107,7 @@ def split_commutator_integral(f: TrigPoly, eps: float, cfg: LatticeConfig) -> fl
     Real by the odd/imaginary structure of K; zero for constant f and at
     eps = 0.
     """
-    if abs(f.length - cfg.box_length) > 1e-9 * cfg.box_length:
-        raise ValueError(f"smearing box {f.length} does not match lattice box {cfg.box_length}")
+    f.check_on_lattice(cfg)
     df = f.derivative()
     total = 0j
     for gamma in (+1, -1):
@@ -215,15 +213,17 @@ class AnomalyReport:
             )
 
     def to_dict(self) -> dict:
+        summary = {
+            "exact_direct": self.exact_direct,
+            "exact_spectral": self.exact_spectral,
+            "formal_zero": self.formal_zero,
+        }
         return {
             "config": self.config,
-            "summary": {
-                "exact_direct": self.exact_direct,
-                "exact_spectral": self.exact_spectral,
-                "formal_zero": self.formal_zero,
-            },
+            "summary": summary,
             "formal_transcript": self.formal_transcript,
             "tables": {
+                "summary": [{"quantity": k, "value": v} for k, v in summary.items()],
                 "pointsplit": self.pointsplit,
                 "kernel": self.kernel,
                 "continuum": self.continuum,

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import FockVector, n_slots_for
+from .fock import POSITRON, FockVector, SlotIndex, n_slots_for
 from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, dispersion, spinor
 from .modeops import (
     ModeOperator,
+    _worst,
     boulware_current,
     charge_commutator_gradient_form,
     charge_density,
@@ -60,21 +61,21 @@ def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckRe
 
 def check_dispersion(cfg: LatticeConfig, tol: float = 1e-12) -> CheckResult:
     """Evenness, monotonicity in |p| and the >= m floor of the dispersion."""
-    worst = 0.0
+    residuals = []
     prev = cfg.mass
     for j in range(0, cfg.n_max + 1):
         p = cfg.momentum(j)
         e = dispersion(p, cfg.mass)
-        worst = max(worst, abs(e - dispersion(-p, cfg.mass)))
+        residuals.append(abs(e - dispersion(-p, cfg.mass)))
         if e < prev - tol or e < cfg.mass - tol:
-            worst = max(worst, abs(min(e - prev, e - cfg.mass)))
+            residuals.append(abs(min(e - prev, e - cfg.mass)))
         prev = e
-    return _result("dispersion_properties", worst, tol)
+    return _result("dispersion_properties", _worst(residuals), tol)
 
 
 def check_spinors(cfg: LatticeConfig, tol: float = 1e-12) -> CheckResult:
     """Eigenvector residual, normalization, orthogonality and completeness per mode."""
-    worst = 0.0
+    residuals = []
     for j in cfg.mode_indices():
         p = cfg.momentum(j)
         h = SIGMA_X * p + SIGMA_Z * cfg.mass
@@ -83,12 +84,12 @@ def check_spinors(cfg: LatticeConfig, tol: float = 1e-12) -> CheckResult:
         for lam in (+1, -1):
             sp = spinor(lam, j, cfg)
             us[lam] = sp.u
-            worst = max(worst, float(np.linalg.norm(h @ sp.u - lam * sp.energy * sp.u)))
-            worst = max(worst, abs(float(np.vdot(sp.u, sp.u).real) - 1.0))
+            residuals.append(float(np.linalg.norm(h @ sp.u - lam * sp.energy * sp.u)))
+            residuals.append(abs(float(np.vdot(sp.u, sp.u).real) - 1.0))
             total += np.outer(sp.u, sp.u.conj())
-        worst = max(worst, abs(complex(np.vdot(us[+1], us[-1]))))
-        worst = max(worst, float(np.abs(total - ID2).max()))
-    return _result("spinor_identities", worst, tol)
+        residuals.append(abs(complex(np.vdot(us[+1], us[-1]))))
+        residuals.append(float(np.abs(total - ID2).max()))
+    return _result("spinor_identities", _worst(residuals), tol)
 
 
 def check_car(cfg: LatticeConfig, tol: float = 1e-12) -> CheckResult:
@@ -98,26 +99,28 @@ def check_car(cfg: LatticeConfig, tol: float = 1e-12) -> CheckResult:
     {a'_s, a'_t} = 0 by explicit application to each basis state.
     """
     n = n_slots_for(cfg.n_max)
-    worst = 0.0
     basis = [FockVector.basis_state(b, n) for b in range(1 << n)]
-    for s in range(n):
-        for t in range(n):
-            delta = 1.0 if s == t else 0.0
-            for v in basis:
-                x = fock._apply_annihilate_linear(s, fock._apply_create_linear(t, v)).add(
-                    fock._apply_create_linear(t, fock._apply_annihilate_linear(s, v))
-                )
-                worst = max(worst, x.sub(v.scaled(delta)).norm())
-                if t <= s:
-                    y = fock._apply_annihilate_linear(s, fock._apply_annihilate_linear(t, v)).add(
-                        fock._apply_annihilate_linear(t, fock._apply_annihilate_linear(s, v))
+
+    def residuals():
+        for s in range(n):
+            for t in range(n):
+                delta = 1.0 if s == t else 0.0
+                for v in basis:
+                    x = fock._apply_annihilate_linear(s, fock._apply_create_linear(t, v)).add(
+                        fock._apply_create_linear(t, fock._apply_annihilate_linear(s, v))
                     )
-                    worst = max(worst, y.norm())
-                    zz = fock._apply_create_linear(s, fock._apply_create_linear(t, v)).add(
-                        fock._apply_create_linear(t, fock._apply_create_linear(s, v))
-                    )
-                    worst = max(worst, zz.norm())
-    return _result("car_relations", worst, tol, detail=f"{n} slots, dim {1 << n}")
+                    yield x.sub(v.scaled(delta)).norm()
+                    if t <= s:
+                        y = fock._apply_annihilate_linear(s, fock._apply_annihilate_linear(t, v)).add(
+                            fock._apply_annihilate_linear(t, fock._apply_annihilate_linear(s, v))
+                        )
+                        yield y.norm()
+                        zz = fock._apply_create_linear(s, fock._apply_create_linear(t, v)).add(
+                            fock._apply_create_linear(t, fock._apply_create_linear(s, v))
+                        )
+                        yield zz.norm()
+
+    return _result("car_relations", _worst(residuals()), tol, detail=f"{n} slots, dim {1 << n}")
 
 
 def check_hermiticity(
@@ -131,8 +134,7 @@ def check_hermiticity(
         ops.append(charge_density(z, cfg))
     if f is not None:
         ops.append(smeared_charge(f, cfg))
-    worst = max(coeff_distance(op, op.adjoint()) for op in ops)
-    return _result("hermiticity", worst, tol)
+    return _result("hermiticity", _worst(coeff_distance(op, op.adjoint()) for op in ops), tol)
 
 
 def continuity_pairwise_residual(cfg: LatticeConfig) -> float:
@@ -142,15 +144,15 @@ def continuity_pairwise_residual(cfg: LatticeConfig) -> float:
 
     which makes the commutator of the Hamiltonian with the charge density
     equal i d/dz of the current for every z at once."""
-    worst = 0.0
+    residuals = []
     modes = [(lam, j) for lam in (+1, -1) for j in cfg.mode_indices()]
     for lam_a, ja in modes:
         sa = spinor(lam_a, ja, cfg)
         for lam_b, jb in modes:
             sb = spinor(lam_b, jb, cfg)
             mat = (lam_a * sa.energy - lam_b * sb.energy) * ID2 + (sb.p - sa.p) * SIGMA_X
-            worst = max(worst, abs(complex(np.vdot(sa.u, mat @ sb.u))))
-    return worst
+            residuals.append(abs(complex(np.vdot(sa.u, mat @ sb.u))))
+    return _worst(residuals)
 
 
 def check_continuity(
@@ -164,18 +166,16 @@ def check_continuity(
     """
     h = hamiltonian(cfg)
     if corrupt_sign:
-        per_species = cfg.n_modes
         terms = dict(h.terms)
         for j in cfg.mode_indices():
-            slot = per_species + j + cfg.n_max
+            slot = SlotIndex(POSITRON, j).linear(cfg.n_max)
             terms[((slot,), (slot,))] = -terms[((slot,), (slot,))]
         h = ModeOperator(h.n_slots, terms)
-    worst = continuity_pairwise_residual(cfg) if not corrupt_sign else 0.0
+    residuals = [continuity_pairwise_residual(cfg) if not corrupt_sign else 0.0]
     for z in z_values:
         lhs = commutator(h, charge_density(z, cfg))
-        rhs = 1j * current_density(z, cfg, dz=True)
-        worst = max(worst, coeff_distance(lhs, rhs))
-    return _result("continuity", worst, tol)
+        residuals.append(coeff_distance(lhs, 1j * current_density(z, cfg, dz=True)))
+    return _result("continuity", _worst(residuals), tol)
 
 
 def check_split_continuity(cfg: LatticeConfig, eps_values, z_values, tol: float = 1e-10) -> CheckResult:
@@ -184,35 +184,33 @@ def check_split_continuity(cfg: LatticeConfig, eps_values, z_values, tol: float 
         [H_split(eps), rho(z)] = i d/dz J_corrected(z; eps)
 
     checked monomial by monomial for every (eps, z) pair."""
-    worst = 0.0
+    residuals = []
     for eps in eps_values:
         h = split_hamiltonian(cfg, eps)
         for z in z_values:
             lhs = commutator(h, charge_density(z, cfg))
-            rhs = 1j * boulware_current(z, eps, cfg, dz=True)
-            worst = max(worst, coeff_distance(lhs, rhs))
-    return _result("split_continuity_defining_relation", worst, tol)
+            residuals.append(coeff_distance(lhs, 1j * boulware_current(z, eps, cfg, dz=True)))
+    return _result("split_continuity_defining_relation", _worst(residuals), tol)
 
 
 def check_gradient_form(cfg: LatticeConfig, eps_values, z_values, tol: float = 1e-10) -> CheckResult:
     """[H_split, rho(z)] against its point-shifted field-gradient expansion."""
-    worst = 0.0
+    residuals = []
     for eps in eps_values:
         h = split_hamiltonian(cfg, eps)
         for z in z_values:
             lhs = commutator(h, charge_density(z, cfg))
-            rhs = charge_commutator_gradient_form(z, eps, cfg)
-            worst = max(worst, coeff_distance(lhs, rhs))
-    return _result("split_commutator_gradient_form", worst, tol)
+            residuals.append(coeff_distance(lhs, charge_commutator_gradient_form(z, eps, cfg)))
+    return _result("split_commutator_gradient_form", _worst(residuals), tol)
 
 
 def check_split_renormalization(cfg: LatticeConfig, eps_values, tol: float = 1e-10) -> CheckResult:
     """Raw (pre-normal-ordered) split Hamiltonian plus its subtraction constant
     equals the diagonal form; at eps = 0 both reduce to the unsplit one."""
-    worst = coeff_distance(split_hamiltonian(cfg, 0.0), hamiltonian(cfg))
+    residuals = [coeff_distance(split_hamiltonian(cfg, 0.0), hamiltonian(cfg))]
     for eps in eps_values:
-        worst = max(worst, coeff_distance(split_hamiltonian_raw(cfg, eps), split_hamiltonian(cfg, eps)))
-    return _result("split_hamiltonian_renormalization", worst, tol)
+        residuals.append(coeff_distance(split_hamiltonian_raw(cfg, eps), split_hamiltonian(cfg, eps)))
+    return _result("split_hamiltonian_renormalization", _worst(residuals), tol)
 
 
 def check_split_current_consistency(cfg: LatticeConfig, eps_values, z_values, tol: float = 1e-12) -> CheckResult:
@@ -221,23 +219,24 @@ def check_split_current_consistency(cfg: LatticeConfig, eps_values, z_values, to
     current at eps = 0."""
     from .modeops import vev
 
-    worst = 0.0
+    residuals = []
     for z in z_values:
         plain = current_density(z, cfg)
-        worst = max(worst, coeff_distance(split_current(z, 0.0, cfg), plain))
-        worst = max(worst, coeff_distance(boulware_current(z, 0.0, cfg), plain))
+        residuals.append(coeff_distance(split_current(z, 0.0, cfg), plain))
+        residuals.append(coeff_distance(boulware_current(z, 0.0, cfg), plain))
         for eps in eps_values:
-            worst = max(worst, abs(vev(split_current(z, eps, cfg))))
-    return _result("split_current_consistency", worst, tol)
+            residuals.append(abs(vev(split_current(z, eps, cfg))))
+    return _result("split_current_consistency", _worst(residuals), tol)
 
 
 def check_vacuum_annihilation(cfg: LatticeConfig, tol: float = 1e-12) -> CheckResult:
     """Every annihilator kills the empty state."""
     vac = fock.vacuum(cfg)
-    worst = 0.0
-    for species in (fock.ELECTRON, fock.POSITRON):
-        for j in cfg.mode_indices():
-            worst = max(worst, fock.apply_annihilate(fock.SlotIndex(species, j), vac).norm())
+    worst = _worst(
+        fock.apply_annihilate(fock.SlotIndex(species, j), vac).norm()
+        for species in (fock.ELECTRON, fock.POSITRON)
+        for j in cfg.mode_indices()
+    )
     return _result("vacuum_annihilation", worst, tol)
 
 

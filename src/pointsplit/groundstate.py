@@ -24,6 +24,7 @@ from .fock import (
     apply_create,
     inner,
     n_slots_for,
+    slot_from_linear,
     vacuum,
 )
 from .lattice import LatticeConfig, dispersion
@@ -115,15 +116,8 @@ def redefined_vacuum(eps: float, cfg: LatticeConfig) -> FockVector:
     )
     state = vacuum(cfg)
     for k in reversed(slots):  # rightmost factor of the creator string acts first
-        state = apply_create(_slot_of_linear(k, cfg), state)
+        state = apply_create(slot_from_linear(k, cfg.n_max), state)
     return state
-
-
-def _slot_of_linear(k: int, cfg: LatticeConfig) -> SlotIndex:
-    per_species = cfg.n_modes
-    if k < per_species:
-        return SlotIndex(ELECTRON, k - cfg.n_max)
-    return SlotIndex(POSITRON, k - per_species - cfg.n_max)
 
 
 def redefined_vacuum_energy(eps: float, cfg: LatticeConfig) -> float:
@@ -134,13 +128,12 @@ def redefined_vacuum_energy(eps: float, cfg: LatticeConfig) -> float:
 
 def _slot_weights(eps: float, cfg: LatticeConfig) -> np.ndarray:
     """Split energy carried by each linear slot (same for both species)."""
-    per_species = cfg.n_modes
-    w = np.empty(2 * per_species)
+    w = np.empty(n_slots_for(cfg.n_max))
     for j in cfg.mode_indices():
         p = cfg.momentum(j)
         val = dispersion(p, cfg.mass) * math.cos(p * eps)
-        w[j + cfg.n_max] = val
-        w[per_species + j + cfg.n_max] = val
+        for species in (ELECTRON, POSITRON):
+            w[SlotIndex(species, j).linear(cfg.n_max)] = val
     return w
 
 

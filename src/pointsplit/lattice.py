@@ -18,6 +18,7 @@ of the energy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class LatticeConfig:
     n_max: int
 
     def __post_init__(self):
+        try:  # any integer type, numpy's included; never a float or a string
+            object.__setattr__(self, "n_max", operator.index(self.n_max))
+        except TypeError:
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}") from None
         if not self.mass > 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not self.delta_p > 0:

@@ -12,28 +12,32 @@ is exact up to floating-point coefficient arithmetic.
 
 Builders construct every operator of the 1+1D model.  The field is
 
-    psi(z) = sum_alpha A_alpha u_alpha exp(i p_alpha z) / sqrt(L)
+    psi(z) = sum_a A_a u_a exp(i p_a z) / sqrt(L)
 
-where alpha runs over positive-energy modes (A = electron annihilator b_j)
-and negative-energy modes (A = positron creator d'_j).  A bilinear
-psi'(x) M psi(y) therefore expands into the four blocks b'b, b'd', d b and
-d d'; normal-ordering the last block produces an explicit c-number, which
-is kept (densities are not normal-ordered here; the constant part cancels
-in every commutator).
+where a runs over the linear slots: electron slots carry positive-energy
+modes (A = electron annihilator b_j) and positron slots negative-energy
+modes (A = positron creator d'_j).  Every builder is therefore a kernel
+matrix over slots,
 
-Position z enters only through phase coefficients, so z-derivatives are
+    sum_ab K[a,b] A'_a A_b,   e.g.  K[a,b] = u_a' M u_b exp(i(p_b y - p_a x)) / L
+
+for the bilinear psi'(x) M psi(y), and one conversion (_bilinear)
+normal-orders any K through the four blocks b'b, b'd', d b and d d'.  Only
+the d d' diagonal produces a c-number, which is kept (densities are not
+normal-ordered here; the constant part cancels in every commutator).
+
+Position z enters only through phase factors, so z-derivatives are
 applied analytically to the phases (the dz=True flags), never numerically.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockVector, _parity_below, n_slots_for
+from .fock import ELECTRON, POSITRON, FockVector, SlotIndex, _parity_below, n_slots_for, slot_from_linear
 from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, spinor
 from .trigpoly import TrigPoly
 
@@ -90,7 +94,7 @@ class ModeOperator:
         return ModeOperator(self.n_slots, out)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return _worst(abs(c) for c in self.terms.values())
 
     def coefficient(self, sig: Signature) -> complex:
         return self.terms.get(sig, 0.0 + 0.0j)
@@ -191,11 +195,24 @@ def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
     return multiply(a, b) - multiply(b, a)
 
 
+def _worst(residuals) -> float:
+    """Largest of the residuals, 0.0 if there are none, NaN if any is NaN.
+
+    The builtin max would let a NaN residual pass: max(0.0, nan) is 0.0.
+    """
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return float(r)
+        worst = max(worst, float(r))
+    return worst
+
+
 def coeff_distance(a: ModeOperator, b: ModeOperator) -> float:
     """Largest coefficient difference over the union of monomials."""
     _check_same(a, b)
     keys = set(a.terms) | set(b.terms)
-    return max((abs(a.coefficient(k) - b.coefficient(k)) for k in keys), default=0.0)
+    return _worst(abs(a.coefficient(k) - b.coefficient(k)) for k in keys)
 
 
 def is_hermitian(a: ModeOperator, tol: float = 1e-12) -> bool:
@@ -256,64 +273,50 @@ def expectation(v: FockVector, a: ModeOperator) -> complex:
 # -- field modes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _FieldMode:
-    """One term of the mode expansion of psi: operator slot, momentum, spinor."""
+class _Modes(NamedTuple):
+    """The field's modes in linear slot order: row a describes slot a."""
 
-    lam: int
-    j: int
-    slot: int
-    p: float
-    energy: float
-    u: np.ndarray
+    j: np.ndarray  # mode index
+    p: np.ndarray  # momentum
+    u: np.ndarray  # unit spinors, shape (n_slots, 2)
 
-
-def _field_modes(cfg: LatticeConfig) -> list[_FieldMode]:
-    modes = []
-    per_species = cfg.n_modes
-    for lam in (+1, -1):
-        for j in cfg.mode_indices():
-            sp = spinor(lam, j, cfg)
-            offset = 0 if lam == +1 else per_species
-            modes.append(
-                _FieldMode(lam=lam, j=j, slot=offset + j + cfg.n_max, p=sp.p, energy=sp.energy, u=sp.u)
-            )
-    return modes
+    def sandwich(self, matrix: np.ndarray) -> np.ndarray:
+        """All spinor sandwiches u_a' M u_b at once."""
+        return self.u.conj() @ (matrix @ self.u.T)
 
 
-def _add_field_bilinear(
-    terms: dict[Signature, complex], ma: _FieldMode, mb: _FieldMode, coeff: complex
-) -> None:
-    """Accumulate coeff * A'_a A_b in normal-ordered form.
+def _mode_table(cfg: LatticeConfig) -> _Modes:
+    """Positive-energy spinors on electron slots, negative-energy ones on positron slots."""
+    slots = [slot_from_linear(a, cfg.n_max) for a in range(n_slots_for(cfg.n_max))]
+    sps = [spinor(+1 if s.species == ELECTRON else -1, s.j, cfg) for s in slots]
+    return _Modes(
+        j=np.array([sp.j for sp in sps]),
+        p=np.array([sp.p for sp in sps]),
+        u=np.array([sp.u for sp in sps]),
+    )
 
-    A is b (electron annihilator) on positive-energy modes and d' (positron
-    creator) on negative-energy modes, so the four lam blocks normal-order
-    as below; only the d d' block generates a contraction c-number.
+
+def _bilinear(kernel: np.ndarray, cfg: LatticeConfig) -> ModeOperator:
+    """Normal-ordered sum_ab K[a,b] A'_a A_b over linear slots a, b.
+
+    A is b (electron annihilator) on electron slots and d' (positron
+    creator) on positron slots, so the four blocks normal-order as below;
+    only the d d' diagonal (d_a d'_a = 1 - d'_a d_a) yields a c-number.
     """
-    if coeff == 0:
-        return
-
-    def put(sig: Signature, c: complex) -> None:
-        s = terms.get(sig, 0j) + c
-        if s == 0:
-            terms.pop(sig, None)
+    first_positron = SlotIndex(POSITRON, -cfg.n_max).linear(cfg.n_max)
+    terms: dict[Signature, complex] = {}
+    rows, cols = np.nonzero(kernel)
+    for a, b, c in zip(rows.tolist(), cols.tolist(), kernel[rows, cols].tolist()):
+        if a < first_positron:
+            # b'b, or b'd' with the electron slot below the positron slot
+            terms[((a,), (b,)) if b < first_positron else ((a, b), ())] = c
+        elif b < first_positron:
+            terms[((), (a, b))] = c  # d b: positron slot above electron slot
         else:
-            terms[sig] = s
-
-    if ma.lam == +1 and mb.lam == +1:
-        put(((ma.slot,), (mb.slot,)), coeff)
-    elif ma.lam == +1 and mb.lam == -1:
-        put(((ma.slot, mb.slot), ()), coeff)  # electron slot < positron slot
-    elif ma.lam == -1 and mb.lam == +1:
-        put(((), (ma.slot, mb.slot)), coeff)  # positron slot > electron slot
-    else:
-        if ma.j == mb.j:
-            put(_IDENTITY_SIG, coeff)
-        put(((mb.slot,), (ma.slot,)), -coeff)
-
-
-def _sandwich(ua: np.ndarray, matrix: np.ndarray, ub: np.ndarray) -> complex:
-    return complex(np.vdot(ua, matrix @ ub))
+            if a == b:
+                terms[_IDENTITY_SIG] = terms.get(_IDENTITY_SIG, 0j) + c
+            terms[((b,), (a,))] = -c
+    return ModeOperator(n_slots_for(cfg.n_max), terms)
 
 
 # -- operator builders ---------------------------------------------------
@@ -328,21 +331,22 @@ def hamiltonian(cfg: LatticeConfig) -> ModeOperator:
     return split_hamiltonian(cfg, 0.0)
 
 
-def split_hamiltonian(cfg: LatticeConfig, eps: float) -> ModeOperator:
-    """Point-split Hamiltonian: per-mode energies E_j cos(p_j eps), renormalized."""
-    terms: dict[Signature, complex] = {}
-    n = n_slots_for(cfg.n_max)
-    per_species = cfg.n_modes
+def _split_energies(cfg: LatticeConfig, eps: float):
+    """(E_j cos(p_j eps), electron slot, positron slot) for every mode j."""
     for j in cfg.mode_indices():
         p = cfg.momentum(j)
         w = math.hypot(p, cfg.mass) * math.cos(p * eps)
-        if w == 0:
-            continue
-        se = j + cfg.n_max
-        sp = per_species + j + cfg.n_max
-        terms[((se,), (se,))] = complex(w)
-        terms[((sp,), (sp,))] = complex(w)
-    return ModeOperator(n, terms)
+        yield w, SlotIndex(ELECTRON, j).linear(cfg.n_max), SlotIndex(POSITRON, j).linear(cfg.n_max)
+
+
+def split_hamiltonian(cfg: LatticeConfig, eps: float) -> ModeOperator:
+    """Point-split Hamiltonian: per-mode energies E_j cos(p_j eps), renormalized."""
+    terms: dict[Signature, complex] = {}
+    for w, se, sp in _split_energies(cfg, eps):
+        if w != 0:
+            terms[((se,), (se,))] = complex(w)
+            terms[((sp,), (sp,))] = complex(w)
+    return ModeOperator(n_slots_for(cfg.n_max), terms)
 
 
 def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float | None = None) -> ModeOperator:
@@ -354,18 +358,10 @@ def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float
     coefficient for coefficient.
     """
     n = n_slots_for(cfg.n_max)
-    per_species = cfg.n_modes
     if renormalization is None:
-        renormalization = sum(
-            math.hypot(cfg.momentum(j), cfg.mass) * math.cos(cfg.momentum(j) * eps)
-            for j in cfg.mode_indices()
-        )
+        renormalization = sum(w for w, _, _ in _split_energies(cfg, eps))
     op = constant_op(renormalization, n)
-    for j in cfg.mode_indices():
-        p = cfg.momentum(j)
-        w = math.hypot(p, cfg.mass) * math.cos(p * eps)
-        se = j + cfg.n_max
-        sp = per_species + j + cfg.n_max
+    for w, se, sp in _split_energies(cfg, eps):
         op = op + w * (creator_op(se, n) * annihilator_op(se, n))
         op = op - w * (annihilator_op(sp, n) * creator_op(sp, n))
     return op
@@ -396,21 +392,13 @@ def split_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) ->
 def _field_bilinear_operator(
     z: float, shift: float, matrix: np.ndarray, cfg: LatticeConfig, dz: bool = False
 ) -> ModeOperator:
-    """sum_ab A'_a A_b  u_a' M u_b  exp(i(p_b - p_a)z) exp(-i p_a shift) / L."""
-    modes = _field_modes(cfg)
-    length = cfg.box_length
-    terms: dict[Signature, complex] = {}
-    for ma in modes:
-        left_phase = cmath.exp(-1j * ma.p * (z + shift))
-        for mb in modes:
-            ins = _sandwich(ma.u, matrix, mb.u)
-            if ins == 0:
-                continue
-            coeff = ins * left_phase * cmath.exp(1j * mb.p * z) / length
-            if dz:
-                coeff *= 1j * (mb.p - ma.p)
-            _add_field_bilinear(terms, ma, mb, coeff)
-    return ModeOperator(n_slots_for(cfg.n_max), terms)
+    """K[a,b] = u_a' M u_b exp(i(p_b - p_a)z) exp(-i p_a shift) / L."""
+    t = _mode_table(cfg)
+    pa, pb = t.p[:, None], t.p[None, :]
+    kernel = t.sandwich(matrix) * np.exp(-1j * pa * (z + shift)) * np.exp(1j * pb * z) / cfg.box_length
+    if dz:
+        kernel = kernel * (1j * (pb - pa))
+    return _bilinear(kernel, cfg)
 
 
 def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -429,35 +417,23 @@ def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False)
     q = p_b - p_a, and just g when q = 0; dz=True differentiates both the
     plain phase and the line factor analytically.
     """
-    modes = _field_modes(cfg)
-    length = cfg.box_length
-    m = cfg.mass
-    terms: dict[Signature, complex] = {}
-    for gamma in (+1, -1):
-        g = gamma * eps
-        for ma in modes:
-            s_a = cmath.exp(-1j * ma.p * g)
-            for mb in modes:
-                q = mb.p - ma.p
-                phase = cmath.exp(1j * q * z)
-                c = 0j
-                ins_x = _sandwich(ma.u, SIGMA_X, mb.u)
-                if ins_x != 0:
-                    if dz:
-                        c += ins_x * (1j * q) * phase * s_a
-                    else:
-                        c += ins_x * phase * s_a
-                ins_line = _sandwich(ma.u, (-mb.p) * SIGMA_X - m * SIGMA_Z, mb.u)
-                if ins_line != 0:
-                    if dz:
-                        line = phase - cmath.exp(1j * q * (z - g))
-                    elif q == 0:
-                        line = complex(g)
-                    else:
-                        line = (phase - cmath.exp(1j * q * (z - g))) / (1j * q)
-                    c += 1j * ins_line * s_a * line
-                _add_field_bilinear(terms, ma, mb, c / (2.0 * length))
-    return ModeOperator(n_slots_for(cfg.n_max), terms)
+    t = _mode_table(cfg)
+    pa, pb = t.p[:, None], t.p[None, :]
+    q = pb - pa
+    phase = np.exp(1j * q * z)
+    ins_x = t.sandwich(SIGMA_X)
+    ins_line = (-pb) * ins_x - cfg.mass * t.sandwich(SIGMA_Z)  # line integrand, d/dz' -> i p_b
+    kernel = 0.0
+    for g in (eps, -eps):
+        s_a = np.exp(-1j * pa * g)
+        back = np.exp(1j * q * (z - g))
+        if dz:
+            plain, line = ins_x * (1j * q) * phase, phase - back
+        else:
+            plain = ins_x * phase
+            line = np.where(q == 0, g, (phase - back) / (1j * np.where(q == 0, 1.0, q)))
+        kernel = kernel + (plain * s_a + 1j * ins_line * s_a * line) / (2.0 * cfg.box_length)
+    return _bilinear(kernel, cfg)
 
 
 def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) -> ModeOperator:
@@ -472,26 +448,17 @@ def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) ->
     Used as the independent cross-check against commutator(split_hamiltonian,
     charge_density); the two agree term by term.
     """
-    modes = _field_modes(cfg)
-    length = cfg.box_length
+    t = _mode_table(cfg)
+    pa, pb = t.p[:, None], t.p[None, :]
     m = cfg.mass
-    terms: dict[Signature, complex] = {}
-    for gamma in (+1, -1):
-        g = gamma * eps
-        for ma in modes:
-            for mb in modes:
-                q = mb.p - ma.p
-                phase = cmath.exp(1j * q * z)
-                ins_x = _sandwich(ma.u, SIGMA_X, mb.u)
-                ins_z = _sandwich(ma.u, SIGMA_Z, mb.u)
-                c = (
-                    ma.p * ins_x * cmath.exp(-1j * ma.p * g)
-                    - mb.p * ins_x * cmath.exp(1j * mb.p * g)
-                    + m * ins_z * cmath.exp(-1j * ma.p * g)
-                    - m * ins_z * cmath.exp(1j * mb.p * g)
-                )
-                _add_field_bilinear(terms, ma, mb, c * phase / (2.0 * length))
-    return ModeOperator(n_slots_for(cfg.n_max), terms)
+    ins_x, ins_z = t.sandwich(SIGMA_X), t.sandwich(SIGMA_Z)
+    phase = np.exp(1j * (pb - pa) * z)
+    kernel = 0.0
+    for g in (eps, -eps):
+        left, right = np.exp(-1j * pa * g), np.exp(1j * pb * g)
+        c = pa * ins_x * left - pb * ins_x * right + m * ins_z * left - m * ins_z * right
+        kernel = kernel + c * phase / (2.0 * cfg.box_length)
+    return _bilinear(kernel, cfg)
 
 
 def smeared_charge(f: TrigPoly, cfg: LatticeConfig) -> ModeOperator:
@@ -501,33 +468,13 @@ def smeared_charge(f: TrigPoly, cfg: LatticeConfig) -> ModeOperator:
     picks out coefficient c_{j_a - j_b} for each mode pair; hermitian for any
     real f.
     """
-    if abs(f.length - cfg.box_length) > 1e-9 * cfg.box_length:
-        raise ValueError(f"smearing box {f.length} does not match lattice box {cfg.box_length}")
-    if f.max_harmonic > 2 * cfg.n_max:
-        raise ValueError(
-            f"harmonic {f.max_harmonic} out of range: needs momentum transfer beyond 2*n_max = {2 * cfg.n_max}"
-        )
-    modes = _field_modes(cfg)
-    terms: dict[Signature, complex] = {}
-    for ma in modes:
-        for mb in modes:
-            c = f.coeff(ma.j - mb.j)
-            if c == 0:
-                continue
-            ins = _sandwich(ma.u, ID2, mb.u)
-            _add_field_bilinear(terms, ma, mb, c * ins)
-    return ModeOperator(n_slots_for(cfg.n_max), terms)
+    f.check_on_lattice(cfg)
+    t = _mode_table(cfg)
+    harmonic = np.vectorize(f.coeff, otypes=[complex])(t.j[:, None] - t.j[None, :])
+    return _bilinear(harmonic * t.sandwich(ID2), cfg)
 
 
 def total_charge(cfg: LatticeConfig) -> ModeOperator:
     """Q = integral of charge_density over the box: electron number minus
     positron number plus the constant background 2*n_max + 1."""
-    n = n_slots_for(cfg.n_max)
-    per_species = cfg.n_modes
-    terms: dict[Signature, complex] = {_IDENTITY_SIG: complex(per_species)}
-    for j in cfg.mode_indices():
-        se = j + cfg.n_max
-        sp = per_species + j + cfg.n_max
-        terms[((se,), (se,))] = 1.0 + 0.0j
-        terms[((sp,), (sp,))] = -1.0 + 0.0j
-    return ModeOperator(n, terms)
+    return _bilinear(np.eye(n_slots_for(cfg.n_max)), cfg)

@@ -67,6 +67,16 @@ class TrigPoly:
     def max_harmonic(self) -> int:
         return max((abs(n) for n in self.coeffs), default=0)
 
+    def check_on_lattice(self, cfg) -> None:
+        """ValueError unless f lives on the lattice's box and every harmonic is
+        a momentum transfer the grid can carry (|n| <= 2*n_max)."""
+        if abs(self.length - cfg.box_length) > 1e-9 * cfg.box_length:
+            raise ValueError(f"smearing box {self.length} does not match lattice box {cfg.box_length}")
+        if self.max_harmonic > 2 * cfg.n_max:
+            raise ValueError(
+                f"harmonic {self.max_harmonic} out of range for n_max={cfg.n_max} (limit {2 * cfg.n_max})"
+            )
+
     def __call__(self, z: float) -> float:
         total = sum(c * cmath.exp(1j * self.wavenumber(n) * z) for n, c in self.coeffs.items())
         return total.real

@@ -28,6 +28,33 @@ def test_verify_corrupted_sign_fails(capsys):
     assert "FAIL continuity" in out
 
 
+def test_corrupted_sign_residual_is_one_over_pi(tmp_path):
+    # flipping the positron energies leaves [H, rho] off by n_max/pi at the worst monomial
+    out = tmp_path / "control.json"
+    assert run_cli(["verify", "--n-max", "1", "--corrupt-sign-hook", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["continuity"]["passed"] is False
+    assert checks["continuity"]["residual"] == pytest.approx(1.0 / math.pi, rel=1e-15)
+    assert all(c["passed"] for name, c in checks.items() if name != "continuity")
+
+
+def test_verify_nan_eps_fails(capsys):
+    # max(0.0, nan) is 0.0: a NaN residual must still fail its check
+    assert run_cli(["verify", "--eps", "nan"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL split_continuity_defining_relation" in out
+
+
+@pytest.mark.parametrize("n_max", [2.5, "3"])
+def test_config_file_non_integer_n_max(tmp_path, capsys, n_max):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"n_max": n_max}))
+    assert run_cli(["verify", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n_max" in err
+
+
 def test_anomaly_requires_smearing(capsys):
     assert run_cli(["anomaly"]) == 2
     assert "f-harmonic" in capsys.readouterr().err

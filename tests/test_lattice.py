@@ -25,6 +25,14 @@ def test_config_validation():
         LatticeConfig(mass=1.0, delta_p=-1.0, n_max=2)
     with pytest.raises(ValueError):
         LatticeConfig(mass=1.0, delta_p=1.0, n_max=0)
+    for bad in (2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="n_max"):
+            LatticeConfig(mass=1.0, delta_p=1.0, n_max=bad)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = LatticeConfig(mass=1.0, delta_p=1.0, n_max=np.int64(3))
+    assert cfg.n_max == 3 and type(cfg.n_max) is int
 
 
 def test_config_derived_quantities():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pointsplit.fock import (
     ELECTRON,
@@ -13,11 +15,13 @@ from pointsplit.fock import (
     apply_create,
     inner,
     n_slots_for,
+    slot_from_linear,
     vacuum,
 )
 from pointsplit.lattice import LatticeConfig, dispersion, spinor
 from pointsplit.modeops import (
     ModeOperator,
+    _bilinear,
     annihilator_op,
     apply_operator,
     boulware_current,
@@ -320,6 +324,34 @@ def test_smeared_charge_couples_vacuum_only_to_pairs():
             electrons = bits & ((1 << per_species) - 1)
             positrons = bits >> per_species
             assert bin(electrons).count("1") == 1 and bin(positrons).count("1") == 1
+
+
+# -- kernel conversion ------------------------------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_bilinear_matches_product_oracle(data):
+    """_bilinear(K) against sum_ab K[a,b] A'_a A_b normal-ordered by multiply,
+    with A = b on electron slots and A = d' on positron slots (all four blocks
+    and the d d' c-number)."""
+    n_max = data.draw(st.integers(1, 3))
+    cfg = LatticeConfig(1.0, 1.0, n_max)
+    n = n_slots_for(n_max)
+    entry = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    kernel = data.draw(arrays(complex, (n, n), elements=entry))
+
+    def field_op(slot):  # A for this slot
+        if slot_from_linear(slot, n_max).species == ELECTRON:
+            return annihilator_op(slot, n)
+        return creator_op(slot, n)
+
+    oracle = ModeOperator(n)
+    for a, b in itertools.product(range(n), repeat=2):
+        if kernel[a, b] != 0:
+            oracle = oracle + complex(kernel[a, b]) * multiply(field_op(a).adjoint(), field_op(b))
+    scale = max(1.0, float(np.abs(kernel).sum()))
+    assert coeff_distance(_bilinear(kernel, cfg), oracle) <= 1e-14 * scale
 
 
 # -- evaluation helpers ----------------------------------------------------------
