@@ -15,7 +15,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, fields
+
+import numpy as np
+from scipy.integrate import IntegrationWarning
 
 from .anomaly import (
     AnomalyReport,
@@ -28,9 +32,10 @@ from .anomaly import (
     split_vev_kernel,
 )
 from .checks import run_verify_suite
-from .fock import n_slots_for
+from .fock import inner, n_slots_for
 from .groundstate import (
     ENUMERATION_MAX_SLOTS,
+    _energies_agree,
     ground_state_bruteforce,
     redefined_vacuum,
     redefined_vacuum_energy,
@@ -38,13 +43,30 @@ from .groundstate import (
 )
 from .lattice import LatticeConfig
 from .modeops import apply_operator, split_hamiltonian
-from .fock import inner
 from .symbolic import formal_smeared_commutator, format_expr
 from .trigpoly import TrigPoly
 
 
 class ConfigError(Exception):
     pass
+
+
+def _finite(key: str, value, positive: bool = False) -> float:
+    """A finite number as float; a bool, a string or a non-finite value is a ConfigError."""
+    try:
+        if isinstance(value, bool) or not math.isfinite(value):
+            raise TypeError
+    except (TypeError, OverflowError):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}") from None
+    if positive and not value > 0:
+        raise ConfigError(f"{key} must be positive, got {value!r}")
+    return float(value)
+
+
+def _harmonic(h) -> tuple[int, float, float]:
+    if not (isinstance(h, (list, tuple)) and len(h) == 3 and type(h[0]) is int):
+        raise ConfigError(f"f_harmonics must be made of [n, re, im] with integer n, got {h!r}")
+    return h[0], _finite("harmonic re", h[1]), _finite("harmonic im", h[2])
 
 
 @dataclass
@@ -59,11 +81,29 @@ class RunConfig:
     format: str = "json"
     out: str | None = None
 
+    def __post_init__(self):
+        """Coerce and check every field, whether it came from a flag or a
+        config file, so a bad value ends in one error before any work: a
+        ConfigError here, a ValueError from LatticeConfig or TrigPoly."""
+        self.mass = _finite("mass", self.mass)
+        self.delta_p = _finite("delta_p", self.delta_p)
+        for key in ("eps", "f_harmonics"):
+            if not isinstance(getattr(self, key), list):
+                raise ConfigError(f"{key} must be a list, got {getattr(self, key)!r}")
+        self.eps = [_finite("eps", x) for x in self.eps]
+        self.f_harmonics = [_harmonic(h) for h in self.f_harmonics]
+        for key in ("eta", "cutoff"):
+            if getattr(self, key) is not None:
+                setattr(self, key, _finite(key, getattr(self, key), positive=True))
+        if self.format not in ("json", "csv"):
+            raise ConfigError(f"format must be json or csv, got {self.format!r}")
+        if not isinstance(self.out, (str, type(None))):
+            raise ConfigError(f"out must be a path, got {self.out!r}")
+        self.lattice()
+        self.smearing(required=False)
+
     def lattice(self) -> LatticeConfig:
-        try:
-            return LatticeConfig(self.mass, self.delta_p, self.n_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return LatticeConfig(self.mass, self.delta_p, self.n_max)
 
     def smearing(self, required: bool) -> TrigPoly | None:
         if not self.f_harmonics:
@@ -71,26 +111,14 @@ class RunConfig:
                 raise ConfigError("this command needs a smearing function; pass --f-harmonic n:re:im")
             return None
         cfg = self.lattice()
-        try:
-            f = TrigPoly.from_harmonics(cfg.box_length, self.f_harmonics)
-            f.check_on_lattice(cfg)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        f = TrigPoly.from_harmonics(cfg.box_length, self.f_harmonics)
+        f.check_on_lattice(cfg)
         return f
 
     def to_dict(self) -> dict:
         # the output path is emission plumbing, not part of the computation,
         # so it is left out of the echoed config to keep reports byte-stable
-        return {
-            "mass": self.mass,
-            "delta_p": self.delta_p,
-            "n_max": self.n_max,
-            "eps": list(self.eps),
-            "f_harmonics": [list(h) for h in self.f_harmonics],
-            "eta": self.eta,
-            "cutoff": self.cutoff,
-            "format": self.format,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
 
 def _parse_harmonic(text: str) -> tuple[int, float, float]:
@@ -103,8 +131,15 @@ def _parse_harmonic(text: str) -> tuple[int, float, float]:
         raise argparse.ArgumentTypeError(f"bad harmonic {text!r}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into one ConfigError line instead of usage text."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pointsplit",
         description="Exact workbench for point-split commutators of a 1+1D fermion field.",
     )
@@ -140,32 +175,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """Defaults < config file < flags; RunConfig coerces and checks the result."""
+    keys = [f.name for f in fields(RunConfig)]
+    values = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                values = json.load(fh)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        allowed = {"mass", "delta_p", "n_max", "eps", "f_harmonics", "eta", "cutoff", "format", "out"}
-        unknown = set(raw) - allowed
+        if not isinstance(values, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = set(values) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            if key == "f_harmonics":
-                value = [(int(n), float(re), float(im)) for n, re, im in value]
-            if key == "eps":
-                value = [float(x) for x in value]
-            setattr(cfg, key, value)
-    for key in ("mass", "delta_p", "n_max", "eps", "f_harmonics", "eta", "cutoff", "format", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if cfg.format not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {cfg.format}")
-    cfg.lattice()
-    cfg.smearing(required=False)
-    return cfg
+    values.update({key: getattr(args, key) for key in keys if getattr(args, key, None) is not None})
+    return RunConfig(**values)
 
 
 # -- emission ---------------------------------------------------------------
@@ -185,7 +210,8 @@ _COLUMNS = {
 
 def _emit(report: dict, config: RunConfig, stream) -> None:
     if config.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        # strict JSON: a NaN or an infinity raises ValueError, which main maps to exit 2
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         lines: list[str] = []
         for name in sorted(report.get("tables", {})):
@@ -319,7 +345,7 @@ def cmd_vacuum(config: RunConfig, stream=None) -> int:
                     "value": rep.matches_redefined_vacuum,
                 }
             )
-            if abs(rep.energy - additive) > 1e-10 * max(1.0, abs(additive)):
+            if not _energies_agree(rep.energy, additive):
                 failed = True
         else:
             ground_rows.append({"quantity": f"bruteforce_skipped[eps={eps!r}]", "value": "enumeration bound"})
@@ -372,24 +398,25 @@ def cmd_derive(config: RunConfig, stream=None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; every failure ends in one `error:` line on stderr:
+    exit 2 for bad usage or config, or input that drives the arithmetic out
+    of its domain (numpy and quadrature warnings raise), exit 1 when an
+    internal invariant fails, as a failed check does."""
     try:
-        config = _load_config(args)
-        if args.command == "verify":
-            return cmd_verify(config, corrupt_sign=getattr(args, "corrupt_sign_hook", False))
-        if args.command == "anomaly":
-            return cmd_anomaly(config)
-        if args.command == "vacuum":
-            return cmd_vacuum(config)
-        if args.command == "kernel":
-            return cmd_kernel(config)
-        if args.command == "derive":
-            return cmd_derive(config)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        with np.errstate(over="raise", divide="raise", invalid="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            args = _build_parser().parse_args(argv)
+            config = _load_config(args)
+            if args.command == "verify":
+                return cmd_verify(config, corrupt_sign=args.corrupt_sign_hook)
+            commands = {"anomaly": cmd_anomaly, "vacuum": cmd_vacuum, "kernel": cmd_kernel, "derive": cmd_derive}
+            return commands[args.command](config)
+    except (ConfigError, ValueError, ArithmeticError, IntegrationWarning) as exc:
+        code, message = 2, str(exc)
+    except RuntimeError as exc:
+        code, message = 1, str(exc)
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return code
 
 
 def entry() -> None:

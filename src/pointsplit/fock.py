@@ -9,8 +9,10 @@ This fixed slot order is the single source of truth for every fermionic
 sign in the package: creating or annihilating in slot k multiplies the
 amplitude by (-1)**(number of occupied slots with smaller index), the
 standard string-of-signs realization of the anticommutation relations on
-bitstrings.  Amplitudes are double-precision complex; the signs themselves
-are exact integers.
+bitstrings.  The private _apply_word is the only code applying this rule;
+apply_create, apply_annihilate, modeops.apply_operator and the exhaustive
+CAR check all go through it.  Amplitudes are double-precision complex; the
+signs themselves are exact integers.
 """
 
 from __future__ import annotations
@@ -61,11 +63,6 @@ def slot_from_linear(k: int, n_max: int) -> SlotIndex:
     return SlotIndex(POSITRON, k - per_species - n_max)
 
 
-def _parity_below(bits: int, k: int) -> int:
-    """1 if an odd number of slots below k are occupied, else 0."""
-    return (bits & ((1 << k) - 1)).bit_count() & 1
-
-
 @dataclass(frozen=True)
 class FockVector:
     """Sparse state: occupation bitstring -> complex amplitude.
@@ -109,9 +106,6 @@ class FockVector:
     def sub(self, other: "FockVector") -> "FockVector":
         return self.add(other.scaled(-1.0))
 
-    def pruned(self, tol: float) -> "FockVector":
-        return FockVector(self.n_slots, {b: a for b, a in self.amp.items() if abs(a) > tol})
-
     def is_zero(self) -> bool:
         return not self.amp
 
@@ -126,38 +120,52 @@ def vacuum(cfg) -> FockVector:
     return FockVector.basis_state(0, n_slots_for(cfg.n_max))
 
 
-def _apply_create_linear(k: int, v: FockVector) -> FockVector:
-    out: dict[int, complex] = {}
-    bit = 1 << k
-    for bits, a in v.amp.items():
-        if bits & bit:
-            continue
-        if _parity_below(bits, k):
-            a = -a
-        out[bits | bit] = out.get(bits | bit, 0j) + a
-    return FockVector(v.n_slots, {b: a for b, a in out.items() if a != 0})
+def _apply_word(cre, ann, bits: int):
+    """a'_{cre[0]} ... a'_{cre[-1]} a_{ann[0]} ... a_{ann[-1]} on one bitstring.
+
+    The rightmost factor acts first; each factor flips its slot's bit and
+    counts the occupied slots below it.  Returns (bits, odd), with odd set
+    when the sign is -1, or None when a factor meets its slot in the wrong
+    state (annihilating an empty slot or creating in a full one).
+    """
+    odd = 0
+    for occupied, slots in ((1, ann), (0, cre)):
+        for s in reversed(slots):
+            if (bits >> s) & 1 != occupied:
+                return None
+            odd ^= (bits & ((1 << s) - 1)).bit_count()
+            bits ^= 1 << s
+    return bits, odd & 1
 
 
-def _apply_annihilate_linear(k: int, v: FockVector) -> FockVector:
+def _apply_terms(terms, v: FockVector) -> FockVector:
+    """sum over ((cre, ann), coeff) in terms of coeff * word(cre, ann) applied to v."""
     out: dict[int, complex] = {}
-    bit = 1 << k
-    for bits, a in v.amp.items():
-        if not bits & bit:
-            continue
-        if _parity_below(bits, k):
-            a = -a
-        out[bits ^ bit] = out.get(bits ^ bit, 0j) + a
-    return FockVector(v.n_slots, {b: a for b, a in out.items() if a != 0})
+    for (cre, ann), coeff in terms:
+        for bits, amp in v.amp.items():
+            hit = _apply_word(cre, ann, bits)
+            if hit is None:
+                continue
+            b, odd = hit
+            x = -(coeff * amp) if odd else coeff * amp
+            acc = out.get(b, 0j) + x
+            if acc == 0:
+                out.pop(b, None)
+            else:
+                out[b] = acc
+    return FockVector(v.n_slots, out)
 
 
 def apply_create(slot: SlotIndex, v: FockVector) -> FockVector:
     """Creation operator for the given slot; vanishing branches drop out."""
-    return _apply_create_linear(slot.linear(n_max_from_slots(v.n_slots)), v)
+    k = slot.linear(n_max_from_slots(v.n_slots))
+    return _apply_terms([(((k,), ()), 1.0)], v)
 
 
 def apply_annihilate(slot: SlotIndex, v: FockVector) -> FockVector:
     """Annihilation operator; adjoint of apply_create under inner()."""
-    return _apply_annihilate_linear(slot.linear(n_max_from_slots(v.n_slots)), v)
+    k = slot.linear(n_max_from_slots(v.n_slots))
+    return _apply_terms([(((), (k,)), 1.0)], v)
 
 
 def inner(v: FockVector, w: FockVector) -> complex:

@@ -16,22 +16,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    ELECTRON,
-    POSITRON,
-    FockVector,
-    SlotIndex,
-    apply_create,
-    inner,
-    n_slots_for,
-    slot_from_linear,
-    vacuum,
-)
+from .fock import ELECTRON, POSITRON, FockVector, SlotIndex, apply_create, inner, n_slots_for, vacuum
 from .lattice import LatticeConfig, dispersion
 from .modeops import apply_operator, split_hamiltonian
 
-ZERO_COS_TOL = 1e-12
 ENUMERATION_MAX_SLOTS = 24
+
+# The one rule for "zero": a split energy E_j cos(p_j eps) counts as zero
+# when it is at most ZERO_TOL of the unsplit energy E_j.  split_spectrum
+# applies it to each mode, ground_state_bruteforce to the enumerated
+# one-particle energies, which are the same floats, so both name the same
+# zero set.
+ZERO_TOL = 1e-12
+
+
+def _is_zero_energy(split_energy, energy):
+    """The zero rule, for floats and numpy arrays alike."""
+    return abs(split_energy) <= ZERO_TOL * energy
+
+
+def _energies_agree(a: float, b: float) -> bool:
+    """Two float routes to one energy agree to 1e-10 relative (never on NaN)."""
+    return abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,7 @@ class SplitSpectrum:
     eps: float
     entries: tuple  # rows (j, p, energy, split_energy)
     negative_modes: tuple[int, ...]  # j with E cos(p eps) < 0
-    zero_modes: tuple[int, ...]  # j with cos(p eps) = 0 within tolerance
+    zero_modes: tuple[int, ...]  # j whose split energy is zero by _is_zero_energy
 
 
 @dataclass(frozen=True)
@@ -74,11 +80,11 @@ def excitation_energy(q: int, species: str, eps: float, cfg: LatticeConfig) -> f
     return read_off
 
 
-def split_spectrum(eps: float, cfg: LatticeConfig, zero_tol: float = ZERO_COS_TOL) -> SplitSpectrum:
+def split_spectrum(eps: float, cfg: LatticeConfig) -> SplitSpectrum:
     """Tabulate E_j cos(p_j eps) for every mode and collect the negative set.
 
-    Modes with cos(p_j eps) = 0 within zero_tol are excluded from the
-    negative set (strict inequality) and reported separately; at finite
+    Modes whose split energy is zero by _is_zero_energy are excluded from
+    the negative set (strict inequality) and reported separately; at finite
     cutoff the negative set is guaranteed nonempty once cutoff*|eps| > pi/2.
     """
     entries = []
@@ -87,11 +93,11 @@ def split_spectrum(eps: float, cfg: LatticeConfig, zero_tol: float = ZERO_COS_TO
     for j in cfg.mode_indices():
         p = cfg.momentum(j)
         energy = dispersion(p, cfg.mass)
-        c = math.cos(p * eps)
-        entries.append((j, p, energy, energy * c))
-        if abs(c) <= zero_tol:
+        split = energy * math.cos(p * eps)
+        entries.append((j, p, energy, split))
+        if _is_zero_energy(split, energy):
             zero.append(j)
-        elif c < 0:
+        elif split < 0:
             negative.append(j)
     return SplitSpectrum(
         eps=eps,
@@ -101,23 +107,21 @@ def split_spectrum(eps: float, cfg: LatticeConfig, zero_tol: float = ZERO_COS_TO
     )
 
 
+def _mask(modes, cfg: LatticeConfig) -> int:
+    """Bitmask of the electron and positron slots of the given modes."""
+    return sum(1 << SlotIndex(species, j).linear(cfg.n_max) for j in modes for species in (ELECTRON, POSITRON))
+
+
 def redefined_vacuum(eps: float, cfg: LatticeConfig) -> FockVector:
     """The state with every negative-split-energy mode doubly occupied.
 
-    Built by applying electron then positron creators in ascending mode
-    order (the canonical slot order), which fixes the global sign; the
-    resulting amplitude is +1 on a single bitstring.
+    Its canonical creator string (electron then positron creators in
+    ascending mode order, the slot order) fixes the global sign: acting on
+    the empty state it leaves amplitude +1 on the negative-set bitstring,
+    which is the state returned.
     """
-    spectrum = split_spectrum(eps, cfg)
-    slots = sorted(
-        SlotIndex(species, j).linear(cfg.n_max)
-        for j in spectrum.negative_modes
-        for species in (ELECTRON, POSITRON)
-    )
-    state = vacuum(cfg)
-    for k in reversed(slots):  # rightmost factor of the creator string acts first
-        state = apply_create(slot_from_linear(k, cfg.n_max), state)
-    return state
+    mask = _mask(split_spectrum(eps, cfg).negative_modes, cfg)
+    return FockVector.basis_state(mask, n_slots_for(cfg.n_max))
 
 
 def redefined_vacuum_energy(eps: float, cfg: LatticeConfig) -> float:
@@ -126,61 +130,49 @@ def redefined_vacuum_energy(eps: float, cfg: LatticeConfig) -> float:
     return sum(2.0 * row[3] for row in spectrum.entries if row[0] in set(spectrum.negative_modes))
 
 
-def _slot_weights(eps: float, cfg: LatticeConfig) -> np.ndarray:
-    """Split energy carried by each linear slot (same for both species)."""
-    w = np.empty(n_slots_for(cfg.n_max))
-    for j in cfg.mode_indices():
-        p = cfg.momentum(j)
-        val = dispersion(p, cfg.mass) * math.cos(p * eps)
-        for species in (ELECTRON, POSITRON):
-            w[SlotIndex(species, j).linear(cfg.n_max)] = val
-    return w
-
-
 def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     """Enumerate all occupation states and locate the energy minimum.
 
     Energies are additive over occupied slots, so each of the 2^M_tot
-    basis states is scored directly.  Verifies that the minimizers are
-    exactly the states occupying all negative-split-energy slots, none of
-    the positive ones, and any subset of the zero ones (degeneracy
-    2^(2*|zero set|); unique when the zero set is empty).
+    basis states is scored directly.  Flipping slot s moves any state's
+    energy by the energy of the state holding s alone, read off the
+    enumeration; slots where that is zero by _is_zero_energy are free, and
+    the minimizers are the 2^(number of free slots) states reached from the
+    lowest one by flipping free slots.  Verifies that the free slots are the
+    zero-mode slots and that the lowest state occupies all negative-split-
+    energy slots and none of the positive ones (unique when the zero set is
+    empty).
     """
     n = n_slots_for(cfg.n_max)
     if n > ENUMERATION_MAX_SLOTS:
         raise ValueError(f"enumeration bound exceeded: {n} slots > {ENUMERATION_MAX_SLOTS}")
-    w = _slot_weights(eps, cfg)
+    spectrum = split_spectrum(eps, cfg)
+    unsplit, w = np.empty(n), np.empty(n)  # per linear slot, the same for both species
+    for j, _, energy, split in spectrum.entries:
+        for species in (ELECTRON, POSITRON):
+            k = SlotIndex(species, j).linear(cfg.n_max)
+            unsplit[k], w[k] = energy, split
     idx = np.arange(1 << n, dtype=np.int64)
     energies = np.zeros(len(idx))
     for s in range(n):
         energies += w[s] * ((idx >> s) & 1)
-    emin = float(energies.min())
-    tol = 1e-9 * max(1.0, abs(emin))
-    minimizers = idx[np.abs(energies - emin) <= tol]
+    ground = int(energies.argmin())
+    emin = float(energies[ground])
+    flips = 1 << np.arange(n)
+    free = flips[_is_zero_energy(energies[flips], unsplit)]
+    free_mask = int(free.sum())
 
-    spectrum = split_spectrum(eps, cfg)
-    neg_mask = 0
-    zero_mask = 0
-    for j in spectrum.negative_modes:
-        for species in (ELECTRON, POSITRON):
-            neg_mask |= 1 << SlotIndex(species, j).linear(cfg.n_max)
-    for j in spectrum.zero_modes:
-        for species in (ELECTRON, POSITRON):
-            zero_mask |= 1 << SlotIndex(species, j).linear(cfg.n_max)
-    expected = (minimizers & ~np.int64(zero_mask)) == neg_mask
-    if not bool(expected.all()):
-        raise RuntimeError("brute-force minimizers are not the negative-set occupations")
-    if len(minimizers) != 1 << bin(zero_mask).count("1"):
+    neg_mask = _mask(spectrum.negative_modes, cfg)
+    zero_mask = _mask(spectrum.zero_modes, cfg)
+    if free_mask != zero_mask or (ground & ~zero_mask) != neg_mask:
         raise RuntimeError(
-            f"unexpected ground-state degeneracy {len(minimizers)} with zero mask {zero_mask:b}"
+            f"brute-force minimizer {ground:0{n}b} with free slots {free_mask:0{n}b} does not match "
+            f"the split spectrum's negative set {neg_mask:0{n}b} and zero set {zero_mask:0{n}b}"
         )
-
-    canonical = int(neg_mask)
-    label = f"occupation {canonical:0{n}b} (slot 0 rightmost)"
     return EnergyReport(
-        label=label,
+        label=f"occupation {neg_mask:0{n}b} (slot 0 rightmost)",
         energy=emin,
-        degeneracy=int(len(minimizers)),
-        state_bits=canonical,
-        matches_redefined_vacuum=bool(canonical in {int(b) for b in minimizers}),
+        degeneracy=1 << len(free),
+        state_bits=neg_mask,
+        matches_redefined_vacuum=((ground ^ neg_mask) & ~free_mask) == 0,
     )

@@ -32,8 +32,8 @@ ID2 = np.eye(2, dtype=complex)
 class LatticeConfig:
     """Finite momentum-space model: mass, grid spacing and cutoff index.
 
-    mass     -- fermion mass m > 0 (energy units)
-    delta_p  -- momentum spacing between adjacent modes, > 0
+    mass     -- fermion mass m > 0, finite (energy units)
+    delta_p  -- momentum spacing between adjacent modes, > 0 and finite
     n_max    -- largest mode index; modes are j = -n_max .. +n_max
     """
 
@@ -42,14 +42,16 @@ class LatticeConfig:
     n_max: int
 
     def __post_init__(self):
-        try:  # any integer type, numpy's included; never a float or a string
+        try:  # any integer type, numpy's included; never a bool, a float or a string
+            if isinstance(self.n_max, bool):
+                raise TypeError
             object.__setattr__(self, "n_max", operator.index(self.n_max))
         except TypeError:
             raise ValueError(f"n_max must be an integer, got {self.n_max!r}") from None
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if not self.delta_p > 0:
-            raise ValueError(f"delta_p must be positive, got {self.delta_p}")
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        if not 0 < self.delta_p < math.inf:
+            raise ValueError(f"delta_p must be positive and finite, got {self.delta_p}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 

@@ -37,7 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import ELECTRON, POSITRON, FockVector, SlotIndex, _parity_below, n_slots_for, slot_from_linear
+from . import fock
+from .fock import ELECTRON, POSITRON, FockVector, SlotIndex, n_slots_for, slot_from_linear
 from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, spinor
 from .trigpoly import TrigPoly
 
@@ -98,9 +99,6 @@ class ModeOperator:
 
     def coefficient(self, sig: Signature) -> complex:
         return self.terms.get(sig, 0.0 + 0.0j)
-
-    def pruned(self, tol: float) -> "ModeOperator":
-        return ModeOperator(self.n_slots, {s: c for s, c in self.terms.items() if abs(c) > tol})
 
     def __repr__(self) -> str:
         return f"ModeOperator(n_slots={self.n_slots}, n_terms={len(self.terms)})"
@@ -223,39 +221,10 @@ def is_hermitian(a: ModeOperator, tol: float = 1e-12) -> bool:
 
 
 def apply_operator(a: ModeOperator, v: FockVector) -> FockVector:
-    """Apply the operator to a sparse state, factor by factor."""
+    """Apply the operator to a sparse state, monomial by monomial."""
     if a.n_slots != v.n_slots:
         raise ValueError(f"lattice mismatch: {a.n_slots} vs {v.n_slots} slots")
-    out: dict[int, complex] = {}
-    for (cre, ann), coeff in a.terms.items():
-        for bits, amp in v.amp.items():
-            x = coeff * amp
-            b = bits
-            dead = False
-            for s in reversed(ann):  # rightmost factor acts first
-                if not (b >> s) & 1:
-                    dead = True
-                    break
-                if _parity_below(b, s):
-                    x = -x
-                b ^= 1 << s
-            if dead:
-                continue
-            for s in reversed(cre):
-                if (b >> s) & 1:
-                    dead = True
-                    break
-                if _parity_below(b, s):
-                    x = -x
-                b |= 1 << s
-            if dead or x == 0:
-                continue
-            acc = out.get(b, 0j) + x
-            if acc == 0:
-                out.pop(b, None)
-            else:
-                out[b] = acc
-    return FockVector(v.n_slots, out)
+    return fock._apply_terms(a.terms.items(), v)
 
 
 def vev(a: ModeOperator) -> complex:
@@ -265,9 +234,7 @@ def vev(a: ModeOperator) -> complex:
 
 def expectation(v: FockVector, a: ModeOperator) -> complex:
     """<v|A|v> via explicit state application (independent of vev)."""
-    from .fock import inner
-
-    return inner(v, apply_operator(a, v))
+    return fock.inner(v, apply_operator(a, v))
 
 
 # -- field modes ---------------------------------------------------------

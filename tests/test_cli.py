@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pointsplit import cli
 from pointsplit.cli import RunConfig, main
 
 
@@ -39,13 +45,22 @@ def test_corrupted_sign_residual_is_one_over_pi(tmp_path):
 
 
 def test_verify_nan_eps_fails(capsys):
-    # max(0.0, nan) is 0.0: a NaN residual must still fail its check
-    assert run_cli(["verify", "--eps", "nan"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL split_continuity_defining_relation" in out
+    # a non-finite input is rejected before any check runs
+    assert run_cli(["verify", "--eps", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eps must be a finite number, got nan\n"
 
 
-@pytest.mark.parametrize("n_max", [2.5, "3"])
+def test_invariant_failure_exits_1_with_one_error_line(monkeypatch, capsys):
+    # the two exact anomaly routes disagreeing is an internal invariant failure
+    monkeypatch.setattr(cli, "double_commutator_spectral", lambda f, cfg: 1.0e3)
+    assert run_cli(["anomaly", "--f-harmonic", "1:0.5:0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exact routes disagree") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_max", [2.5, "3", True])
 def test_config_file_non_integer_n_max(tmp_path, capsys, n_max):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"n_max": n_max}))
@@ -53,6 +68,35 @@ def test_config_file_non_integer_n_max(tmp_path, capsys, n_max):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "n_max" in err
+
+
+@pytest.mark.parametrize("key, value", [("eps", 0.3), ("f_harmonics", [[1, 0.5]]), ("mass", "x"), ("out", 5)])
+def test_config_file_mistyped_value(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    assert run_cli(["derive", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["anomaly", "--f-harmonic", "1:nan:0"],
+        ["kernel", "--eps", "nan"],
+        ["kernel", "--cutoff", "nan"],
+        ["kernel", "--eta", "-1"],
+        ["vacuum", "--eps", "nan"],
+        ["vacuum", "--eps", "inf"],
+        ["anomaly", "--f-harmonic", "1:0.5:0", "--eps", "inf"],
+        ["verify", "--delta-p", "inf"],
+    ],
+)
+def test_non_finite_input_exits_2_before_any_work(capsys, argv):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_anomaly_requires_smearing(capsys):
@@ -177,3 +221,65 @@ def test_config_file_unknown_key(tmp_path, capsys):
 def test_runconfig_echo_excludes_output_path(tmp_path):
     cfg = RunConfig(out=str(tmp_path / "x.json"))
     assert "out" not in cfg.to_dict()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# mostly values a run can use, so that most runs reach the computation; one
+# draw in eight is any float at all, nan, infinities and negatives included
+_ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0])
+_FLOATS = st.integers(0, 7).flatmap(lambda i: _ANY_FLOAT if i == 0 else st.floats(0.05, 4.0))
+_JUNK = st.none() | st.booleans() | st.text(max_size=2) | st.lists(st.integers(), max_size=2)
+
+
+@st.composite
+def _runs(draw):
+    """A subcommand plus run values, each given as a flag or through a config file."""
+    command = draw(st.sampled_from(["vacuum", "anomaly", "kernel", "derive", "verify"]))
+    n_max = 1 if command == "verify" else draw(st.integers(1, 3))
+    values = {"n_max": n_max, "eps": draw(st.lists(_FLOATS, max_size=2))}
+    for key in ("mass", "delta_p", "eta", "cutoff"):
+        if draw(st.booleans()):
+            values[key] = draw(_FLOATS)
+    harmonic = st.tuples(st.integers(0, 2 * n_max + 1), _FLOATS, _FLOATS)
+    values["f_harmonics"] = draw(st.lists(harmonic, min_size=command == "anomaly", max_size=2))
+    in_file = {key: values.pop(key) for key in draw(st.sets(st.sampled_from(sorted(values))))}
+    junk = draw(st.sets(st.sampled_from(sorted(in_file)), max_size=1)) if in_file else set()
+    in_file.update({key: draw(_JUNK) for key in junk})
+    return command, values, in_file
+
+
+def _argv(command, values):
+    argv = [command]
+    for key, value in values.items():
+        if key == "eps":
+            argv += [f"--eps={x!r}" for x in value]
+        elif key == "f_harmonics":
+            argv += [f"--f-harmonic={n}:{re!r}:{im!r}" for n, re, im in value]
+        else:
+            argv.append(f"--{key.replace('_', '-')}={value!r}")
+    return argv
+
+
+@given(_runs())
+@settings(max_examples=120, deadline=None)
+def test_every_input_ends_in_a_report_or_one_error_line(run):
+    command, values, in_file = run
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        argv = _argv(command, values) + [f"--out={out}"]
+        if in_file:
+            (Path(tmp) / "run.json").write_text(json.dumps(in_file))
+            argv.append(f"--config={Path(tmp) / 'run.json'}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        stderr = err.getvalue()
+        assert stderr == "" or (stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr.endswith("\n"))
+        # a run either writes a strict-JSON report or explains itself on stderr
+        assert out.exists() == (stderr == "")
+        if out.exists():
+            json.loads(out.read_text(), parse_constant=_no_constant)

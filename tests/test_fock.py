@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointsplit import fock
+from pointsplit.checks import check_car
 from pointsplit.fock import (
     ELECTRON,
     POSITRON,
@@ -16,6 +18,7 @@ from pointsplit.fock import (
     vacuum,
 )
 from pointsplit.lattice import LatticeConfig
+from pointsplit.modeops import apply_operator, creator_op
 
 CFG1 = LatticeConfig(1.0, 1.0, 1)  # 6 slots, dim 64
 N1 = n_slots_for(1)
@@ -141,13 +144,18 @@ def test_inner_lattice_mismatch():
         inner(vacuum(CFG1), vacuum(LatticeConfig(1.0, 1.0, 2)))
 
 
+def cre(k: int, v: FockVector) -> FockVector:
+    return apply_create(slot_from_linear(k, 1), v)
+
+
+def ann(k: int, v: FockVector) -> FockVector:
+    return apply_annihilate(slot_from_linear(k, 1), v)
+
+
 @given(st.integers(0, N1 - 1), st.integers(0, N1 - 1), st.integers(0, (1 << N1) - 1))
 @settings(max_examples=200, deadline=None)
 def test_car_on_basis_states(s, t, bits):
     """{a_s, a'_t} = delta_st, {a_s, a_t} = 0, {a'_s, a'_t} = 0, exact signs."""
-    from pointsplit.fock import _apply_annihilate_linear as ann
-    from pointsplit.fock import _apply_create_linear as cre
-
     v = FockVector.basis_state(bits, N1)
     x = ann(s, cre(t, v)).add(cre(t, ann(s, v)))
     expect = v if s == t else FockVector.zero(N1)
@@ -157,12 +165,29 @@ def test_car_on_basis_states(s, t, bits):
 
 
 def test_number_operator_eigenvalues():
-    from pointsplit.fock import _apply_annihilate_linear as ann
-    from pointsplit.fock import _apply_create_linear as cre
-
     for bits in range(1 << N1):
         v = FockVector.basis_state(bits, N1)
         for s in range(N1):
             n_v = cre(s, ann(s, v))
             occ = (bits >> s) & 1
             assert n_v.sub(v.scaled(float(occ))).norm() == 0.0
+
+
+def test_one_sign_rule_serves_car_and_operators(monkeypatch):
+    """Dropping the sign inside the one primitive breaks the exhaustive CAR
+    check and operator application alike: neither keeps a rule of its own."""
+    state = FockVector.basis_state(0b1, N1)
+    assert check_car(CFG1).passed
+    assert apply_operator(creator_op(3, N1), state).amp == {0b1001: -1.0}
+
+    signed = fock._apply_word
+
+    def unsigned(creators, annihilators, bits):
+        hit = signed(creators, annihilators, bits)
+        return hit and (hit[0], 0)
+
+    monkeypatch.setattr(fock, "_apply_word", unsigned)
+    car = check_car(CFG1)
+    assert not car.passed and car.residual == 2.0
+    assert apply_operator(creator_op(3, N1), state).amp == {0b1001: 1.0}
+    assert cre(3, state).amp == {0b1001: 1.0}

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointsplit.fock import ELECTRON, POSITRON, inner, vacuum
 from pointsplit.groundstate import (
@@ -151,5 +152,24 @@ def test_zero_cos_boundary_reported_as_degeneracy():
     assert set(spec.zero_modes) == {-1, 1}
     assert set(spec.negative_modes) == {-2, 2}
     rep = ground_state_bruteforce(math.pi / 2.0, cfg)
+    assert rep.degeneracy == 2 ** (2 * len(spec.zero_modes))
+    assert rep.matches_redefined_vacuum
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 3).map(lambda k: 2 * k + 1),
+    st.floats(-16.0, -6.0),
+    st.sampled_from([1.0, -1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_zero_boundary_bruteforce_agrees_with_spectrum(mode, k, log_delta, sign):
+    # eps within delta of a zero of cos(p_j eps): both sides apply the one zero
+    # rule to the same floats, so the brute force never disagrees (RuntimeError)
+    n_max, j = mode
+    cfg = LatticeConfig(1.0, 1.0, n_max)
+    eps = k * math.pi / (2.0 * cfg.momentum(j)) + sign * 10.0**log_delta
+    spec = split_spectrum(eps, cfg)
+    rep = ground_state_bruteforce(eps, cfg)
     assert rep.degeneracy == 2 ** (2 * len(spec.zero_modes))
     assert rep.matches_redefined_vacuum

@@ -18,10 +18,12 @@ from pointsplit.fock import (
     slot_from_linear,
     vacuum,
 )
+from pointsplit.checks import _result
 from pointsplit.lattice import LatticeConfig, dispersion, spinor
 from pointsplit.modeops import (
     ModeOperator,
     _bilinear,
+    _worst,
     annihilator_op,
     apply_operator,
     boulware_current,
@@ -370,3 +372,10 @@ def test_apply_hamiltonian_eigenstate():
     state = apply_create(SlotIndex(POSITRON, -2), vacuum(CFG2))
     image = apply_operator(hamiltonian(CFG2), state)
     assert image.sub(state.scaled(dispersion(2.0, 1.0))).norm() < 1e-12
+
+
+def test_nan_residual_fails_its_check():
+    # the builtin max would drop the NaN: max(0.0, nan) is 0.0
+    worst = _worst([0.0, math.nan, 1e-15])
+    assert math.isnan(worst)
+    assert not _result("nan_residual", worst, 1e-12).passed
