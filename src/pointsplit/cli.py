@@ -131,6 +131,29 @@ def _parse_harmonic(text: str) -> tuple[int, float, float]:
         raise argparse.ArgumentTypeError(f"bad harmonic {text!r}: {exc}") from exc
 
 
+_FLOAT_FLAGS = ("--mass", "--delta-p", "--eps", "--eta", "--cutoff")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write `--eps -1e-3` as `--eps=-1e-3` for every float flag.
+
+    argparse reads a dash-led value that is not a plain decimal, such as
+    -1e-3 or -inf, as an option and stops with 'expected one argument'.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_FLAGS and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     """Turns a usage error into one ConfigError line instead of usage text."""
 
@@ -405,7 +428,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"), warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
-            args = _build_parser().parse_args(argv)
+            args = _build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
             config = _load_config(args)
             if args.command == "verify":
                 return cmd_verify(config, corrupt_sign=args.corrupt_sign_hook)

@@ -25,6 +25,11 @@ for the bilinear psi'(x) M psi(y), and one conversion (_bilinear)
 normal-orders any K through the four blocks b'b, b'd', d b and d d'.  Only
 the d d' diagonal produces a c-number, which is kept (densities are not
 normal-ordered here; the constant part cancels in every commutator).
+_kernel reads a bilinear back into its K, so the commutator of two
+bilinears is the bilinear of the kernel commutator, [A'KA, A'GA] = A'[K,G]A
+(bilinear_commutator); its c-number is the finite Schwinger term.  The
+general product engine (multiply, commutator) is kept as the independent
+oracle the tests compare that shortcut against.
 
 Position z enters only through phase factors, so z-derivatives are
 applied analytically to the phases (the dz=True flags), never numerically.
@@ -286,6 +291,44 @@ def _bilinear(kernel: np.ndarray, cfg: LatticeConfig) -> ModeOperator:
     return ModeOperator(n_slots_for(cfg.n_max), terms)
 
 
+def _kernel(op: ModeOperator, cfg: LatticeConfig) -> np.ndarray:
+    """The kernel K with _bilinear(K, cfg) equal to op up to its c-number.
+
+    The inverse of _bilinear: every monomial must lie in one of the blocks
+    b'b, b'd', d b or d d' (read from d'_b d_a = delta_ab - d_a d'_b);
+    anything else is not a fermion bilinear and raises ValueError.
+    """
+    n = n_slots_for(cfg.n_max)
+    if op.n_slots != n:
+        raise ValueError(f"lattice mismatch: {op.n_slots} vs {n} slots")
+    first_positron = SlotIndex(POSITRON, -cfg.n_max).linear(cfg.n_max)
+    kernel = np.zeros((n, n), dtype=complex)
+    for (cre, ann), c in op.terms.items():
+        block = (len(cre), tuple(s >= first_positron for s in cre + ann))
+        if block == (1, (False, False)):
+            kernel[cre[0], ann[0]] = c  # b'b
+        elif block == (2, (False, True)):
+            kernel[cre] = c  # b'd'
+        elif block == (0, (True, False)):
+            kernel[ann] = c  # d b
+        elif block == (1, (True, True)):
+            kernel[ann[0], cre[0]] = -c  # d'd
+        elif cre or ann:
+            raise ValueError(f"monomial {(cre, ann)} is not a fermion bilinear")
+    return kernel
+
+
+def bilinear_commutator(a: ModeOperator, b: ModeOperator, cfg: LatticeConfig) -> ModeOperator:
+    """[a, b] for two fermion bilinears through their kernels: A'[K,G]A.
+
+    Equals commutator(a, b), including the c-number that normal-ordering the
+    d d' diagonal of [K,G] leaves (the Schwinger term), at the cost of two
+    N x N matrix products instead of a normal-ordered product per term pair.
+    """
+    k, g = _kernel(a, cfg), _kernel(b, cfg)
+    return _bilinear(k @ g - g @ k, cfg)
+
+
 # -- operator builders ---------------------------------------------------
 
 
@@ -412,8 +455,8 @@ def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) ->
                           + m psi'(z+g) sigma_z psi(z)
                           - m psi'(z) sigma_z psi(z+g) ],  g = gamma*eps.
 
-    Used as the independent cross-check against commutator(split_hamiltonian,
-    charge_density); the two agree term by term.
+    Used as the independent cross-check against the commutator of
+    split_hamiltonian with charge_density; the two agree term by term.
     """
     t = _mode_table(cfg)
     pa, pb = t.p[:, None], t.p[None, :]

@@ -23,6 +23,13 @@ def test_verify_default_passes(capsys):
     assert "PASS continuity" in out
 
 
+def test_verify_at_n_max_8_passes_every_check(capsys):
+    # beyond the reach of the normal-ordering oracle in test time
+    assert run_cli(["verify", "--n-max", "8", "--eps", "0.3", "--eps", "0.7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
+
+
 def test_verify_rejects_bad_lattice(capsys):
     assert run_cli(["verify", "--n-max", "0"]) == 2
     assert "n_max" in capsys.readouterr().err
@@ -97,6 +104,20 @@ def test_non_finite_input_exits_2_before_any_work(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, key", [("--eps", "eps"), ("--mass", "mass"), ("--delta-p", "delta_p")])
+def test_negative_flag_value_in_exponent_or_non_finite_form(capsys, flag, key):
+    # argparse alone reads -1e-3 and -inf as options and stops with "expected one argument"
+    runs = []
+    for argv in ([f"{flag}=-1e-3"], [flag, "-1e-3"]):
+        code = run_cli(["vacuum", "--n-max", "1", *argv])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert run_cli(["vacuum", "--n-max", "1", flag, "-inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be a finite number, got -inf\n"
 
 
 def test_anomaly_requires_smearing(capsys):

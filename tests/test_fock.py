@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pointsplit import fock
 from pointsplit.checks import check_car
@@ -191,3 +193,35 @@ def test_one_sign_rule_serves_car_and_operators(monkeypatch):
     assert not car.passed and car.residual == 2.0
     assert apply_operator(creator_op(3, N1), state).amp == {0b1001: 1.0}
     assert cre(3, state).amp == {0b1001: 1.0}
+
+
+@given(st.integers(0, N1 - 1), st.integers(0, (1 << N1) - 1))
+@settings(max_examples=60, deadline=None)
+def test_car_sweep_reaches_every_state_and_slot(slot, bits):
+    """Dropping the sign of one factor on one bitstring alone breaks the
+    table-built CAR check, so it still visits every basis state and slot."""
+    word = ((), (slot,)) if (bits >> slot) & 1 else ((slot,), ())
+    signed = fock._apply_word
+    assume(signed(*word, bits)[1] == 1)
+
+    def one_sign_dropped(creators, annihilators, b):
+        hit = signed(creators, annihilators, b)
+        return (hit[0], 0) if (creators, annihilators, b) == (*word, bits) else hit
+
+    with mock.patch.object(fock, "_apply_word", one_sign_dropped):
+        assert not check_car(CFG1).passed
+
+
+@pytest.mark.parametrize("slot", range(N1))
+def test_car_sweep_reaches_every_diagonal_pair(monkeypatch, slot):
+    """Negating every creator on one slot keeps {a'_s, a'_t} = 0 and every
+    off-diagonal {a_s, a'_t} = 0; only {a_slot, a'_slot} = 1 can see it."""
+    signed = fock._apply_word
+
+    def negated(creators, annihilators, bits):
+        hit = signed(creators, annihilators, bits)
+        return (hit[0], hit[1] ^ 1) if hit and creators == (slot,) else hit
+
+    monkeypatch.setattr(fock, "_apply_word", negated)
+    car = check_car(CFG1)
+    assert not car.passed and car.residual == 2.0

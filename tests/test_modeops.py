@@ -23,9 +23,11 @@ from pointsplit.lattice import LatticeConfig, dispersion, spinor
 from pointsplit.modeops import (
     ModeOperator,
     _bilinear,
+    _kernel,
     _worst,
     annihilator_op,
     apply_operator,
+    bilinear_commutator,
     boulware_current,
     charge_commutator_gradient_form,
     charge_density,
@@ -354,6 +356,34 @@ def test_bilinear_matches_product_oracle(data):
             oracle = oracle + complex(kernel[a, b]) * multiply(field_op(a).adjoint(), field_op(b))
     scale = max(1.0, float(np.abs(kernel).sum()))
     assert coeff_distance(_bilinear(kernel, cfg), oracle) <= 1e-14 * scale
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_bilinear_commutator_matches_normal_ordering_oracle(data):
+    """[A'KA, A'GA] = A'[K,G]A, Schwinger c-number included, against
+    commutator(), which normal-orders every term pair; _kernel inverts
+    _bilinear and refuses anything that is not a bilinear."""
+    n_max = data.draw(st.integers(1, 3))
+    cfg = LatticeConfig(1.0, 1.0, n_max)
+    n = n_slots_for(n_max)
+    entry = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    # sparse kernels keep the oracle's term-pair count, and so the test, small
+    sparse = arrays(complex, (n, n), elements=entry, fill=st.just(0j))
+    k, g = data.draw(sparse), data.draw(sparse)
+    a, b = _bilinear(k, cfg), _bilinear(g, cfg)
+    scale = max(1.0, float(np.abs(k).sum() * np.abs(g).sum()))
+    assert coeff_distance(bilinear_commutator(a, b, cfg), commutator(a, b)) <= 1e-14 * scale
+    assert np.array_equal(_kernel(a, cfg), k)
+    # an electron-positron pair and its conjugate: [K,G] = E_00 - E_pp leaves the c-number -1
+    positron = SlotIndex(POSITRON, 0).linear(n_max)
+    pair, conj = np.zeros((n, n), complex), np.zeros((n, n), complex)
+    pair[0, positron] = conj[positron, 0] = 1.0
+    a, b = _bilinear(pair, cfg), _bilinear(conj, cfg)
+    assert vev(bilinear_commutator(a, b, cfg)) == vev(commutator(a, b)) == -1.0
+    for not_bilinear in (creator_op(0, n), total_charge(cfg) * total_charge(cfg)):
+        with pytest.raises(ValueError, match="not a fermion bilinear"):
+            _kernel(not_bilinear, cfg)
 
 
 # -- evaluation helpers ----------------------------------------------------------
