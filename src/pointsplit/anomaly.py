@@ -44,9 +44,9 @@ __all__ = [
 _REAL_TOL = 1e-12
 
 
-def _require_real(value: complex, what: str, tol: float = _REAL_TOL) -> float:
+def _require_real(value: complex, what: str) -> float:
     scale = max(1.0, abs(value))
-    if abs(value.imag) > tol * scale:
+    if abs(value.imag) > _REAL_TOL * scale:
         raise RuntimeError(f"{what} has imaginary residue {value.imag} beyond tolerance")
     return value.real
 

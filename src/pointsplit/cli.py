@@ -388,6 +388,8 @@ def cmd_kernel(config: RunConfig, stream=None) -> int:
         if eps <= 0:
             raise ConfigError(f"kernel asymptote needs eps > 0, got {eps}")
         eta = config.eta if config.eta is not None else eps * eps
+        if eta == 0:
+            raise ConfigError(f"the default eta = eps*eps underflows to 0 at eps {eps!r}; pass --eta")
         cutoff = config.cutoff if config.cutoff is not None else max(1e4, 100.0 / eps)
         damped = damped_kernel_integral(eps, eta, cutoff, lattice.mass)
         extrapolated = kernel_asymptote(eps, eta, cutoff, lattice.mass)

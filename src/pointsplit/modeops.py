@@ -21,15 +21,14 @@ matrix over slots,
 
     sum_ab K[a,b] A'_a A_b,   e.g.  K[a,b] = u_a' M u_b exp(i(p_b y - p_a x)) / L
 
-for the bilinear psi'(x) M psi(y), and one conversion (_bilinear)
-normal-orders any K through the four blocks b'b, b'd', d b and d d'.  Only
-the d d' diagonal produces a c-number, which is kept (densities are not
-normal-ordered here; the constant part cancels in every commutator).
-_kernel reads a bilinear back into its K, so the commutator of two
-bilinears is the bilinear of the kernel commutator, [A'KA, A'GA] = A'[K,G]A
-(bilinear_commutator); its c-number is the finite Schwinger term.  The
-general product engine (multiply, commutator) is kept as the independent
-oracle the tests compare that shortcut against.
+for the bilinear psi'(x) M psi(y), computed by a private kernel function
+(_field_kernel, ...) and normal-ordered by one conversion (_bilinear)
+through the four blocks b'b, b'd', d b and d d'.  Only the d d' diagonal
+produces a c-number, the vacuum value Tr(P_- K) (_kernel_vev; densities are
+not normal-ordered here).  The checks stay on kernels: [A'KA, A'GA] =
+A'[K,G]A, whose c-number is the finite Schwinger term, and _kernel_distance
+equals coeff_distance of the bilinears.  The general product engine
+(multiply, commutator) is the independent oracle the tests hold them to.
 
 Position z enters only through phase factors, so z-derivatives are
 applied analytically to the phases (the dz=True flags), never numerically.
@@ -218,8 +217,8 @@ def coeff_distance(a: ModeOperator, b: ModeOperator) -> float:
     return _worst(abs(a.coefficient(k) - b.coefficient(k)) for k in keys)
 
 
-def is_hermitian(a: ModeOperator, tol: float = 1e-12) -> bool:
-    return coeff_distance(a, a.adjoint()) <= tol
+def is_hermitian(a: ModeOperator) -> bool:
+    return coeff_distance(a, a.adjoint()) <= 1e-12
 
 
 # -- state action --------------------------------------------------------
@@ -268,6 +267,16 @@ def _mode_table(cfg: LatticeConfig) -> _Modes:
     )
 
 
+def _first_positron(cfg: LatticeConfig) -> int:
+    """Linear slots below this one are electron slots, the rest positron slots."""
+    return SlotIndex(POSITRON, -cfg.n_max).linear(cfg.n_max)
+
+
+def _kernel_vev(kernel: np.ndarray, cfg: LatticeConfig) -> complex:
+    """Vacuum value of A'KA, Tr(P_- K): the positron diagonal summed in slot order."""
+    return sum(np.diagonal(kernel)[_first_positron(cfg) :].tolist(), 0j)
+
+
 def _bilinear(kernel: np.ndarray, cfg: LatticeConfig) -> ModeOperator:
     """Normal-ordered sum_ab K[a,b] A'_a A_b over linear slots a, b.
 
@@ -275,8 +284,8 @@ def _bilinear(kernel: np.ndarray, cfg: LatticeConfig) -> ModeOperator:
     creator) on positron slots, so the four blocks normal-order as below;
     only the d d' diagonal (d_a d'_a = 1 - d'_a d_a) yields a c-number.
     """
-    first_positron = SlotIndex(POSITRON, -cfg.n_max).linear(cfg.n_max)
-    terms: dict[Signature, complex] = {}
+    first_positron = _first_positron(cfg)
+    terms: dict[Signature, complex] = {_IDENTITY_SIG: _kernel_vev(kernel, cfg)}
     rows, cols = np.nonzero(kernel)
     for a, b, c in zip(rows.tolist(), cols.tolist(), kernel[rows, cols].tolist()):
         if a < first_positron:
@@ -285,48 +294,16 @@ def _bilinear(kernel: np.ndarray, cfg: LatticeConfig) -> ModeOperator:
         elif b < first_positron:
             terms[((), (a, b))] = c  # d b: positron slot above electron slot
         else:
-            if a == b:
-                terms[_IDENTITY_SIG] = terms.get(_IDENTITY_SIG, 0j) + c
-            terms[((b,), (a,))] = -c
+            terms[((b,), (a,))] = -c  # d_a d'_b = delta_ab - d'_b d_a; the delta is the c-number
     return ModeOperator(n_slots_for(cfg.n_max), terms)
 
 
-def _kernel(op: ModeOperator, cfg: LatticeConfig) -> np.ndarray:
-    """The kernel K with _bilinear(K, cfg) equal to op up to its c-number.
-
-    The inverse of _bilinear: every monomial must lie in one of the blocks
-    b'b, b'd', d b or d d' (read from d'_b d_a = delta_ab - d_a d'_b);
-    anything else is not a fermion bilinear and raises ValueError.
-    """
-    n = n_slots_for(cfg.n_max)
-    if op.n_slots != n:
-        raise ValueError(f"lattice mismatch: {op.n_slots} vs {n} slots")
-    first_positron = SlotIndex(POSITRON, -cfg.n_max).linear(cfg.n_max)
-    kernel = np.zeros((n, n), dtype=complex)
-    for (cre, ann), c in op.terms.items():
-        block = (len(cre), tuple(s >= first_positron for s in cre + ann))
-        if block == (1, (False, False)):
-            kernel[cre[0], ann[0]] = c  # b'b
-        elif block == (2, (False, True)):
-            kernel[cre] = c  # b'd'
-        elif block == (0, (True, False)):
-            kernel[ann] = c  # d b
-        elif block == (1, (True, True)):
-            kernel[ann[0], cre[0]] = -c  # d'd
-        elif cre or ann:
-            raise ValueError(f"monomial {(cre, ann)} is not a fermion bilinear")
-    return kernel
-
-
-def bilinear_commutator(a: ModeOperator, b: ModeOperator, cfg: LatticeConfig) -> ModeOperator:
-    """[a, b] for two fermion bilinears through their kernels: A'[K,G]A.
-
-    Equals commutator(a, b), including the c-number that normal-ordering the
-    d d' diagonal of [K,G] leaves (the Schwinger term), at the cost of two
-    N x N matrix products instead of a normal-ordered product per term pair.
-    """
-    k, g = _kernel(a, cfg), _kernel(b, cfg)
-    return _bilinear(k @ g - g @ k, cfg)
+def _kernel_distance(k: np.ndarray, g: np.ndarray, cfg: LatticeConfig) -> float:
+    """coeff_distance(_bilinear(k, cfg), _bilinear(g, cfg)) exactly: each entry is
+    one monomial's coefficient up to sign, plus the c-number.  Python's abs
+    rounds as coeff_distance does; np.abs does not."""
+    entries = np.array([abs(d) for d in (k - g).ravel().tolist()])
+    return _worst([entries.max(), abs(_kernel_vev(k, cfg) - _kernel_vev(g, cfg))])
 
 
 # -- operator builders ---------------------------------------------------
@@ -359,6 +336,15 @@ def split_hamiltonian(cfg: LatticeConfig, eps: float) -> ModeOperator:
     return ModeOperator(n_slots_for(cfg.n_max), terms)
 
 
+def _split_hamiltonian_kernel(cfg: LatticeConfig, eps: float) -> np.ndarray:
+    """Kernel of split_hamiltonian up to its c-number: E_j cos(p_j eps) on the
+    electron slots and its negative on the positron slots (d'd = 1 - d d')."""
+    diagonal = np.zeros(n_slots_for(cfg.n_max), dtype=complex)
+    for w, se, sp in _split_energies(cfg, eps):
+        diagonal[se], diagonal[sp] = w, -w
+    return np.diag(diagonal)
+
+
 def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float | None = None) -> ModeOperator:
     """Pre-normal-ordered form sum_j E_j cos(p_j eps)(b'_j b_j - d_j d'_j) + const.
 
@@ -379,17 +365,17 @@ def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float
 
 def charge_density(z: float, cfg: LatticeConfig) -> ModeOperator:
     """psi'(z) psi(z), hermitian; carries the constant background (2n_max+1)/L."""
-    return _field_bilinear_operator(z, 0.0, ID2, cfg)
+    return _bilinear(_field_kernel(z, 0.0, ID2, cfg), cfg)
 
 
 def current_shifted(z: float, shift: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
     """One-sided bilinear psi'(z + shift) sigma_x psi(z) (no gamma average)."""
-    return _field_bilinear_operator(z, shift, SIGMA_X, cfg, dz=dz)
+    return _bilinear(_field_kernel(z, shift, SIGMA_X, cfg, dz), cfg)
 
 
 def current_density(z: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
     """Unsplit current psi'(z) sigma_x psi(z); dz=True gives its exact z-derivative."""
-    return _field_bilinear_operator(z, 0.0, SIGMA_X, cfg, dz=dz)
+    return _bilinear(_field_kernel(z, 0.0, SIGMA_X, cfg, dz), cfg)
 
 
 def split_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -399,16 +385,14 @@ def split_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) ->
     return 0.5 * (plus + minus)
 
 
-def _field_bilinear_operator(
-    z: float, shift: float, matrix: np.ndarray, cfg: LatticeConfig, dz: bool = False
-) -> ModeOperator:
+def _field_kernel(z: float, shift: float, matrix: np.ndarray, cfg: LatticeConfig, dz: bool = False) -> np.ndarray:
     """K[a,b] = u_a' M u_b exp(i(p_b - p_a)z) exp(-i p_a shift) / L."""
     t = _mode_table(cfg)
     pa, pb = t.p[:, None], t.p[None, :]
     kernel = t.sandwich(matrix) * np.exp(-1j * pa * (z + shift)) * np.exp(1j * pb * z) / cfg.box_length
     if dz:
         kernel = kernel * (1j * (pb - pa))
-    return _bilinear(kernel, cfg)
+    return kernel
 
 
 def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -427,6 +411,10 @@ def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False)
     q = p_b - p_a, and just g when q = 0; dz=True differentiates both the
     plain phase and the line factor analytically.
     """
+    return _bilinear(_boulware_kernel(z, eps, cfg, dz), cfg)
+
+
+def _boulware_kernel(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> np.ndarray:
     t = _mode_table(cfg)
     pa, pb = t.p[:, None], t.p[None, :]
     q = pb - pa
@@ -443,7 +431,7 @@ def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False)
             plain = ins_x * phase
             line = np.where(q == 0, g, (phase - back) / (1j * np.where(q == 0, 1.0, q)))
         kernel = kernel + (plain * s_a + 1j * ins_line * s_a * line) / (2.0 * cfg.box_length)
-    return _bilinear(kernel, cfg)
+    return kernel
 
 
 def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) -> ModeOperator:
@@ -458,6 +446,10 @@ def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) ->
     Used as the independent cross-check against the commutator of
     split_hamiltonian with charge_density; the two agree term by term.
     """
+    return _bilinear(_gradient_kernel(z, eps, cfg), cfg)
+
+
+def _gradient_kernel(z: float, eps: float, cfg: LatticeConfig) -> np.ndarray:
     t = _mode_table(cfg)
     pa, pb = t.p[:, None], t.p[None, :]
     m = cfg.mass
@@ -468,7 +460,7 @@ def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) ->
         left, right = np.exp(-1j * pa * g), np.exp(1j * pb * g)
         c = pa * ins_x * left - pb * ins_x * right + m * ins_z * left - m * ins_z * right
         kernel = kernel + c * phase / (2.0 * cfg.box_length)
-    return _bilinear(kernel, cfg)
+    return kernel
 
 
 def smeared_charge(f: TrigPoly, cfg: LatticeConfig) -> ModeOperator:
@@ -478,10 +470,15 @@ def smeared_charge(f: TrigPoly, cfg: LatticeConfig) -> ModeOperator:
     picks out coefficient c_{j_a - j_b} for each mode pair; hermitian for any
     real f.
     """
+    return _bilinear(_smeared_kernel(f, cfg), cfg)
+
+
+def _smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> np.ndarray:
+    """Kernel of smeared_charge; rejects harmonics the lattice cannot carry."""
     f.check_on_lattice(cfg)
     t = _mode_table(cfg)
     harmonic = np.vectorize(f.coeff, otypes=[complex])(t.j[:, None] - t.j[None, :])
-    return _bilinear(harmonic * t.sandwich(ID2), cfg)
+    return harmonic * t.sandwich(ID2)
 
 
 def total_charge(cfg: LatticeConfig) -> ModeOperator:

@@ -52,9 +52,9 @@ def test_criterion_01_car_suite():
     cfg = LatticeConfig(1.0, 1.0, 2)
     assert n_slots_for(cfg.n_max) == 10
     start = time.perf_counter()
-    res = check_car(cfg, tol=1e-12)
+    res = check_car(cfg)
     elapsed = time.perf_counter() - start
-    ok = res.passed and elapsed < 10.0
+    ok = res.passed and res.tolerance == 1e-12 and elapsed < 10.0
     report(1, "anticommutators on all 1024 basis states", ok,
            f"max residual {res.residual:.3e} (tol 1e-12), {elapsed:.2f}s (< 10s)")
 

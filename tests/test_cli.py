@@ -30,6 +30,13 @@ def test_verify_at_n_max_8_passes_every_check(capsys):
     assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
 
 
+def test_verify_at_n_max_32_passes_every_check(capsys):
+    # kernel-level checks reach lattices the dict-of-monomials route could not
+    assert run_cli(["verify", "--n-max", "32", "--eps", "0.3", "--eps", "0.9", "--f-harmonic", "1:0.5:0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
+
+
 def test_verify_rejects_bad_lattice(capsys):
     assert run_cli(["verify", "--n-max", "0"]) == 2
     assert "n_max" in capsys.readouterr().err
@@ -195,6 +202,14 @@ def test_kernel_report(tmp_path):
     report = json.loads(out.read_text())
     (row,) = report["tables"]["kernel_asymptote"]
     assert 0.9 < row["eps_times_extrapolated"] < 1.1
+
+
+def test_kernel_names_the_underflowed_default_eta(capsys):
+    # every value passed is positive; only the derived eta = eps*eps is 0
+    assert run_cli(["kernel", "--eps", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the default eta = eps*eps underflows to 0 at eps 1e-300; pass --eta\n"
 
 
 def test_derive_golden_structure(tmp_path):

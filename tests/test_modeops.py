@@ -23,11 +23,11 @@ from pointsplit.lattice import LatticeConfig, dispersion, spinor
 from pointsplit.modeops import (
     ModeOperator,
     _bilinear,
-    _kernel,
+    _kernel_distance,
+    _kernel_vev,
     _worst,
     annihilator_op,
     apply_operator,
-    bilinear_commutator,
     boulware_current,
     charge_commutator_gradient_form,
     charge_density,
@@ -362,8 +362,7 @@ def test_bilinear_matches_product_oracle(data):
 @settings(max_examples=40, deadline=None)
 def test_bilinear_commutator_matches_normal_ordering_oracle(data):
     """[A'KA, A'GA] = A'[K,G]A, Schwinger c-number included, against
-    commutator(), which normal-orders every term pair; _kernel inverts
-    _bilinear and refuses anything that is not a bilinear."""
+    commutator(), which normal-orders every term pair."""
     n_max = data.draw(st.integers(1, 3))
     cfg = LatticeConfig(1.0, 1.0, n_max)
     n = n_slots_for(n_max)
@@ -373,17 +372,48 @@ def test_bilinear_commutator_matches_normal_ordering_oracle(data):
     k, g = data.draw(sparse), data.draw(sparse)
     a, b = _bilinear(k, cfg), _bilinear(g, cfg)
     scale = max(1.0, float(np.abs(k).sum() * np.abs(g).sum()))
-    assert coeff_distance(bilinear_commutator(a, b, cfg), commutator(a, b)) <= 1e-14 * scale
-    assert np.array_equal(_kernel(a, cfg), k)
+    assert coeff_distance(_bilinear(k @ g - g @ k, cfg), commutator(a, b)) <= 1e-14 * scale
     # an electron-positron pair and its conjugate: [K,G] = E_00 - E_pp leaves the c-number -1
     positron = SlotIndex(POSITRON, 0).linear(n_max)
     pair, conj = np.zeros((n, n), complex), np.zeros((n, n), complex)
     pair[0, positron] = conj[positron, 0] = 1.0
     a, b = _bilinear(pair, cfg), _bilinear(conj, cfg)
-    assert vev(bilinear_commutator(a, b, cfg)) == vev(commutator(a, b)) == -1.0
-    for not_bilinear in (creator_op(0, n), total_charge(cfg) * total_charge(cfg)):
-        with pytest.raises(ValueError, match="not a fermion bilinear"):
-            _kernel(not_bilinear, cfg)
+    assert vev(_bilinear(pair @ conj - conj @ pair, cfg)) == vev(commutator(a, b)) == -1.0
+
+
+def _same(x, y) -> bool:
+    """Equal, or NaN on both sides."""
+    return x == y or (cmath.isnan(x) and cmath.isnan(y))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_distance_and_vev_equal_their_bilinears_exactly(data):
+    """The kernel-level shortcuts the checks use are exact: _kernel_distance
+    is coeff_distance of the two bilinears and _kernel_vev is vev of the
+    bilinear, bit for bit, a NaN entry included."""
+    n_max = data.draw(st.integers(1, 3))
+    cfg = LatticeConfig(1.0, 1.0, n_max)
+    n = n_slots_for(n_max)
+    positrons = range(SlotIndex(POSITRON, -n_max).linear(n_max), n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def kernel():
+        # full-mantissa entries: numpy's complex abs misrounds about a third of
+        # them, so a shortcut through np.abs shows; zeros drop their monomials,
+        # and a small positron diagonal keeps the c-number below the entries
+        values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        values[positrons, positrons] *= 0.1
+        return np.where(rng.random((n, n)) < 0.3, 0j, values)
+
+    k, g = kernel(), kernel()
+    shifted = k.copy()  # differs from k only on the positron diagonal, where the c-number sits
+    shifted[positrons, positrons] += complex(rng.normal(), rng.normal())
+    with_nan = k.copy()
+    with_nan[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = complex(math.nan, 0.0)
+    for a, b in ((k, g), (k, shifted), (with_nan, g)):
+        assert _same(_kernel_distance(a, b, cfg), coeff_distance(_bilinear(a, cfg), _bilinear(b, cfg)))
+        assert _same(_kernel_vev(a, cfg), vev(_bilinear(a, cfg)))
 
 
 # -- evaluation helpers ----------------------------------------------------------
