@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass, field
-
-from scipy.integrate import quad
 
 from .fock import ELECTRON, POSITRON, SlotIndex, inner, vacuum
 from .lattice import LatticeConfig, dispersion
@@ -124,8 +123,13 @@ def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> f
     Adaptive quadrature with an oscillatory sine weight on [0, cutoff];
     beyond the cutoff p/E_p is replaced by 1 (error below m^2/(2*cutoff))
     and the remaining damped tail is summed in closed form.  With m = 0 the
-    whole integral collapses to the elementary eps/(eps^2 + eta^2).
+    whole integral collapses to the elementary eps/(eps^2 + eta^2).  A
+    quadrature warning is raised as a ValueError with its text.  scipy is
+    imported here, not at module level, so that only kernel integrals pay
+    for loading it.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     if eps <= 0 or eta <= 0 or cutoff <= 0:
         raise ValueError("eps, eta and cutoff must all be positive")
 
@@ -134,7 +138,12 @@ def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> f
             return 0.0
         return p / math.hypot(p, m) * math.exp(-eta * p)
 
-    value, err = quad(radial, 0.0, cutoff, weight="sin", wvar=eps, limit=800, epsabs=1e-9, epsrel=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            value, err = quad(radial, 0.0, cutoff, weight="sin", wvar=eps, limit=800, epsabs=1e-9, epsrel=1e-9)
+        except IntegrationWarning as exc:
+            raise ValueError(str(exc)) from None
     if err > 1e-6 * max(1.0, abs(value)):
         raise RuntimeError(f"quadrature tolerance not met: achieved error estimate {err}")
     # closed-form damped tail with p/E -> 1:  Im[ exp((i*eps-eta)*P) / (eta - i*eps) ]

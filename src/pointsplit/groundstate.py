@@ -133,15 +133,26 @@ def redefined_vacuum_energy(eps: float, cfg: LatticeConfig) -> float:
 def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     """Enumerate all occupation states and locate the energy minimum.
 
-    Energies are additive over occupied slots, so each of the 2^M_tot
-    basis states is scored directly.  Flipping slot s moves any state's
-    energy by the energy of the state holding s alone, read off the
-    enumeration; slots where that is zero by _is_zero_energy are free, and
-    the minimizers are the 2^(number of free slots) states reached from the
-    lowest one by flipping free slots.  Verifies that the free slots are the
-    zero-mode slots and that the lowest state occupies all negative-split-
-    energy slots and none of the positive ones (unique when the zero set is
-    empty).
+    Energies are additive over occupied slots, so each of the 2^n basis
+    states of the n slots is scored directly, one block at a time so that
+    the 2^n energies are never held at once.  The low k = n//2 slots are
+    summed once, in slot order, over all 2^k low bit patterns; each block
+    copies that array and adds the energies of the high slots its high bits
+    occupy, again in slot order.  Every state's energy is therefore the
+    same left-to-right sum, from 0.0, of its occupied slots' energies as in
+    one full-length enumeration that adds w[s] * bit for every slot, so it
+    is the same float: an unoccupied slot there adds a signed zero, which
+    leaves a sum that started at +0.0 unchanged.  The running minimum is
+    replaced only on a strict <, which keeps the first minimizer in state
+    order, as argmin over all 2^n states would.
+
+    Flipping slot s moves any state's energy by the energy of the state
+    holding s alone, read off the enumeration; slots where that is zero by
+    _is_zero_energy are free, and the minimizers are the 2^(number of free
+    slots) states reached from the lowest one by flipping free slots.
+    Verifies that the free slots are the zero-mode slots and that the lowest
+    state occupies all negative-split-energy slots and none of the positive
+    ones (unique when the zero set is empty).
     """
     n = n_slots_for(cfg.n_max)
     if n > ENUMERATION_MAX_SLOTS:
@@ -150,16 +161,27 @@ def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     unsplit, w = np.empty(n), np.empty(n)  # per linear slot, the same for both species
     for j, _, energy, split in spectrum.entries:
         for species in (ELECTRON, POSITRON):
-            k = SlotIndex(species, j).linear(cfg.n_max)
-            unsplit[k], w[k] = energy, split
-    idx = np.arange(1 << n, dtype=np.int64)
-    energies = np.zeros(len(idx))
-    for s in range(n):
-        energies += w[s] * ((idx >> s) & 1)
-    ground = int(energies.argmin())
-    emin = float(energies[ground])
+            slot = SlotIndex(species, j).linear(cfg.n_max)
+            unsplit[slot], w[slot] = energy, split
+    k = n // 2
+    idx = np.arange(1 << k, dtype=np.int64)
+    low = np.zeros(len(idx))
+    for s in range(k):
+        low += w[s] * ((idx >> s) & 1)
+    single = np.empty(n)  # single[s]: energy of the state holding slot s alone
+    single[:k] = low[1 << np.arange(k)]
+    for high in range(1 << (n - k)):
+        block = low.copy()
+        for s in range(k, n):
+            if (high >> (s - k)) & 1:
+                block += w[s]
+        if high.bit_count() == 1:
+            single[k + high.bit_length() - 1] = block[0]
+        i = int(block.argmin())
+        if high == 0 or float(block[i]) < emin:  # strict: an equal later state never displaces the first
+            emin, ground = float(block[i]), (high << k) | i
     flips = 1 << np.arange(n)
-    free = flips[_is_zero_energy(energies[flips], unsplit)]
+    free = flips[_is_zero_energy(single, unsplit)]
     free_mask = int(free.sum())
 
     neg_mask = _mask(spectrum.negative_modes, cfg)

@@ -300,10 +300,11 @@ def _bilinear(kernel: np.ndarray, cfg: LatticeConfig) -> ModeOperator:
 
 def _kernel_distance(k: np.ndarray, g: np.ndarray, cfg: LatticeConfig) -> float:
     """coeff_distance(_bilinear(k, cfg), _bilinear(g, cfg)) exactly: each entry is
-    one monomial's coefficient up to sign, plus the c-number.  Python's abs
-    rounds as coeff_distance does; np.abs does not."""
-    entries = np.array([abs(d) for d in (k - g).ravel().tolist()])
-    return _worst([entries.max(), abs(_kernel_vev(k, cfg) - _kernel_vev(g, cfg))])
+    one monomial's coefficient up to sign, plus the c-number.  np.hypot of the
+    real and imaginary parts rounds as Python's complex abs in coeff_distance
+    does; np.abs does not."""
+    d = k - g
+    return _worst([np.hypot(d.real, d.imag).max(), abs(_kernel_vev(k, cfg) - _kernel_vev(g, cfg))])
 
 
 # -- operator builders ---------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,14 @@ def test_damped_integral_massless_closed_form():
 def test_damped_integral_validates_inputs():
     with pytest.raises(ValueError):
         damped_kernel_integral(-0.1, 0.01, 1e4, 1.0)
+
+
+def test_damped_integral_raises_quadrature_warnings_as_value_errors():
+    # a quadrature warning surfaces as a ValueError carrying scipy's text, not as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="roundoff error is detected"):
+            damped_kernel_integral(1e-3, 1e-300, 1e300, 1.0)
 
 
 def test_kernel_asymptote_principal_value():

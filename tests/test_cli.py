@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -210,6 +213,28 @@ def test_kernel_names_the_underflowed_default_eta(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the default eta = eps*eps underflows to 0 at eps 1e-300; pass --eta\n"
+
+
+def test_kernel_names_the_overflowed_default_cutoff(capsys):
+    # eta is given, so only the derived cutoff = max(1e4, 100/eps) is out of range;
+    # the check comes before any quadrature
+    assert run_cli(["kernel", "--eps", "1e-307", "--eta", "0.001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the default cutoff = max(1e4, 100/eps) overflows to inf at eps 1e-307; pass --cutoff\n"
+    )
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # scipy is only needed by the kernel quadrature, which imports it when it runs
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, pointsplit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_derive_golden_structure(tmp_path):

@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointsplit.fock import ELECTRON, POSITRON, inner, vacuum
+from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, n_slots_for, vacuum
 from pointsplit.groundstate import (
+    EnergyReport,
+    _is_zero_energy,
+    _mask,
     excitation_energy,
     ground_state_bruteforce,
     redefined_vacuum,
@@ -173,3 +178,71 @@ def test_zero_boundary_bruteforce_agrees_with_spectrum(mode, k, log_delta, sign)
     rep = ground_state_bruteforce(eps, cfg)
     assert rep.degeneracy == 2 ** (2 * len(spec.zero_modes))
     assert rep.matches_redefined_vacuum
+
+
+def _full_array_bruteforce(eps, cfg):
+    """Oracle: every state's energy in one 2^n array, summed slot by slot, and
+    one argmin over it -- the enumeration the blocked search must reproduce."""
+    n = n_slots_for(cfg.n_max)
+    spectrum = split_spectrum(eps, cfg)
+    unsplit, w = np.empty(n), np.empty(n)
+    for j, _, energy, split in spectrum.entries:
+        for species in (ELECTRON, POSITRON):
+            slot = SlotIndex(species, j).linear(cfg.n_max)
+            unsplit[slot], w[slot] = energy, split
+    idx = np.arange(1 << n, dtype=np.int64)
+    energies = np.zeros(len(idx))
+    for s in range(n):
+        energies += w[s] * ((idx >> s) & 1)
+    ground = int(energies.argmin())
+    flips = 1 << np.arange(n)
+    free = flips[_is_zero_energy(energies[flips], unsplit)]
+    free_mask = int(free.sum())
+    neg_mask = _mask(spectrum.negative_modes, cfg)
+    if free_mask != _mask(spectrum.zero_modes, cfg) or (ground & ~free_mask) != neg_mask:
+        raise RuntimeError("brute-force minimizer does not match the split spectrum")
+    return EnergyReport(
+        label=f"occupation {neg_mask:0{n}b} (slot 0 rightmost)",
+        energy=float(energies[ground]),
+        degeneracy=1 << len(free),
+        state_bits=neg_mask,
+        matches_redefined_vacuum=((ground ^ neg_mask) & ~free_mask) == 0,
+    )
+
+
+@st.composite
+def _lattice_and_eps(draw):
+    n_max = draw(st.integers(1, 4))
+    cfg = LatticeConfig(draw(st.sampled_from([1.0, 0.25, 3.0])), draw(st.sampled_from([1.0, 0.37, 2.5])), n_max)
+    j = draw(st.integers(1, n_max))
+    zero_of_cos = draw(st.integers(0, 3)) * math.pi / cfg.momentum(j) + math.pi / (2.0 * cfg.momentum(j))
+    offset = draw(st.sampled_from([0.0, 1e-16, -1e-13, 1e-9, -1e-6]))
+    eps = draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0), st.just(zero_of_cos + offset)))
+    return cfg, eps
+
+
+@given(_lattice_and_eps())
+@settings(max_examples=60, deadline=None)
+def test_blocked_bruteforce_equals_the_full_array_enumeration(case):
+    # the blocked search adds the same floats in the same order as the full
+    # array, so its minimum has the same bits and its first minimizer the same index
+    cfg, eps = case
+    rep = ground_state_bruteforce(eps, cfg)
+    oracle = _full_array_bruteforce(eps, cfg)
+    assert rep.energy.hex() == oracle.energy.hex()
+    assert rep.state_bits == oracle.state_bits
+    assert rep.degeneracy == oracle.degeneracy
+    assert rep.matches_redefined_vacuum == oracle.matches_redefined_vacuum
+    assert rep == oracle
+
+
+def test_bruteforce_never_holds_every_energy_at_once():
+    # 2^22 states at n_max 5: one full-length float64 array alone is 32 MiB
+    tracemalloc.start()
+    try:
+        rep = ground_state_bruteforce(2.0, LatticeConfig(1.0, 1.0, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.matches_redefined_vacuum
+    assert peak < 8 * 2**20
