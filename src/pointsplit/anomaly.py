@@ -24,9 +24,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .fock import ELECTRON, POSITRON, SlotIndex, inner, vacuum
-from .lattice import LatticeConfig, dispersion
-from .modeops import apply_operator, hamiltonian, smeared_charge
+from .fock import inner, vacuum
+from .lattice import LatticeConfig
+from .modeops import _first_positron, _mode_table, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -67,20 +67,18 @@ def double_commutator_spectral(f: TrigPoly, cfg: LatticeConfig) -> float:
 
     The smeared charge connects the vacuum only to states with one electron
     and one positron (plus the vacuum itself, which carries zero energy), so
-    the pair states are the whole sum.  The amplitude is read off F's
-    normal form without touching a state: F's term c d_p b_e gives
-    <0|F d'_p b'_e|0> = -c, so |<0|F|m>|^2 = |c|^2.
+    the pair states are the whole sum.  The amplitude is read off F's kernel
+    without touching a state: F's term K[p, e] d_p b_e (positron slot p,
+    electron slot e) gives <0|F d'_p b'_e|0> = -K[p, e], so |<0|F|m>|^2 = |K[p, e]|^2.
     """
-    F = smeared_charge(f, cfg)
+    kernel = _smeared_kernel(f, cfg).tolist()
+    energy = _mode_table(cfg).energy.tolist()
+    first_positron = _first_positron(cfg)
     total = 0.0
-    for je in cfg.mode_indices():
-        for jp in cfg.mode_indices():
-            pair = (SlotIndex(POSITRON, jp).linear(cfg.n_max), SlotIndex(ELECTRON, je).linear(cfg.n_max))
-            amp = F.coefficient(((), pair))
-            if amp == 0:
-                continue
-            energy = dispersion(cfg.momentum(je), cfg.mass) + dispersion(cfg.momentum(jp), cfg.mass)
-            total += 2.0 * abs(amp) ** 2 * energy
+    for e in range(first_positron):
+        for p in range(first_positron, len(energy)):
+            if kernel[p][e] != 0:
+                total += 2.0 * abs(kernel[p][e]) ** 2 * (energy[e] + energy[p])
     return total
 
 
@@ -91,10 +89,11 @@ def split_vev_kernel(g: float, cfg: LatticeConfig) -> complex:
     imaginary, odd in g.  The gamma-symmetrized split current therefore has
     vanishing vacuum value.
     """
+    t = _mode_table(cfg)
+    electrons = slice(_first_positron(cfg))
     total = 0j
-    for j in cfg.mode_indices():
-        p = cfg.momentum(j)
-        total += (p / dispersion(p, cfg.mass)) * cmath.exp(-1j * p * g)
+    for p, energy in zip(t.p[electrons].tolist(), t.energy[electrons].tolist()):
+        total += (p / energy) * cmath.exp(-1j * p * g)
     return -total / cfg.box_length
 
 
@@ -151,6 +150,22 @@ def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> f
     return value + tail
 
 
+def _kernel_defaults(eps: float, eta: float | None, cutoff: float | None) -> tuple[float, float]:
+    """eta and cutoff for the kernel integrals at eps, defaulting to eps*eps and max(1e4, 100/eps);
+    a ValueError names an eps that is not positive or a default that leaves the float range."""
+    if not eps > 0:
+        raise ValueError(f"kernel asymptote needs eps > 0, got {eps}")
+    if eta is None:
+        eta = eps * eps
+        if eta == 0:
+            raise ValueError(f"the default eta = eps*eps underflows to 0 at eps {eps!r}; pass --eta")
+    if cutoff is None:
+        cutoff = max(1e4, 100.0 / eps)
+        if cutoff == math.inf:
+            raise ValueError(f"the default cutoff = max(1e4, 100/eps) overflows to inf at eps {eps!r}; pass --cutoff")
+    return eta, cutoff
+
+
 def kernel_asymptote(
     eps: float, eta: float | None = None, cutoff: float | None = None, m: float = 1.0
 ) -> float:
@@ -160,10 +175,7 @@ def kernel_asymptote(
     damping by Neville polynomial extrapolation.  The small-eps asymptote is
     the principal value 1/eps: eps * kernel_asymptote(eps) -> 1 from below.
     """
-    if eta is None:
-        eta = eps * eps
-    if cutoff is None:
-        cutoff = max(1e4, 100.0 / eps)
+    eta, cutoff = _kernel_defaults(eps, eta, cutoff)
     etas = [eta / (2.0**k) for k in range(5)]
     vals = [damped_kernel_integral(eps, e, cutoff, m) for e in etas]
     # Neville tableau toward eta = 0

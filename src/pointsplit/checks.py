@@ -32,6 +32,7 @@ from .modeops import (
     _gradient_kernel,
     _kernel_distance,
     _kernel_vev,
+    _mode_table,
     _smeared_kernel,
     _split_hamiltonian_kernel,
     _worst,
@@ -166,14 +167,13 @@ def continuity_pairwise_residual(cfg: LatticeConfig) -> float:
 
     which makes the commutator of the Hamiltonian with the charge density
     equal i d/dz of the current for every z at once."""
+    t = _mode_table(cfg)
+    modes = list(zip(t.lam.tolist(), t.energy.tolist(), t.p.tolist(), t.u))
     residuals = []
-    modes = [(lam, j) for lam in (+1, -1) for j in cfg.mode_indices()]
-    for lam_a, ja in modes:
-        sa = spinor(lam_a, ja, cfg)
-        for lam_b, jb in modes:
-            sb = spinor(lam_b, jb, cfg)
-            mat = (lam_a * sa.energy - lam_b * sb.energy) * ID2 + (sb.p - sa.p) * SIGMA_X
-            residuals.append(abs(complex(np.vdot(sa.u, mat @ sb.u))))
+    for lam_a, e_a, p_a, u_a in modes:
+        for lam_b, e_b, p_b, u_b in modes:
+            mat = (lam_a * e_a - lam_b * e_b) * ID2 + (p_b - p_a) * SIGMA_X
+            residuals.append(abs(complex(np.vdot(u_a, mat @ u_b))))
     return _worst(residuals)
 
 

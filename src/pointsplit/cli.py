@@ -21,6 +21,7 @@ import numpy as np
 
 from .anomaly import (
     AnomalyReport,
+    _kernel_defaults,
     damped_kernel_integral,
     double_commutator_direct,
     double_commutator_spectral,
@@ -383,16 +384,7 @@ def cmd_kernel(config: RunConfig, stream=None) -> int:
     lattice = config.lattice()
     rows = []
     for eps in sorted(config.eps):
-        if eps <= 0:
-            raise ConfigError(f"kernel asymptote needs eps > 0, got {eps}")
-        eta = config.eta if config.eta is not None else eps * eps
-        if eta == 0:
-            raise ConfigError(f"the default eta = eps*eps underflows to 0 at eps {eps!r}; pass --eta")
-        cutoff = config.cutoff if config.cutoff is not None else max(1e4, 100.0 / eps)
-        if cutoff == math.inf:
-            raise ConfigError(
-                f"the default cutoff = max(1e4, 100/eps) overflows to inf at eps {eps!r}; pass --cutoff"
-            )
+        eta, cutoff = _kernel_defaults(eps, config.eta, config.cutoff)
         damped = damped_kernel_integral(eps, eta, cutoff, lattice.mass)
         extrapolated = kernel_asymptote(eps, eta, cutoff, lattice.mass)
         rows.append(

@@ -11,14 +11,13 @@ all occupation states is available as the final arbiter at desk scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import ELECTRON, POSITRON, FockVector, SlotIndex, apply_create, inner, n_slots_for, vacuum
-from .lattice import LatticeConfig, dispersion
-from .modeops import apply_operator, split_hamiltonian
+from .lattice import LatticeConfig
+from .modeops import _first_positron, _mode_table, _split_energies, apply_operator, split_hamiltonian
 
 ENUMERATION_MAX_SLOTS = 24
 
@@ -87,24 +86,13 @@ def split_spectrum(eps: float, cfg: LatticeConfig) -> SplitSpectrum:
     the negative set (strict inequality) and reported separately; at finite
     cutoff the negative set is guaranteed nonempty once cutoff*|eps| > pi/2.
     """
-    entries = []
-    negative = []
-    zero = []
-    for j in cfg.mode_indices():
-        p = cfg.momentum(j)
-        energy = dispersion(p, cfg.mass)
-        split = energy * math.cos(p * eps)
-        entries.append((j, p, energy, split))
-        if _is_zero_energy(split, energy):
-            zero.append(j)
-        elif split < 0:
-            negative.append(j)
-    return SplitSpectrum(
-        eps=eps,
-        entries=tuple(entries),
-        negative_modes=tuple(negative),
-        zero_modes=tuple(zero),
-    )
+    t = _mode_table(cfg)
+    electrons = slice(_first_positron(cfg))
+    columns = (t.j[electrons].tolist(), t.p[electrons].tolist(), t.energy[electrons].tolist())
+    entries = tuple(zip(*columns, _split_energies(cfg, eps)))
+    zero = tuple(j for j, _, energy, split in entries if _is_zero_energy(split, energy))
+    negative = tuple(j for j, _, energy, split in entries if split < 0 and not _is_zero_energy(split, energy))
+    return SplitSpectrum(eps=eps, entries=entries, negative_modes=negative, zero_modes=zero)
 
 
 def _mask(modes, cfg: LatticeConfig) -> int:
@@ -127,7 +115,8 @@ def redefined_vacuum(eps: float, cfg: LatticeConfig) -> FockVector:
 def redefined_vacuum_energy(eps: float, cfg: LatticeConfig) -> float:
     """Additive energy of the redefined vacuum: sum over S of 2 E_q cos(p_q eps) <= 0."""
     spectrum = split_spectrum(eps, cfg)
-    return sum(2.0 * row[3] for row in spectrum.entries if row[0] in set(spectrum.negative_modes))
+    negative = set(spectrum.negative_modes)
+    return sum(2.0 * row[3] for row in spectrum.entries if row[0] in negative)
 
 
 def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
@@ -158,11 +147,7 @@ def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     if n > ENUMERATION_MAX_SLOTS:
         raise ValueError(f"enumeration bound exceeded: {n} slots > {ENUMERATION_MAX_SLOTS}")
     spectrum = split_spectrum(eps, cfg)
-    unsplit, w = np.empty(n), np.empty(n)  # per linear slot, the same for both species
-    for j, _, energy, split in spectrum.entries:
-        for species in (ELECTRON, POSITRON):
-            slot = SlotIndex(species, j).linear(cfg.n_max)
-            unsplit[slot], w[slot] = energy, split
+    unsplit, w = _mode_table(cfg).energy, np.tile(_split_energies(cfg, eps), 2)  # per linear slot
     k = n // 2
     idx = np.arange(1 << k, dtype=np.int64)
     low = np.zeros(len(idx))

@@ -36,13 +36,14 @@ applied analytically to the phases (the dz=True flags), never numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fock
-from .fock import ELECTRON, POSITRON, FockVector, SlotIndex, n_slots_for, slot_from_linear
+from .fock import ELECTRON, FockVector, n_slots_for, slot_from_linear
 from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, spinor
 from .trigpoly import TrigPoly
 
@@ -245,10 +246,12 @@ def expectation(v: FockVector, a: ModeOperator) -> complex:
 
 
 class _Modes(NamedTuple):
-    """The field's modes in linear slot order: row a describes slot a."""
+    """The field's modes in linear slot order, row a describing slot a; read-only, as callers share it."""
 
     j: np.ndarray  # mode index
-    p: np.ndarray  # momentum
+    lam: np.ndarray  # energy sign: +1 on electron slots, -1 on positron slots
+    p: np.ndarray  # momentum, float64
+    energy: np.ndarray  # E_j, the same on both of mode j's slots
     u: np.ndarray  # unit spinors, shape (n_slots, 2)
 
     def sandwich(self, matrix: np.ndarray) -> np.ndarray:
@@ -256,20 +259,26 @@ class _Modes(NamedTuple):
         return self.u.conj() @ (matrix @ self.u.T)
 
 
+@functools.lru_cache(maxsize=8)
 def _mode_table(cfg: LatticeConfig) -> _Modes:
-    """Positive-energy spinors on electron slots, negative-energy ones on positron slots."""
+    """Positive-energy spinors on electron slots, negative-energy ones on positron slots, once per lattice."""
     slots = [slot_from_linear(a, cfg.n_max) for a in range(n_slots_for(cfg.n_max))]
     sps = [spinor(+1 if s.species == ELECTRON else -1, s.j, cfg) for s in slots]
-    return _Modes(
+    table = _Modes(
         j=np.array([sp.j for sp in sps]),
-        p=np.array([sp.p for sp in sps]),
+        lam=np.array([sp.lam for sp in sps]),
+        p=np.array([sp.p for sp in sps], dtype=float),
+        energy=np.array([sp.energy for sp in sps]),
         u=np.array([sp.u for sp in sps]),
     )
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def _first_positron(cfg: LatticeConfig) -> int:
     """Linear slots below this one are electron slots, the rest positron slots."""
-    return SlotIndex(POSITRON, -cfg.n_max).linear(cfg.n_max)
+    return n_slots_for(cfg.n_max) // 2
 
 
 def _kernel_vev(kernel: np.ndarray, cfg: LatticeConfig) -> complex:
@@ -319,31 +328,29 @@ def hamiltonian(cfg: LatticeConfig) -> ModeOperator:
     return split_hamiltonian(cfg, 0.0)
 
 
-def _split_energies(cfg: LatticeConfig, eps: float):
-    """(E_j cos(p_j eps), electron slot, positron slot) for every mode j."""
-    for j in cfg.mode_indices():
-        p = cfg.momentum(j)
-        w = math.hypot(p, cfg.mass) * math.cos(p * eps)
-        yield w, SlotIndex(ELECTRON, j).linear(cfg.n_max), SlotIndex(POSITRON, j).linear(cfg.n_max)
+def _split_energies(cfg: LatticeConfig, eps: float) -> list[float]:
+    """E_j cos(p_j eps) for modes j = -n_max .. n_max, the energy of both of mode j's slots."""
+    t = _mode_table(cfg)
+    electrons = slice(_first_positron(cfg))
+    return [e * math.cos(p * eps) for e, p in zip(t.energy[electrons].tolist(), t.p[electrons].tolist())]
 
 
 def split_hamiltonian(cfg: LatticeConfig, eps: float) -> ModeOperator:
     """Point-split Hamiltonian: per-mode energies E_j cos(p_j eps), renormalized."""
+    first_positron = _first_positron(cfg)
     terms: dict[Signature, complex] = {}
-    for w, se, sp in _split_energies(cfg, eps):
+    for se, w in enumerate(_split_energies(cfg, eps)):
         if w != 0:
             terms[((se,), (se,))] = complex(w)
-            terms[((sp,), (sp,))] = complex(w)
+            terms[((se + first_positron,), (se + first_positron,))] = complex(w)
     return ModeOperator(n_slots_for(cfg.n_max), terms)
 
 
 def _split_hamiltonian_kernel(cfg: LatticeConfig, eps: float) -> np.ndarray:
     """Kernel of split_hamiltonian up to its c-number: E_j cos(p_j eps) on the
     electron slots and its negative on the positron slots (d'd = 1 - d d')."""
-    diagonal = np.zeros(n_slots_for(cfg.n_max), dtype=complex)
-    for w, se, sp in _split_energies(cfg, eps):
-        diagonal[se], diagonal[sp] = w, -w
-    return np.diag(diagonal)
+    splits = _split_energies(cfg, eps)
+    return np.diag(np.array(splits + [-w for w in splits], dtype=complex))
 
 
 def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float | None = None) -> ModeOperator:
@@ -355,10 +362,12 @@ def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float
     coefficient for coefficient.
     """
     n = n_slots_for(cfg.n_max)
+    splits = _split_energies(cfg, eps)
     if renormalization is None:
-        renormalization = sum(w for w, _, _ in _split_energies(cfg, eps))
+        renormalization = sum(splits)
     op = constant_op(renormalization, n)
-    for w, se, sp in _split_energies(cfg, eps):
+    for se, w in enumerate(splits):
+        sp = se + _first_positron(cfg)
         op = op + w * (creator_op(se, n) * annihilator_op(se, n))
         op = op - w * (annihilator_op(sp, n) * creator_op(sp, n))
     return op
@@ -478,8 +487,9 @@ def _smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> np.ndarray:
     """Kernel of smeared_charge; rejects harmonics the lattice cannot carry."""
     f.check_on_lattice(cfg)
     t = _mode_table(cfg)
-    harmonic = np.vectorize(f.coeff, otypes=[complex])(t.j[:, None] - t.j[None, :])
-    return harmonic * t.sandwich(ID2)
+    span = 2 * cfg.n_max  # j_a - j_b runs over -span .. span
+    coeffs = np.array([f.coeff(n) for n in range(-span, span + 1)], dtype=complex)
+    return coeffs[t.j[:, None] - t.j[None, :] + span] * t.sandwich(ID2)
 
 
 def total_charge(cfg: LatticeConfig) -> ModeOperator:

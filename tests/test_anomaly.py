@@ -14,7 +14,9 @@ from pointsplit.anomaly import (
     split_commutator_integral,
     split_vev_kernel,
 )
-from pointsplit.lattice import LatticeConfig, spinor
+from pointsplit.fock import ELECTRON, POSITRON, SlotIndex
+from pointsplit.lattice import ID2, LatticeConfig, dispersion, spinor
+from pointsplit.modeops import _mode_table, _smeared_kernel, smeared_charge
 from pointsplit.symbolic import formal_smeared_commutator
 from pointsplit.trigpoly import TrigPoly
 
@@ -138,6 +140,42 @@ def test_routes_agree_for_random_smearings(harmonics):
     assert abs(d - spectral_oracle(f, CFG2)) < 1e-10 * max(1.0, abs(d))
 
 
+def _spectral_from_normal_form(f: TrigPoly, cfg: LatticeConfig) -> float:
+    """Oracle: each pair amplitude read off the normal-ordered F as the
+    coefficient of d_p b_e, each energy from dispersion(), electron mode outer."""
+    F = smeared_charge(f, cfg)
+    total = 0.0
+    for je in cfg.mode_indices():
+        for jp in cfg.mode_indices():
+            pair = (SlotIndex(POSITRON, jp).linear(cfg.n_max), SlotIndex(ELECTRON, je).linear(cfg.n_max))
+            amp = F.coefficient(((), pair))
+            if amp == 0:
+                continue
+            energy = dispersion(cfg.momentum(je), cfg.mass) + dispersion(cfg.momentum(jp), cfg.mass)
+            total += 2.0 * abs(amp) ** 2 * energy
+    return total
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_spectral_route_equals_the_normal_form_oracle(data):
+    cfg = LatticeConfig(
+        data.draw(st.floats(0.05, 5.0) | st.sampled_from([1, 2])),
+        data.draw(st.floats(0.1, 3.0) | st.integers(1, 3)),
+        data.draw(st.integers(1, 6)),
+    )
+    amplitude = st.floats(-1.0, 1.0, allow_nan=False)
+    harmonics = data.draw(
+        st.lists(st.tuples(st.integers(1, 2 * cfg.n_max), amplitude, amplitude), min_size=1, max_size=3)
+    )
+    f = TrigPoly.from_harmonics(cfg.box_length, [(0, data.draw(amplitude), 0.0)] + harmonics)
+    # the lookup over j_a - j_b gives the kernel that evaluating f.coeff entry by entry gives
+    j = _mode_table(cfg).j
+    entrywise = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * _mode_table(cfg).sandwich(ID2)
+    assert _smeared_kernel(f, cfg).tobytes() == entrywise.tobytes()
+    assert double_commutator_spectral(f, cfg) == _spectral_from_normal_form(f, cfg)
+
+
 def test_formal_rewrite_is_zero_while_exact_is_positive():
     assert formal_smeared_commutator(split=False).is_zero()
     assert double_commutator_direct(COS1, CFG2) > 0
@@ -220,6 +258,15 @@ def test_damped_integral_raises_quadrature_warnings_as_value_errors():
 def test_kernel_asymptote_principal_value():
     scaled = 0.01 * kernel_asymptote(0.01, m=1.0)
     assert 0.95 <= scaled <= 1.05
+
+
+def test_kernel_asymptote_names_a_default_that_leaves_the_float_range():
+    with pytest.raises(ValueError, match=r"default eta = eps\*eps underflows to 0 at eps 1e-300; pass --eta"):
+        kernel_asymptote(1e-300)
+    with pytest.raises(ValueError, match=r"default cutoff = max\(1e4, 100/eps\) overflows to inf at eps 1e-307"):
+        kernel_asymptote(1e-307, eta=1e-3)
+    with pytest.raises(ValueError, match="kernel asymptote needs eps > 0, got 0.0"):
+        kernel_asymptote(0.0)
 
 
 def test_kernel_asymptote_monotone_trend():

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -246,3 +247,16 @@ def test_bruteforce_never_holds_every_energy_at_once():
         tracemalloc.stop()
     assert rep.matches_redefined_vacuum
     assert peak < 8 * 2**20
+
+
+def test_redefined_vacuum_energy_takes_linear_time():
+    # one set lookup per mode: 40001 modes in well under the bound, where a set
+    # rebuilt per mode takes tens of seconds
+    cfg = LatticeConfig(1.0, 1.0, 20000)
+    start = time.perf_counter()
+    energy = redefined_vacuum_energy(2.1, cfg)
+    elapsed = time.perf_counter() - start
+    splits = [math.hypot(j, 1.0) * math.cos(j * 2.1) for j in range(-20000, 20001)]
+    assert split_spectrum(2.1, cfg).zero_modes == ()
+    assert energy == sum(2.0 * w for w in splits if w < 0)
+    assert elapsed < 5.0

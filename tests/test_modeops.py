@@ -18,13 +18,14 @@ from pointsplit.fock import (
     slot_from_linear,
     vacuum,
 )
-from pointsplit.checks import _result
-from pointsplit.lattice import LatticeConfig, dispersion, spinor
+from pointsplit.checks import _result, continuity_pairwise_residual
+from pointsplit.lattice import ID2, SIGMA_X, LatticeConfig, dispersion, spinor
 from pointsplit.modeops import (
     ModeOperator,
     _bilinear,
     _kernel_distance,
     _kernel_vev,
+    _mode_table,
     _worst,
     annihilator_op,
     apply_operator,
@@ -192,6 +193,28 @@ def test_split_hamiltonian_raw_renormalization():
     assert vev(unrenormalized) == pytest.approx(expected_const, abs=1e-12)
 
 
+# -- mode table ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mass, delta_p", [(0.7, 2), (1.3, 0.45)])
+def test_mode_table_is_one_read_only_table_of_spinor_floats_per_lattice(mass, delta_p):
+    cfg = LatticeConfig(mass, delta_p, 3)
+    table = _mode_table(cfg)
+    assert _mode_table(LatticeConfig(mass, delta_p, 3)) is table
+    assert _mode_table(LatticeConfig(mass, float(delta_p), 3)) is table  # an equal config
+    assert table.p.dtype == np.float64
+    for column in table:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    assert len(table.j) == n_slots_for(cfg.n_max)
+    for species, lam in ((ELECTRON, +1), (POSITRON, -1)):
+        for j in cfg.mode_indices():
+            a = SlotIndex(species, j).linear(cfg.n_max)
+            sp = spinor(lam, j, cfg)
+            assert (table.j[a], table.lam[a], table.p[a], table.energy[a]) == (sp.j, sp.lam, sp.p, sp.energy)
+            assert table.u[a].tolist() == sp.u.tolist()
+
+
 # -- charge density and total charge ------------------------------------------
 
 
@@ -261,6 +284,36 @@ def test_continuity_pairwise_identity():
             [[0, 1], [1, 0]]
         )
         assert abs(np.vdot(sa.u, mat @ sb.u)) < 1e-12
+
+
+def _pairwise_residual_from_spinors(cfg: LatticeConfig) -> float:
+    """Oracle: the pairwise continuity residual with two spinor() calls per mode
+    pair, in slot order, and the same per-pair vdot as the table route."""
+    residuals = []
+    modes = [(lam, j) for lam in (+1, -1) for j in cfg.mode_indices()]
+    for lam_a, ja in modes:
+        sa = spinor(lam_a, ja, cfg)
+        for lam_b, jb in modes:
+            sb = spinor(lam_b, jb, cfg)
+            mat = (lam_a * sa.energy - lam_b * sb.energy) * ID2 + (sb.p - sa.p) * SIGMA_X
+            residuals.append(abs(complex(np.vdot(sa.u, mat @ sb.u))))
+    return _worst(residuals)
+
+
+# any grid: integer spacings as well as floats, so the table's float64 momenta
+# must reproduce spinor()'s integer ones
+LATTICES = st.builds(
+    LatticeConfig,
+    mass=st.floats(0.05, 5.0) | st.sampled_from([1, 2]),
+    delta_p=st.floats(0.1, 3.0) | st.integers(1, 3),
+    n_max=st.integers(1, 6),
+)
+
+
+@given(LATTICES)
+@settings(max_examples=40, deadline=None)
+def test_continuity_residual_equals_the_spinor_pair_oracle(cfg):
+    assert continuity_pairwise_residual(cfg) == _pairwise_residual_from_spinors(cfg)
 
 
 @pytest.mark.parametrize("z", [0.0, 0.31, 2.7])
