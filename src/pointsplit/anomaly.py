@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .fock import inner, vacuum
+from .fock import _vacuum_part, inner, vacuum
 from .lattice import LatticeConfig
 from .modeops import _first_positron, _mode_table, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
 from .trigpoly import TrigPoly
@@ -51,14 +51,17 @@ def _require_real(value: complex, what: str) -> float:
 
 
 def double_commutator_direct(f: TrigPoly, cfg: LatticeConfig) -> float:
-    """2 <0| F H F |0> by raw operator application (F, then H, then F).
+    """2 <0| F H F |0> by raw operator application: F, then H, applied to |0>,
+    then the last F read against the bra <0|.
 
     Equals <0|[F,[H,F]]|0> because the vacuum is the zero-energy eigenstate.
+    The last pass keeps only the vacuum component of F H F |0>, the one
+    entry the bra reads, so it never builds the four-particle states.
     """
     F = smeared_charge(f, cfg)
     H = hamiltonian(cfg)
     vac = vacuum(cfg)
-    w = apply_operator(F, apply_operator(H, apply_operator(F, vac)))
+    w = _vacuum_part(F.terms.items(), apply_operator(H, apply_operator(F, vac)))
     return _require_real(2.0 * inner(vac, w), "double commutator (direct route)")
 
 

@@ -10,9 +10,16 @@ sign in the package: creating or annihilating in slot k multiplies the
 amplitude by (-1)**(number of occupied slots with smaller index), the
 standard string-of-signs realization of the anticommutation relations on
 bitstrings.  The private _apply_word is the only code applying this rule;
-apply_create, apply_annihilate, modeops.apply_operator and the exhaustive
-CAR check all go through it.  Amplitudes are double-precision complex; the
-signs themselves are exact integers.
+apply_create, apply_annihilate, modeops.apply_operator, the vacuum read
+_vacuum_part and the exhaustive CAR check all go through it.  Amplitudes
+are double-precision complex; the signs themselves are exact integers.
+
+Before a normal-ordered word reaches _apply_word, two occupancy masks pick
+the bitstrings it can act on: every slot of its annihilator mask must be
+occupied, and, once those are emptied, every slot of its creator mask must
+be empty.  The word sends every bitstring failing either test to zero
+(for a word without a repeated slot, exactly those), so skipping them
+changes no amplitude and no order.
 """
 
 from __future__ import annotations
@@ -138,11 +145,22 @@ def _apply_word(cre, ann, bits: int):
     return bits, odd & 1
 
 
+def _mask(slots) -> int:
+    """The bitstring with exactly the given slots set."""
+    bits = 0
+    for s in slots:
+        bits |= 1 << s
+    return bits
+
+
 def _apply_terms(terms, v: FockVector) -> FockVector:
     """sum over ((cre, ann), coeff) in terms of coeff * word(cre, ann) applied to v."""
     out: dict[int, complex] = {}
     for (cre, ann), coeff in terms:
+        full, empty = _mask(ann), _mask(cre)
         for bits, amp in v.amp.items():
+            if bits & full != full or (bits ^ full) & empty:
+                continue
             hit = _apply_word(cre, ann, bits)
             if hit is None:
                 continue
@@ -154,6 +172,28 @@ def _apply_terms(terms, v: FockVector) -> FockVector:
             else:
                 out[b] = acc
     return FockVector(v.n_slots, out)
+
+
+def _vacuum_part(terms, v: FockVector) -> FockVector:
+    """The vacuum component of _apply_terms(terms, v), that is <0| sum coeff * word |v> times |0>.
+
+    Only a word without creators ends in |0>, and only from the one
+    bitstring that holds exactly its annihilated slots.  The hits are summed
+    in _apply_terms' order, so the amplitude is the same float.  A sum
+    started at 0j never holds a -0.0, so where _apply_terms drops a zero
+    entry and restarts from 0j, this sum already is 0j.
+    """
+    total = 0j
+    for (cre, ann), coeff in terms:
+        if cre:
+            continue
+        bits = _mask(ann)
+        amp = v.amp.get(bits)
+        hit = None if amp is None else _apply_word(cre, ann, bits)
+        if hit is None:
+            continue
+        total += -(coeff * amp) if hit[1] else coeff * amp
+    return FockVector(v.n_slots, {0: total} if total else {})
 
 
 def apply_create(slot: SlotIndex, v: FockVector) -> FockVector:

@@ -14,9 +14,9 @@ from pointsplit.anomaly import (
     split_commutator_integral,
     split_vev_kernel,
 )
-from pointsplit.fock import ELECTRON, POSITRON, SlotIndex
+from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, vacuum
 from pointsplit.lattice import ID2, LatticeConfig, dispersion, spinor
-from pointsplit.modeops import _mode_table, _smeared_kernel, smeared_charge
+from pointsplit.modeops import _mode_table, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
 from pointsplit.symbolic import formal_smeared_commutator
 from pointsplit.trigpoly import TrigPoly
 
@@ -138,6 +138,26 @@ def test_routes_agree_for_random_smearings(harmonics):
     assert s >= -1e-12
     assert abs(d - s) < 1e-10 * max(1.0, abs(d), abs(s))
     assert abs(d - spectral_oracle(f, CFG2)) < 1e-10 * max(1.0, abs(d))
+
+
+def _direct_by_three_full_passes(f: TrigPoly, cfg: LatticeConfig) -> float:
+    """Oracle: F, H and F each applied in full to |0>, then the whole state read against <0|."""
+    F = smeared_charge(f, cfg)
+    vac = vacuum(cfg)
+    w = apply_operator(F, apply_operator(hamiltonian(cfg), apply_operator(F, vac)))
+    return (2.0 * inner(vac, w)).real
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_direct_route_equals_the_three_full_passes(data):
+    cfg = LatticeConfig(1.0, 1.0, data.draw(st.integers(1, 8)))
+    amplitude = st.floats(-1.0, 1.0, allow_nan=False)
+    harmonics = data.draw(
+        st.lists(st.tuples(st.integers(0, 2 * cfg.n_max), amplitude, amplitude), min_size=1, max_size=3)
+    )
+    f = TrigPoly.from_harmonics(cfg.box_length, [(k, a, b if k else 0.0) for k, a, b in harmonics])
+    assert repr(double_commutator_direct(f, cfg)) == repr(_direct_by_three_full_passes(f, cfg))
 
 
 def _spectral_from_normal_form(f: TrigPoly, cfg: LatticeConfig) -> float:

@@ -173,6 +173,14 @@ def test_anomaly_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_anomaly_at_n_max_128_routes_agree(tmp_path):
+    out = tmp_path / "report.json"
+    args = ["anomaly", "--n-max", "128", "--f-harmonic", "1:0.5:0", "--f-harmonic", "2:0.3:0", "--eps", "0.01"]
+    assert run_cli(args + ["--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["exact_direct"] == pytest.approx(summary["exact_spectral"], rel=1e-10, abs=0)
+
+
 def test_anomaly_rejects_out_of_range_harmonic(capsys):
     assert run_cli(["anomaly", "--f-harmonic", "5:1:0", "--n-max", "2"]) == 2
     assert "harmonic" in capsys.readouterr().err

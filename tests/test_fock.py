@@ -20,7 +20,7 @@ from pointsplit.fock import (
     vacuum,
 )
 from pointsplit.lattice import LatticeConfig
-from pointsplit.modeops import apply_operator, creator_op
+from pointsplit.modeops import ModeOperator, apply_operator, creator_op, multiply
 
 CFG1 = LatticeConfig(1.0, 1.0, 1)  # 6 slots, dim 64
 N1 = n_slots_for(1)
@@ -177,10 +177,15 @@ def test_number_operator_eigenvalues():
 
 def test_one_sign_rule_serves_car_and_operators(monkeypatch):
     """Dropping the sign inside the one primitive breaks the exhaustive CAR
-    check and operator application alike: neither keeps a rule of its own."""
+    check, operator application and the vacuum read alike: none keeps a rule
+    of its own."""
     state = FockVector.basis_state(0b1, N1)
+    # a_0 a_3 empties 0b1001 through an odd sign: slot 0 is occupied below slot 3
+    pair = FockVector.basis_state(0b1001, N1)
+    pair_read = [(((), (0, 3)), 1.0)]
     assert check_car(CFG1).passed
     assert apply_operator(creator_op(3, N1), state).amp == {0b1001: -1.0}
+    assert fock._vacuum_part(pair_read, pair).amp == {0: -1.0}
 
     signed = fock._apply_word
 
@@ -193,6 +198,7 @@ def test_one_sign_rule_serves_car_and_operators(monkeypatch):
     assert not car.passed and car.residual == 2.0
     assert apply_operator(creator_op(3, N1), state).amp == {0b1001: 1.0}
     assert cre(3, state).amp == {0b1001: 1.0}
+    assert fock._vacuum_part(pair_read, pair).amp == {0: 1.0}
 
 
 @given(st.integers(0, N1 - 1), st.integers(0, (1 << N1) - 1))
@@ -225,3 +231,98 @@ def test_car_sweep_reaches_every_diagonal_pair(monkeypatch, slot):
     monkeypatch.setattr(fock, "_apply_word", negated)
     car = check_car(CFG1)
     assert not car.passed and car.residual == 2.0
+
+
+# -- occupancy masks and the vacuum read ---------------------------------------
+
+
+def _apply_terms_unmasked(terms, v: FockVector) -> FockVector:
+    """Oracle: the loop before the occupancy masks, every word tried on every bitstring."""
+    out: dict[int, complex] = {}
+    for (creators, annihilators), coeff in terms:
+        for bits, amp in v.amp.items():
+            hit = fock._apply_word(creators, annihilators, bits)
+            if hit is None:
+                continue
+            b, odd = hit
+            x = -(coeff * amp) if odd else coeff * amp
+            acc = out.get(b, 0j) + x
+            if acc == 0:
+                out.pop(b, None)
+            else:
+                out[b] = acc
+    return FockVector(v.n_slots, out)
+
+
+def _full_mantissa(rng) -> complex:
+    return complex(rng.normal(), rng.normal())
+
+
+def _random_state(rng, n_slots: int, size: int, extra=()) -> FockVector:
+    """Sparse state on random bitstrings of every popcount, plus the given ones."""
+    keys = [int(b) for b in rng.integers(0, 1 << n_slots, size=size)]
+    return FockVector(n_slots, {b: _full_mantissa(rng) for b in [*keys, *extra]})
+
+
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_masked_application_equals_the_unmasked_loop(n_max, seed, n_words, n_states):
+    """Skipping bitstrings by mask gives the same amplitudes in the same order,
+    for number operators, creation into full slots, annihilation of empty ones
+    and words that repeat a slot."""
+    rng = np.random.default_rng(seed)
+    n = n_slots_for(n_max)
+    terms = []
+    for _ in range(n_words):
+        creators = tuple(int(s) for s in rng.integers(0, n, size=rng.integers(0, 3)))
+        annihilators = tuple(int(s) for s in rng.integers(0, n, size=rng.integers(0, 3)))
+        terms.append(((creators, annihilators), _full_mantissa(rng)))
+        s = int(rng.integers(0, n))
+        terms.append((((s,), (s,)), _full_mantissa(rng)))  # the number operator b'_s b_s
+    v = _random_state(rng, n, n_states)
+    assert list(fock._apply_terms(terms, v).amp.items()) == list(_apply_terms_unmasked(terms, v).amp.items())
+
+
+def _random_words(rng, n: int, n_terms: int) -> ModeOperator:
+    """Up to two creators and two annihilators per word, c-number included."""
+    terms = {}
+    for _ in range(n_terms):
+        n_cre, n_ann = rng.integers(0, 3, size=2)
+        creators = sorted(int(s) for s in rng.choice(n, n_cre, replace=False))
+        annihilators = sorted((int(s) for s in rng.choice(n, n_ann, replace=False)), reverse=True)
+        terms[(tuple(creators), tuple(annihilators))] = _full_mantissa(rng)
+    return ModeOperator(n, terms)
+
+
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 30), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_vacuum_read_equals_the_vacuum_entry_of_full_application(n_max, seed, n_terms, n_states, with_vacuum):
+    """The vacuum read is the <0| entry of _apply_terms, down to the last bit and
+    the sign of zero.  The operator is a product of random words, so it holds
+    four-slot words, c-numbers and words with creators; each word's slots are
+    shuffled, because in normal order a word that empties a bitstring does so
+    with an even sign."""
+    rng = np.random.default_rng(seed)
+    n = n_slots_for(n_max)
+    product = multiply(_random_words(rng, n, n_terms), _random_words(rng, n, n_terms))
+    terms = []
+    for (creators, annihilators), coeff in product.terms.items():
+        word = (tuple(rng.permutation(creators).tolist()), tuple(rng.permutation(annihilators).tolist()))
+        terms.append((word, coeff))
+    emptied = [sum(1 << s for s in annihilators) for (_, annihilators), _ in terms]
+    v = _random_state(rng, n, n_states, extra=emptied)
+    if not with_vacuum:
+        v.amp.pop(0, None)
+    full = fock._apply_terms(terms, v)
+    part = fock._vacuum_part(terms, v)
+    vac = FockVector.basis_state(0, n)
+    assert repr(part.amp) == repr({b: a for b, a in full.amp.items() if b == 0})
+    assert repr(inner(vac, part)) == repr(inner(vac, full))
+
+
+def test_vacuum_read_drops_an_entry_that_cancels():
+    v = FockVector(N1, {0: 1.0 + 0j, 0b11: -1.0 + 0j})
+    terms = [(((), ()), 0.5 + 0j), (((), (1, 0)), 0.5 + 0j)]
+    assert fock._apply_terms(terms, v).amp == {0b11: -0.5}
+    assert fock._vacuum_part(terms, v).amp == {}
+    assert repr(inner(vacuum(CFG1), fock._vacuum_part(terms, v))) == "0"
