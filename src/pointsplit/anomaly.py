@@ -20,9 +20,11 @@ principal-value 1/eps.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .fock import _vacuum_part, inner, vacuum
 from .lattice import LatticeConfig
@@ -119,38 +121,96 @@ def split_commutator_integral(f: TrigPoly, eps: float, cfg: LatticeConfig) -> fl
     return _require_real(-0.5j * total, "split-current evaluation")
 
 
+_PANEL_NODES, _CHECK_NODES = 24, 12  # Gauss-Legendre order per panel, and the lower order that checks it
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point rule on [-1, 1], built on first use so that
+    importing the package does not load numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _graded_edges(length: float, rate: float) -> np.ndarray:
+    """Panel edges on [0, length] for an integrand below exp(-2 rate u / pi): the first panel
+    is 1/rate wide, each next one twice as wide, and none reaches past 2048/rate, where that
+    bound has underflowed."""
+    if rate * length <= 1:
+        return np.array([0.0, length])
+    doublings = min(11, math.ceil(math.log2(rate) + math.log2(length)))
+    inner = np.ldexp(1.0, np.arange(doublings)) / rate
+    return np.concatenate(([0.0], inner, [min(length, 2.0**doublings / rate)]))
+
+
+def _leg(start: complex, direction: complex, edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t = start + direction*u and weights dt of the n-point rule on every panel of edges in u."""
+    x, w = _gauss_legendre(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = edges[:-1, None] + half * (1.0 + x)
+    return start + direction * u.ravel(), direction * (half * w).ravel()
+
+
 def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> float:
-    """integral_0^inf (p/E_p) sin(p*eps) exp(-eta*p) dp.
+    """integral_0^inf (p/E_p) sin(p*eps) exp(-eta*p) dp, with p/E_p replaced by 1 beyond the cutoff
+    (an error below m^2/(2*cutoff)).
 
-    Adaptive quadrature with an oscillatory sine weight on [0, cutoff];
-    beyond the cutoff p/E_p is replaced by 1 (error below m^2/(2*cutoff))
-    and the remaining damped tail is summed in closed form.  With m = 0 the
-    whole integral collapses to the elementary eps/(eps^2 + eta^2).  A
-    quadrature warning is raised as a ValueError with its text.  scipy is
-    imported here, not at module level, so that only kernel integrals pay
-    for loading it.
+    Write p/E = 1 - g(p).  The 1 and the damped tail beyond the cutoff add up to the elementary
+    eps/(eps^2 + eta^2), and p = m sinh t turns g(p) dp into m exp(-t) dt, so with m -> |m|
+
+        damped = eps/(eps^2 + eta^2) - m Im integral_0^T exp(-t + c m sinh t) dt,
+        c = i*eps - eta,  T = asinh(cutoff/m).
+
+    With m = 0 the value is the elementary part exactly.  The integrand is entire, so the path
+    [0, T] is deformed into the parallelogram 0 -> z1 -> z1 + T -> T, z1 = (theta/sin theta)
+    exp(i theta) with theta = atan2(eps, eta), which is pi/2 when eta << eps.  The slanted legs
+    leave 0 and T in the direction in which c m sinh t falls fastest, at the rates |c| m and
+    |c| m cosh T, and on the horizontal leg, Im t = theta, the integrand stays below
+    exp(-Re t - |c| m sinh(Re t)) with a bounded phase.  Nothing oscillates, so composite
+    Gauss-Legendre panels, graded at those rates near 0 and T, reach round-off at a cost that
+    does not depend on eps*cutoff; each leg stops where its integrand has underflowed.  The
+    same panels with a lower-order rule estimate the error, and an estimate above
+    1e-6 * max(1, |value|) raises a RuntimeError.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
     if eps <= 0 or eta <= 0 or cutoff <= 0:
         raise ValueError("eps, eta and cutoff must all be positive")
-
-    def radial(p: float) -> float:
-        if p == 0.0:
-            return 0.0
-        return p / math.hypot(p, m) * math.exp(-eta * p)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            value, err = quad(radial, 0.0, cutoff, weight="sin", wvar=eps, limit=800, epsabs=1e-9, epsrel=1e-9)
-        except IntegrationWarning as exc:
-            raise ValueError(str(exc)) from None
-    if err > 1e-6 * max(1.0, abs(value)):
+    m = abs(m)
+    elementary = (1.0 / complex(eta, -eps)).imag  # eps/(eps^2 + eta^2), with no square to overflow
+    c, abs_c = complex(-eta, eps), math.hypot(eta, eps)  # abs(c) would raise where hypot gives inf
+    rate = abs_c * m
+    if not (math.isfinite(elementary) and math.isfinite(rate)):
+        raise OverflowError(f"the kernel quadrature leaves the float range at eps={eps!r}, eta={eta!r}, m={m!r}")
+    if m == 0:
+        return elementary
+    theta = math.atan2(eps, eta)
+    d = cmath.exp(1j * theta)
+    z1 = (theta / math.sin(theta) if theta else 1.0) * d
+    T = math.asinh(cutoff / m)
+    legs = [(0j, d, _graded_edges(abs(z1), rate), 1.0)]
+    # |c| m sinh(Re t) reaches 745 here, or Re t reaches about 698 when |c| m is below 1e-300
+    x_end = min(T, math.asinh(745.0 / max(rate, 1e-300)) - z1.real)
+    if x_end > 0:
+        legs.append((z1, 1.0, np.linspace(0.0, x_end, math.ceil(x_end) + 1), 1.0))
+    # the last leg lies below exp(-T - eta*cutoff) and falls at rate_T: past these bounds it adds
+    # nothing, and short of them sinh(t) stays finite on it
+    rate_T = abs_c * math.hypot(m, cutoff)
+    if T + eta * cutoff < 700.0 and rate_T < math.inf:
+        legs.append((complex(T), d, _graded_edges(abs(z1), rate_T), -1.0))
+    values = []
+    for n in (_PANEL_NODES, _CHECK_NODES):
+        integral = 0j
+        for start, direction, edges, sign in legs:
+            t, dt = _leg(start, direction, edges, n)
+            integral += sign * complex(dt @ np.exp(c * m * np.sinh(t) - t))
+        values.append(elementary - m * integral.imag)
+    value, check = values
+    err = abs(value - check)
+    if not err <= 1e-6 * max(1.0, abs(value)):
         raise RuntimeError(f"quadrature tolerance not met: achieved error estimate {err}")
-    # closed-form damped tail with p/E -> 1:  Im[ exp((i*eps-eta)*P) / (eta - i*eps) ]
-    tail = (cmath.exp((1j * eps - eta) * cutoff) / (eta - 1j * eps)).imag
-    return value + tail
+    return value
 
 
 def _kernel_defaults(eps: float, eta: float | None, cutoff: float | None) -> tuple[float, float]:
@@ -179,14 +239,21 @@ def kernel_asymptote(
     the principal value 1/eps: eps * kernel_asymptote(eps) -> 1 from below.
     """
     eta, cutoff = _kernel_defaults(eps, eta, cutoff)
+    return _damped_and_extrapolated(eps, eta, cutoff, m)[1]
+
+
+def _damped_and_extrapolated(eps: float, eta: float, cutoff: float, m: float) -> tuple[float, float]:
+    """(damped, extrapolated): the damped integral at eta, the first of the five that
+    kernel_asymptote extrapolates, and the extrapolation."""
     etas = [eta / (2.0**k) for k in range(5)]
     vals = [damped_kernel_integral(eps, e, cutoff, m) for e in etas]
+    damped = vals[0]
     # Neville tableau toward eta = 0
     for level in range(1, len(etas)):
         for i in range(len(etas) - level):
             x0, x1 = etas[i], etas[i + level]
             vals[i] = (x0 * vals[i + 1] - x1 * vals[i]) / (x0 - x1)
-    return vals[0]
+    return damped, vals[0]
 
 
 def finite_difference_limit(f: TrigPoly, eps: float) -> tuple[float, float]:

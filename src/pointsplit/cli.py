@@ -21,12 +21,11 @@ import numpy as np
 
 from .anomaly import (
     AnomalyReport,
+    _damped_and_extrapolated,
     _kernel_defaults,
-    damped_kernel_integral,
     double_commutator_direct,
     double_commutator_spectral,
     finite_difference_limit,
-    kernel_asymptote,
     split_commutator_integral,
     split_vev_kernel,
 )
@@ -385,8 +384,7 @@ def cmd_kernel(config: RunConfig, stream=None) -> int:
     rows = []
     for eps in sorted(config.eps):
         eta, cutoff = _kernel_defaults(eps, config.eta, config.cutoff)
-        damped = damped_kernel_integral(eps, eta, cutoff, lattice.mass)
-        extrapolated = kernel_asymptote(eps, eta, cutoff, lattice.mass)
+        damped, extrapolated = _damped_and_extrapolated(eps, eta, cutoff, lattice.mass)
         rows.append(
             {
                 "eps": eps,
@@ -419,8 +417,9 @@ def cmd_derive(config: RunConfig, stream=None) -> int:
 def main(argv=None) -> int:
     """Run one subcommand; every failure ends in one `error:` line on stderr:
     exit 2 for bad usage or config, or input that drives the arithmetic out
-    of its domain (numpy and quadrature warnings raise), exit 1 when an
-    internal invariant fails, as a failed check does."""
+    of its domain (numpy warnings raise), exit 1 when an internal invariant
+    fails, as a failed check does, or the kernel quadrature misses its
+    tolerance."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             args = _build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))

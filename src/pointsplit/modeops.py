@@ -255,7 +255,7 @@ class _Modes(NamedTuple):
     u: np.ndarray  # unit spinors, shape (n_slots, 2)
 
     def sandwich(self, matrix: np.ndarray) -> np.ndarray:
-        """All spinor sandwiches u_a' M u_b at once."""
+        """All spinor sandwiches u_a' M u_b at once; the kernels read them cached, through _sandwich."""
         return self.u.conj() @ (matrix @ self.u.T)
 
 
@@ -274,6 +274,19 @@ def _mode_table(cfg: LatticeConfig) -> _Modes:
     for column in table:
         column.flags.writeable = False
     return table
+
+
+def _sandwich(cfg: LatticeConfig, matrix: np.ndarray) -> np.ndarray:
+    """The mode table's sandwiches u_a' M u_b for a 2x2 matrix M, computed on first use per
+    lattice and matrix and shared read-only."""
+    return _sandwich_of_bytes(cfg, np.asarray(matrix, dtype=complex).tobytes())
+
+
+@functools.lru_cache(maxsize=24)
+def _sandwich_of_bytes(cfg: LatticeConfig, matrix: bytes) -> np.ndarray:
+    sandwiches = _mode_table(cfg).sandwich(np.frombuffer(matrix, dtype=complex).reshape(2, 2))
+    sandwiches.flags.writeable = False
+    return sandwiches
 
 
 def _first_positron(cfg: LatticeConfig) -> int:
@@ -399,7 +412,7 @@ def _field_kernel(z: float, shift: float, matrix: np.ndarray, cfg: LatticeConfig
     """K[a,b] = u_a' M u_b exp(i(p_b - p_a)z) exp(-i p_a shift) / L."""
     t = _mode_table(cfg)
     pa, pb = t.p[:, None], t.p[None, :]
-    kernel = t.sandwich(matrix) * np.exp(-1j * pa * (z + shift)) * np.exp(1j * pb * z) / cfg.box_length
+    kernel = _sandwich(cfg, matrix) * np.exp(-1j * pa * (z + shift)) * np.exp(1j * pb * z) / cfg.box_length
     if dz:
         kernel = kernel * (1j * (pb - pa))
     return kernel
@@ -429,8 +442,8 @@ def _boulware_kernel(z: float, eps: float, cfg: LatticeConfig, dz: bool = False)
     pa, pb = t.p[:, None], t.p[None, :]
     q = pb - pa
     phase = np.exp(1j * q * z)
-    ins_x = t.sandwich(SIGMA_X)
-    ins_line = (-pb) * ins_x - cfg.mass * t.sandwich(SIGMA_Z)  # line integrand, d/dz' -> i p_b
+    ins_x = _sandwich(cfg, SIGMA_X)
+    ins_line = (-pb) * ins_x - cfg.mass * _sandwich(cfg, SIGMA_Z)  # line integrand, d/dz' -> i p_b
     kernel = 0.0
     for g in (eps, -eps):
         s_a = np.exp(-1j * pa * g)
@@ -463,7 +476,7 @@ def _gradient_kernel(z: float, eps: float, cfg: LatticeConfig) -> np.ndarray:
     t = _mode_table(cfg)
     pa, pb = t.p[:, None], t.p[None, :]
     m = cfg.mass
-    ins_x, ins_z = t.sandwich(SIGMA_X), t.sandwich(SIGMA_Z)
+    ins_x, ins_z = _sandwich(cfg, SIGMA_X), _sandwich(cfg, SIGMA_Z)
     phase = np.exp(1j * (pb - pa) * z)
     kernel = 0.0
     for g in (eps, -eps):
@@ -489,7 +502,7 @@ def _smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> np.ndarray:
     t = _mode_table(cfg)
     span = 2 * cfg.n_max  # j_a - j_b runs over -span .. span
     coeffs = np.array([f.coeff(n) for n in range(-span, span + 1)], dtype=complex)
-    return coeffs[t.j[:, None] - t.j[None, :] + span] * t.sandwich(ID2)
+    return coeffs[t.j[:, None] - t.j[None, :] + span] * _sandwich(cfg, ID2)
 
 
 def total_charge(cfg: LatticeConfig) -> ModeOperator:

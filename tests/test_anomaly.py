@@ -1,10 +1,12 @@
+import cmath
 import math
-import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointsplit import anomaly
 from pointsplit.anomaly import (
     damped_kernel_integral,
     double_commutator_direct,
@@ -267,12 +269,76 @@ def test_damped_integral_validates_inputs():
         damped_kernel_integral(-0.1, 0.01, 1e4, 1.0)
 
 
-def test_damped_integral_raises_quadrature_warnings_as_value_errors():
-    # a quadrature warning surfaces as a ValueError carrying scipy's text, not as a warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="roundoff error is detected"):
-            damped_kernel_integral(1e-3, 1e-300, 1e300, 1.0)
+def _qawo(eps, eta, cutoff, m):
+    """The integral by QUADPACK's QAWO (a sine weight on [0, cutoff]) plus the closed-form tail.
+
+    Right to about 1e-15 for eps <= 0.6 at the default eta = eps^2 and cutoff; from eps of about
+    0.65 up it returns almost 0 there, however large the true value.
+    """
+    from scipy.integrate import quad
+
+    def radial(p):
+        return 0.0 if p == 0.0 else p / math.hypot(p, m) * math.exp(-eta * p)
+
+    value, _ = quad(radial, 0.0, cutoff, weight="sin", wvar=eps, limit=800, epsabs=1e-9, epsrel=1e-9)
+    return value + (cmath.exp((1j * eps - eta) * cutoff) / (eta - 1j * eps)).imag
+
+
+def _real_axis_oracle(eps, eta, cutoff, m):
+    """The integral at 20 digits by mpmath on the real p axis, split at the zeros of sin(eps*p)."""
+    with mpmath.workdps(20):
+        eps, eta, cutoff, m = (mpmath.mpf(x) for x in (eps, eta, cutoff, m))
+        end = min(cutoff, 50 / eta)  # exp(-eta*p) < 2e-22 beyond
+        zeros = [k * mpmath.pi / eps for k in range(1, int(end * eps / mpmath.pi) + 1)]
+        radial = lambda p: p / mpmath.sqrt(p * p + m * m) * mpmath.sin(eps * p) * mpmath.exp(-eta * p)
+        tail = mpmath.im(mpmath.exp((1j * eps - eta) * cutoff) / (eta - 1j * eps))
+        return float(mpmath.quad(radial, [0, *zeros, end]) + tail)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.01, 0.1, 0.3, 0.6])
+def test_damped_integral_matches_qawo_where_qawo_is_right(eps):
+    eta, cutoff = eps * eps, max(1e4, 100 / eps)
+    for m in (0.3, 1.0, 2.5):
+        assert damped_kernel_integral(eps, eta, cutoff, m) == pytest.approx(_qawo(eps, eta, cutoff, m), rel=1e-13)
+
+
+@pytest.mark.parametrize("eps", [0.7, 1.0, 2.0, 3.0])
+def test_damped_integral_matches_a_real_axis_oracle_where_qawo_returned_zero(eps):
+    # QAWO gave 3.9e-22 at eps 1, m 1, where the value is 0.32770
+    for m in (0.3, 1.0, 2.5):
+        value = damped_kernel_integral(eps, eps * eps, 1e4, m)
+        assert type(value) is float  # a numpy scalar would print as np.float64(...) in a CSV report
+        assert value == pytest.approx(_real_axis_oracle(eps, eps * eps, 1e4, m), rel=1e-12)
+
+
+@given(
+    eps=st.floats(0.01, 3.0),
+    eta_over_eps=st.floats(0.1, 10.0),
+    cutoff=st.floats(1.0, 1e4),
+    m=st.floats(0.1, 10.0),
+)
+@settings(max_examples=15, deadline=None)
+def test_damped_integral_matches_a_real_axis_oracle_across_inputs(eps, eta_over_eps, cutoff, m):
+    eta = eps * eta_over_eps
+    # the value can be a small remainder of eps/(eps^2 + eta^2), so round-off is measured against that
+    expected = _real_axis_oracle(eps, eta, cutoff, m)
+    elementary = eps / (eps * eps + eta * eta)
+    assert damped_kernel_integral(eps, eta, cutoff, m) == pytest.approx(expected, rel=1e-12, abs=1e-14 * elementary)
+
+
+def test_damped_integral_resolves_the_input_qawo_gave_up_on():
+    # QAWO stopped here with "roundoff error is detected"; as eta -> 0 and cutoff -> inf the
+    # integral tends to m K1(m eps)
+    from scipy.special import k1
+
+    for m in (1.0, 2.5):
+        assert damped_kernel_integral(1e-3, 1e-300, 1e300, m) == pytest.approx(m * k1(m * 1e-3), rel=1e-12)
+
+
+def test_damped_integral_raises_when_its_error_estimate_misses_the_tolerance(monkeypatch):
+    monkeypatch.setattr(anomaly, "_CHECK_NODES", 2)  # a check rule too coarse to agree to 1e-6
+    with pytest.raises(RuntimeError, match="quadrature tolerance not met: achieved error estimate"):
+        damped_kernel_integral(0.7, 0.49, 1e4, 1.0)
 
 
 def test_kernel_asymptote_principal_value():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointsplit import cli
+from pointsplit import anomaly, cli
 from pointsplit.cli import RunConfig, main
 
 
@@ -235,14 +235,50 @@ def test_kernel_names_the_overflowed_default_cutoff(capsys):
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # scipy is only needed by the kernel quadrature, which imports it when it runs
+    # the kernel quadrature is numpy-only, and builds its Gauss-Legendre nodes from
+    # numpy.polynomial on first use, so a bare import loads neither
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, pointsplit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import contextlib, io, sys\n"
+        "import pointsplit.cli as cli\n"
+        "loaded = lambda top: sorted(m for m in sys.modules if m == top or m.startswith(top + '.'))\n"
+        "print(loaded('scipy'), loaded('numpy.polynomial'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['kernel', '--eps', '0.01'])\n"
+        "print(code, loaded('scipy'))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] []\n0 []\n"
+
+
+def test_kernel_above_eps_065_matches_the_bessel_limit(tmp_path):
+    # with QAWO the damped value read 3.9e-22 at eps 1 and eps_times_extrapolated 1.105 at eps 2;
+    # as eta -> 0 the kernel is m K1(m eps), here with m = 1
+    from scipy.special import k1
+
+    out = tmp_path / "kernel.json"
+    assert run_cli(["kernel", "--eps", "1", "--eps", "2", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["tables"]["kernel_asymptote"]
+    assert [row["eps"] for row in rows] == [1.0, 2.0]
+    for row in rows:
+        assert 0 < row["eps_times_extrapolated"] <= 1
+        assert row["eps_times_extrapolated"] == pytest.approx(row["eps"] * k1(row["eps"]), rel=0.02)
+
+
+def test_kernel_rows_take_five_integrals_per_eps_and_equal_the_public_functions(tmp_path, monkeypatch):
+    # the damped column is the first of the extrapolation's five integrals, not a sixth
+    calls = []
+    integral = anomaly.damped_kernel_integral
+    monkeypatch.setattr(anomaly, "damped_kernel_integral", lambda *args: calls.append(args) or integral(*args))
+    out = tmp_path / "kernel.json"
+    assert run_cli(["kernel", "--eps", "0.05", "--eps", "0.3", "--mass", "0.7", "--out", str(out)]) == 0
+    assert len(calls) == 10
+    for row in json.loads(out.read_text())["tables"]["kernel_asymptote"]:
+        assert row["damped"] == integral(row["eps"], row["eta"], row["cutoff"], 0.7)
+        assert row["extrapolated"] == anomaly.kernel_asymptote(row["eps"], m=0.7)
 
 
 def test_derive_golden_structure(tmp_path):

@@ -19,13 +19,14 @@ from pointsplit.fock import (
     vacuum,
 )
 from pointsplit.checks import _result, continuity_pairwise_residual
-from pointsplit.lattice import ID2, SIGMA_X, LatticeConfig, dispersion, spinor
+from pointsplit.lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, dispersion, spinor
 from pointsplit.modeops import (
     ModeOperator,
     _bilinear,
     _kernel_distance,
     _kernel_vev,
     _mode_table,
+    _sandwich,
     _worst,
     annihilator_op,
     apply_operator,
@@ -214,6 +215,19 @@ def test_mode_table_is_one_read_only_table_of_spinor_floats_per_lattice(mass, de
             assert (table.j[a], table.lam[a], table.p[a], table.energy[a]) == (sp.j, sp.lam, sp.p, sp.energy)
             assert table.u[a].tolist() == sp.u.tolist()
 
+
+
+def test_sandwiches_are_computed_once_per_lattice_and_matrix_and_shared_read_only():
+    cfg = LatticeConfig(0.7, 2, 3)
+    sandwich = _sandwich(cfg, SIGMA_X)
+    assert _sandwich(LatticeConfig(0.7, 2.0, 3), SIGMA_X.copy()) is sandwich  # equal lattice, equal matrix
+    assert _sandwich(cfg, SIGMA_X.real) is sandwich  # the same matrix with another dtype
+    assert _sandwich(cfg, SIGMA_Z) is not sandwich
+    assert _sandwich(LatticeConfig(0.7, 2, 4), SIGMA_X) is not sandwich
+    with pytest.raises(ValueError, match="read-only"):
+        sandwich[0, 0] = 0
+    for matrix in (ID2, SIGMA_X, SIGMA_Z):
+        assert _sandwich(cfg, matrix).tolist() == _mode_table(cfg).sandwich(matrix).tolist()
 
 # -- charge density and total charge ------------------------------------------
 
