@@ -10,9 +10,11 @@ gradient form of the commutator, renormalization-constant bookkeeping).
 
 Every operator checked here is a fermion bilinear A'KA, so the checks stay
 on the kernels K: [A'KA, A'GA] = A'[K,G]A, the vacuum value is Tr(P_- K)
-and modeops._kernel_distance compares two bilinears exactly.  Only the
-renormalization check builds operators, as it tests the normal-ordering
-engine itself.
+and modeops._kernel_distance compares two bilinears exactly.  The
+Hamiltonians are diagonal, carried as the vector h of their diagonal, so
+every continuity identity takes one elementwise commutator [diag(h), K] =
+(h_a - h_b) K[a,b] (_commute_diagonal).  Only the renormalization check
+builds operators, as it tests the normal-ordering engine itself.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from .modeops import (
     _kernel_distance,
     _kernel_vev,
     _mode_table,
+    _sandwich,
     _smeared_kernel,
-    _split_hamiltonian_kernel,
+    _split_hamiltonian_diagonal,
     _worst,
     coeff_distance,
-    hamiltonian,
     split_hamiltonian,
     split_hamiltonian_raw,
 )
@@ -154,27 +156,30 @@ def check_car(cfg: LatticeConfig) -> CheckResult:
 def check_hermiticity(cfg: LatticeConfig, eps_values, z_values, f: TrigPoly) -> CheckResult:
     """Hermiticity of the Hamiltonians, charge density and smeared charge:
     A'KA is hermitian when K is."""
-    kernels = [_split_hamiltonian_kernel(cfg, eps) for eps in (0.0, *eps_values)]
+    kernels = [np.diag(_split_hamiltonian_diagonal(cfg, eps)) for eps in (0.0, *eps_values)]
     kernels += [_field_kernel(z, 0.0, ID2, cfg) for z in z_values] + [_smeared_kernel(f, cfg)]
     residual = _worst(_kernel_distance(k, k.conj().T, cfg) for k in kernels)
     return _result("hermiticity", residual, TOL["hermiticity"])
 
 
+def _commute_diagonal(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Kernel of [A'diag(h)A, A'KA], that is (h_a - h_b) K[a,b]: the values of
+    diag(h) @ K - K @ diag(h), without the matrix products."""
+    return h[:, None] * k - k * h[None, :]
+
+
 def continuity_pairwise_residual(cfg: LatticeConfig) -> float:
     """Largest residual of the per-mode-pair continuity identity
 
-        u_a' [ (lam_a E_a - lam_b E_b) + (p_b - p_a) sigma_x ] u_b = 0,
+        u_a' [ (h_a - h_b) + (p_b - p_a) sigma_x ] u_b = 0,
 
-    which makes the commutator of the Hamiltonian with the charge density
-    equal i d/dz of the current for every z at once."""
-    t = _mode_table(cfg)
-    modes = list(zip(t.lam.tolist(), t.energy.tolist(), t.p.tolist(), t.u))
-    residuals = []
-    for lam_a, e_a, p_a, u_a in modes:
-        for lam_b, e_b, p_b, u_b in modes:
-            mat = (lam_a * e_a - lam_b * e_b) * ID2 + (p_b - p_a) * SIGMA_X
-            residuals.append(abs(complex(np.vdot(u_a, mat @ u_b))))
-    return _worst(residuals)
+    with h_a = E_a on electron slots and -E_a on positron slots, which makes
+    the commutator of the Hamiltonian with the charge density equal i d/dz
+    of the current for every z at once."""
+    p = _mode_table(cfg).p
+    d = _commute_diagonal(_split_hamiltonian_diagonal(cfg, 0.0), _sandwich(cfg, ID2))
+    d = d + (p[None, :] - p[:, None]) * _sandwich(cfg, SIGMA_X)
+    return _worst([np.hypot(d.real, d.imag).max()])
 
 
 def check_continuity(cfg: LatticeConfig, z_values, corrupt_sign: bool = False) -> CheckResult:
@@ -184,15 +189,23 @@ def check_continuity(cfg: LatticeConfig, z_values, corrupt_sign: bool = False) -
     positron part of the Hamiltonian (a classic convention bug), which must
     make this check fail.
     """
-    h = _split_hamiltonian_kernel(cfg, 0.0)
+    h = _split_hamiltonian_diagonal(cfg, 0.0)
     if corrupt_sign:
         positrons = slice(_first_positron(cfg), None)
-        h[positrons, positrons] = -h[positrons, positrons]
+        h[positrons] = -h[positrons]
     residuals = [continuity_pairwise_residual(cfg) if not corrupt_sign else 0.0]
     for z in z_values:
-        rho = _field_kernel(z, 0.0, ID2, cfg)
-        residuals.append(_kernel_distance(h @ rho - rho @ h, 1j * _field_kernel(z, 0.0, SIGMA_X, cfg, dz=True), cfg))
+        commuted = _commute_diagonal(h, _field_kernel(z, 0.0, ID2, cfg))
+        residuals.append(_kernel_distance(commuted, 1j * _field_kernel(z, 0.0, SIGMA_X, cfg, dz=True), cfg))
     return _result("continuity", _worst(residuals), TOL["continuity"])
+
+
+def _split_commutators(cfg: LatticeConfig, eps_values, z_values):
+    """(eps, z, kernel of [H_split(eps), rho(z)]) for every pair, each rho(z) built once."""
+    diagonals = [(eps, _split_hamiltonian_diagonal(cfg, eps)) for eps in eps_values]
+    for z in z_values:
+        rho = _field_kernel(z, 0.0, ID2, cfg)
+        yield from ((eps, z, _commute_diagonal(h, rho)) for eps, h in diagonals)
 
 
 def check_split_continuity(cfg: LatticeConfig, eps_values, z_values) -> CheckResult:
@@ -201,50 +214,40 @@ def check_split_continuity(cfg: LatticeConfig, eps_values, z_values) -> CheckRes
         [H_split(eps), rho(z)] = i d/dz J_corrected(z; eps)
 
     checked monomial by monomial for every (eps, z) pair."""
-    residuals = []
-    for eps in eps_values:
-        h = _split_hamiltonian_kernel(cfg, eps)
-        for z in z_values:
-            rho = _field_kernel(z, 0.0, ID2, cfg)
-            residuals.append(_kernel_distance(h @ rho - rho @ h, 1j * _boulware_kernel(z, eps, cfg, dz=True), cfg))
-    return _result("split_continuity_defining_relation", _worst(residuals), TOL["split_continuity_defining_relation"])
+    residual = _worst(
+        _kernel_distance(commuted, 1j * _boulware_kernel(z, eps, cfg, dz=True), cfg)
+        for eps, z, commuted in _split_commutators(cfg, eps_values, z_values)
+    )
+    return _result("split_continuity_defining_relation", residual, TOL["split_continuity_defining_relation"])
 
 
 def check_gradient_form(cfg: LatticeConfig, eps_values, z_values) -> CheckResult:
     """[H_split, rho(z)] against its point-shifted field-gradient expansion."""
-    residuals = []
-    for eps in eps_values:
-        h = _split_hamiltonian_kernel(cfg, eps)
-        for z in z_values:
-            rho = _field_kernel(z, 0.0, ID2, cfg)
-            residuals.append(_kernel_distance(h @ rho - rho @ h, _gradient_kernel(z, eps, cfg), cfg))
-    return _result("split_commutator_gradient_form", _worst(residuals), TOL["split_commutator_gradient_form"])
+    residual = _worst(
+        _kernel_distance(commuted, _gradient_kernel(z, eps, cfg), cfg)
+        for eps, z, commuted in _split_commutators(cfg, eps_values, z_values)
+    )
+    return _result("split_commutator_gradient_form", residual, TOL["split_commutator_gradient_form"])
 
 
 def check_split_renormalization(cfg: LatticeConfig, eps_values) -> CheckResult:
     """Raw (pre-normal-ordered) split Hamiltonian plus its subtraction constant
-    equals the diagonal form; at eps = 0 both reduce to the unsplit one."""
-    residuals = [coeff_distance(split_hamiltonian(cfg, 0.0), hamiltonian(cfg))]
-    for eps in eps_values:
-        residuals.append(coeff_distance(split_hamiltonian_raw(cfg, eps), split_hamiltonian(cfg, eps)))
+    equals the diagonal form.  At eps = 0 there is nothing to compare:
+    hamiltonian is split_hamiltonian at eps 0."""
+    residuals = (coeff_distance(split_hamiltonian_raw(cfg, eps), split_hamiltonian(cfg, eps)) for eps in eps_values)
     return _result("split_hamiltonian_renormalization", _worst(residuals), TOL["split_hamiltonian_renormalization"])
 
 
 def check_split_current_consistency(cfg: LatticeConfig, eps_values, z_values) -> CheckResult:
-    """Split current sanity: gamma-symmetrized vacuum value vanishes, the
-    eps = 0 reduction matches the unsplit current, and so does the corrected
-    current at eps = 0."""
-    def shifted(z, eps):  # the two one-sided kernels the split current averages
-        return _field_kernel(z, +eps, SIGMA_X, cfg), _field_kernel(z, -eps, SIGMA_X, cfg)
-
+    """Split current sanity: the gamma-symmetrized vacuum value vanishes, and
+    the corrected current at eps = 0 matches the unsplit current.  (The plain
+    split current at eps = 0 averages one kernel with itself, so it is the
+    unsplit current by construction.)"""
     residuals = []
     for z in z_values:
-        plain = _field_kernel(z, 0.0, SIGMA_X, cfg)
-        plus, minus = shifted(z, 0.0)
-        residuals.append(_kernel_distance(0.5 * (plus + minus), plain, cfg))
-        residuals.append(_kernel_distance(_boulware_kernel(z, 0.0, cfg), plain, cfg))
+        residuals.append(_kernel_distance(_boulware_kernel(z, 0.0, cfg), _field_kernel(z, 0.0, SIGMA_X, cfg), cfg))
         for eps in eps_values:
-            plus, minus = shifted(z, eps)
+            plus, minus = _field_kernel(z, +eps, SIGMA_X, cfg), _field_kernel(z, -eps, SIGMA_X, cfg)
             residuals.append(abs(0.5 * (_kernel_vev(plus, cfg) + _kernel_vev(minus, cfg))))
     return _result("split_current_consistency", _worst(residuals), TOL["split_current_consistency"])
 

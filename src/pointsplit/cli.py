@@ -229,7 +229,7 @@ _COLUMNS = {
 }
 
 
-def _emit(report: dict, config: RunConfig, stream) -> None:
+def _emit(report: dict, config: RunConfig) -> None:
     if config.format == "json":
         # strict JSON: a NaN or an infinity raises ValueError, which main maps to exit 2
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -250,7 +250,7 @@ def _emit(report: dict, config: RunConfig, stream) -> None:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        stream.write(text)
+        sys.stdout.write(text)
 
 
 def _csv_cell(value) -> str:
@@ -269,26 +269,24 @@ def _csv_cell(value) -> str:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_verify(config: RunConfig, corrupt_sign: bool = False, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_verify(config: RunConfig, corrupt_sign: bool = False) -> int:
     lattice = config.lattice()
     f = config.smearing(required=False) or TrigPoly.from_harmonics(lattice.box_length, [(1, 0.5, 0.0)])
     results = run_verify_suite(lattice, config.eps, f=f, corrupt_sign=corrupt_sign)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        stream.write(f"{status} {res.name} max_residual={res.residual:.3e} tol={res.tolerance:.1e}\n")
+        sys.stdout.write(f"{status} {res.name} max_residual={res.residual:.3e} tol={res.tolerance:.1e}\n")
     report = {
         "config": config.to_dict(),
         "checks": [r.to_dict() for r in results],
         "tables": {"checks": [r.to_dict() for r in results]},
     }
     if config.out:  # stdout already carries the human-readable lines
-        _emit(report, config, stream)
+        _emit(report, config)
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_anomaly(config: RunConfig, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_anomaly(config: RunConfig) -> int:
     lattice = config.lattice()
     f = config.smearing(required=True)
     transcript_steps: list = []
@@ -319,12 +317,11 @@ def cmd_anomaly(config: RunConfig, stream=None) -> int:
         kernel=kernel_rows,
         continuum=continuum_rows,
     )
-    _emit(report_obj.to_dict(), config, stream)
+    _emit(report_obj.to_dict(), config)
     return 0 if formal.is_zero() else 1
 
 
-def cmd_vacuum(config: RunConfig, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_vacuum(config: RunConfig) -> int:
     lattice = config.lattice()
     failed = False
     spectrum_rows = []
@@ -332,7 +329,7 @@ def cmd_vacuum(config: RunConfig, stream=None) -> int:
     for eps in sorted(config.eps):
         spec = split_spectrum(eps, lattice)
         if lattice.cutoff * abs(eps) <= math.pi / 2:
-            stream.write(
+            sys.stdout.write(
                 f"WARNING eps={eps}: cutoff*|eps| = {lattice.cutoff * abs(eps):.3f} <= pi/2; "
                 "no mode can reach a negative split energy at this cutoff\n"
             )
@@ -374,12 +371,11 @@ def cmd_vacuum(config: RunConfig, stream=None) -> int:
         "config": config.to_dict(),
         "tables": {"spectrum": spectrum_rows, "ground_state": ground_rows},
     }
-    _emit(report, config, stream)
+    _emit(report, config)
     return 1 if failed else 0
 
 
-def cmd_kernel(config: RunConfig, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_kernel(config: RunConfig) -> int:
     lattice = config.lattice()
     rows = []
     for eps in sorted(config.eps):
@@ -396,12 +392,11 @@ def cmd_kernel(config: RunConfig, stream=None) -> int:
             }
         )
     report = {"config": config.to_dict(), "tables": {"kernel_asymptote": rows}}
-    _emit(report, config, stream)
+    _emit(report, config)
     return 0
 
 
-def cmd_derive(config: RunConfig, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_derive(config: RunConfig) -> int:
     rows = []
     for label, split in (("coincident", False), ("split", True)):
         steps: list = []
@@ -410,16 +405,16 @@ def cmd_derive(config: RunConfig, stream=None) -> int:
             rows.append({"pipeline": label, "step": step_name, "expression": text})
         rows.append({"pipeline": label, "step": "final", "expression": format_expr(final)})
     report = {"config": config.to_dict(), "tables": {"derivation": rows}}
-    _emit(report, config, stream)
+    _emit(report, config)
     return 0
 
 
 def main(argv=None) -> int:
     """Run one subcommand; every failure ends in one `error:` line on stderr:
-    exit 2 for bad usage or config, or input that drives the arithmetic out
-    of its domain (numpy warnings raise), exit 1 when an internal invariant
-    fails, as a failed check does, or the kernel quadrature misses its
-    tolerance."""
+    exit 2 for bad usage or config, input that drives the arithmetic out of
+    its domain (numpy warnings raise) or a lattice too large for memory,
+    exit 1 when an internal invariant fails, as a failed check does, or the
+    kernel quadrature misses its tolerance."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             args = _build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
@@ -428,7 +423,7 @@ def main(argv=None) -> int:
                 return cmd_verify(config, corrupt_sign=args.corrupt_sign_hook)
             commands = {"anomaly": cmd_anomaly, "vacuum": cmd_vacuum, "kernel": cmd_kernel, "derive": cmd_derive}
             return commands[args.command](config)
-    except (ConfigError, ValueError, ArithmeticError) as exc:
+    except (ConfigError, ValueError, ArithmeticError, MemoryError) as exc:
         code, message = 2, str(exc)
     except RuntimeError as exc:
         code, message = 1, str(exc)

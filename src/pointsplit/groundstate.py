@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fock
 from .fock import ELECTRON, POSITRON, FockVector, SlotIndex, apply_create, inner, n_slots_for, vacuum
 from .lattice import LatticeConfig
 from .modeops import _first_positron, _mode_table, _split_energies, apply_operator, split_hamiltonian
@@ -97,7 +98,7 @@ def split_spectrum(eps: float, cfg: LatticeConfig) -> SplitSpectrum:
 
 def _mask(modes, cfg: LatticeConfig) -> int:
     """Bitmask of the electron and positron slots of the given modes."""
-    return sum(1 << SlotIndex(species, j).linear(cfg.n_max) for j in modes for species in (ELECTRON, POSITRON))
+    return fock._mask([SlotIndex(species, j).linear(cfg.n_max) for j in modes for species in (ELECTRON, POSITRON)])
 
 
 def redefined_vacuum(eps: float, cfg: LatticeConfig) -> FockVector:

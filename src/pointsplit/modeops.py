@@ -27,8 +27,9 @@ through the four blocks b'b, b'd', d b and d d'.  Only the d d' diagonal
 produces a c-number, the vacuum value Tr(P_- K) (_kernel_vev; densities are
 not normal-ordered here).  The checks stay on kernels: [A'KA, A'GA] =
 A'[K,G]A, whose c-number is the finite Schwinger term, and _kernel_distance
-equals coeff_distance of the bilinears.  The general product engine
-(multiply, commutator) is the independent oracle the tests hold them to.
+equals coeff_distance of the bilinears; the split Hamiltonian's diagonal
+kernel is a vector there (_split_hamiltonian_diagonal).  The general product
+engine (multiply, commutator) is the independent oracle the tests hold them to.
 
 Position z enters only through phase factors, so z-derivatives are
 applied analytically to the phases (the dz=True flags), never numerically.
@@ -249,7 +250,6 @@ class _Modes(NamedTuple):
     """The field's modes in linear slot order, row a describing slot a; read-only, as callers share it."""
 
     j: np.ndarray  # mode index
-    lam: np.ndarray  # energy sign: +1 on electron slots, -1 on positron slots
     p: np.ndarray  # momentum, float64
     energy: np.ndarray  # E_j, the same on both of mode j's slots
     u: np.ndarray  # unit spinors, shape (n_slots, 2)
@@ -266,7 +266,6 @@ def _mode_table(cfg: LatticeConfig) -> _Modes:
     sps = [spinor(+1 if s.species == ELECTRON else -1, s.j, cfg) for s in slots]
     table = _Modes(
         j=np.array([sp.j for sp in sps]),
-        lam=np.array([sp.lam for sp in sps]),
         p=np.array([sp.p for sp in sps], dtype=float),
         energy=np.array([sp.energy for sp in sps]),
         u=np.array([sp.u for sp in sps]),
@@ -359,11 +358,12 @@ def split_hamiltonian(cfg: LatticeConfig, eps: float) -> ModeOperator:
     return ModeOperator(n_slots_for(cfg.n_max), terms)
 
 
-def _split_hamiltonian_kernel(cfg: LatticeConfig, eps: float) -> np.ndarray:
-    """Kernel of split_hamiltonian up to its c-number: E_j cos(p_j eps) on the
-    electron slots and its negative on the positron slots (d'd = 1 - d d')."""
+def _split_hamiltonian_diagonal(cfg: LatticeConfig, eps: float) -> np.ndarray:
+    """Kernel of split_hamiltonian up to its c-number, as the vector of its
+    diagonal: E_j cos(p_j eps) on the electron slots and its negative on the
+    positron slots (d'd = 1 - d d')."""
     splits = _split_energies(cfg, eps)
-    return np.diag(np.array(splits + [-w for w in splits], dtype=complex))
+    return np.array(splits + [-w for w in splits])
 
 
 def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float | None = None) -> ModeOperator:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointsplit import anomaly, cli
+from pointsplit import anomaly, checks, cli
 from pointsplit.cli import RunConfig, main
 
 
@@ -36,6 +36,13 @@ def test_verify_at_n_max_8_passes_every_check(capsys):
 def test_verify_at_n_max_32_passes_every_check(capsys):
     # kernel-level checks reach lattices the dict-of-monomials route could not
     assert run_cli(["verify", "--n-max", "32", "--eps", "0.3", "--eps", "0.9", "--f-harmonic", "1:0.5:0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
+
+
+def test_verify_at_n_max_128_passes_every_check(capsys):
+    # the Hamiltonian's commutators are elementwise, so this lattice takes seconds
+    assert run_cli(["verify", "--n-max", "128", "--eps", "0.3", "--eps", "0.9", "--f-harmonic", "1:0.5:0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
 
@@ -75,6 +82,22 @@ def test_invariant_failure_exits_1_with_one_error_line(monkeypatch, capsys):
     assert run_cli(["anomaly", "--f-harmonic", "1:0.5:0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: exact routes disagree") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "module, builder, argv",
+    [(checks, "_field_kernel", ["verify"]), (anomaly, "_smeared_kernel", ["anomaly", "--f-harmonic", "1:0.5:0"])],
+)
+def test_kernel_out_of_memory_exits_2_with_one_error_line(monkeypatch, capsys, module, builder, argv):
+    # a kernel too large to allocate, as at --n-max 30000; a real allocation of
+    # that size fails only when the OS refuses it, so the builder is patched
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 13.4 GiB for an array with shape (60002, 60002)")
+
+    monkeypatch.setattr(module, builder, refuse)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 13.4 GiB for an array with shape (60002, 60002)\n"
 
 
 @pytest.mark.parametrize("n_max", [2.5, "3", True])
