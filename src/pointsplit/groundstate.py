@@ -22,6 +22,13 @@ from .modeops import _first_positron, _mode_table, _split_energies, apply_operat
 
 ENUMERATION_MAX_SLOTS = 24
 
+# ground_state_bruteforce scores the states in chunks of 2^CHUNK_SLOTS
+# float64s, 64 KiB, and holds one chunk per depth of its walk.  Each chunk
+# costs two numpy calls, so narrower chunks are slower (width 11 took twice
+# as long at n_max 5); wider ones were at most 15% faster there and hold
+# twice the memory per step.
+CHUNK_SLOTS = 13
+
 # The one rule for "zero": a split energy E_j cos(p_j eps) counts as zero
 # when it is at most ZERO_TOL of the unsplit energy E_j.  split_spectrum
 # applies it to each mode, ground_state_bruteforce to the enumerated
@@ -120,21 +127,47 @@ def redefined_vacuum_energy(eps: float, cfg: LatticeConfig) -> float:
     return sum(2.0 * row[3] for row in spectrum.entries if row[0] in negative)
 
 
+def _chunks_depth_first(base: np.ndarray, w_high: np.ndarray):
+    """Yield (high, energies of the states with that high bit pattern), for
+    every pattern of the high slots, parents before children.
+
+    A child pattern sets one slot t above its parent's top set bit, and its
+    chunk is the parent's plus w_high[t].  Every chunk but the base lives in
+    one buffer per depth, overwritten by the next chunk at that depth, so
+    the caller reads each chunk before asking for the next.
+    """
+    buffers = [np.empty_like(base) for _ in w_high]
+
+    def visit(high: int, chunk: np.ndarray, first: int, depth: int):
+        yield high, chunk
+        for t in range(first, len(w_high)):
+            child = np.add(chunk, w_high[t], out=buffers[depth])
+            yield from visit(high | (1 << t), child, t + 1, depth + 1)
+
+    return visit(0, base, 0, 0)
+
+
 def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     """Enumerate all occupation states and locate the energy minimum.
 
     Energies are additive over occupied slots, so each of the 2^n basis
-    states of the n slots is scored directly, one block at a time so that
-    the 2^n energies are never held at once.  The low k = n//2 slots are
-    summed once, in slot order, over all 2^k low bit patterns; each block
-    copies that array and adds the energies of the high slots its high bits
-    occupy, again in slot order.  Every state's energy is therefore the
-    same left-to-right sum, from 0.0, of its occupied slots' energies as in
-    one full-length enumeration that adds w[s] * bit for every slot, so it
-    is the same float: an unoccupied slot there adds a signed zero, which
-    leaves a sum that started at +0.0 unchanged.  The running minimum is
-    replaced only on a strict <, which keeps the first minimizer in state
-    order, as argmin over all 2^n states would.
+    states of the n slots is scored by the recurrence E[b] = E[b without its
+    top set bit] + w[top], from E[0] = +0.0.  Unrolled, that is the
+    left-to-right sum, from 0.0, of the occupied slots' energies in slot
+    order, the top slot added last: the same float as one full-length
+    enumeration that adds w[s] * bit for every slot, where an unoccupied
+    slot adds a signed zero, which leaves a sum that started at +0.0
+    unchanged.
+
+    The states are scored in chunks of 2^m, m = min(n, CHUNK_SLOTS), so the
+    2^n energies are never held at once.  The base chunk, every pattern of
+    the low m slots, is built by doubling; the chunk of a high bit pattern
+    is its parent's chunk (the pattern without its top set bit) plus that
+    slot's energy, one add per chunk, and the chunks are visited depth
+    first, so only one chunk per depth is alive.  The running minimum is
+    replaced on a strictly lower energy, or on an equal one at a smaller
+    state index, which keeps the first minimizer in state order, as argmin
+    over all 2^n states would.
 
     Flipping slot s moves any state's energy by the energy of the state
     holding s alone, read off the enumeration; slots where that is zero by
@@ -149,23 +182,19 @@ def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
         raise ValueError(f"enumeration bound exceeded: {n} slots > {ENUMERATION_MAX_SLOTS}")
     spectrum = split_spectrum(eps, cfg)
     unsplit, w = _mode_table(cfg).energy, np.tile(_split_energies(cfg, eps), 2)  # per linear slot
-    k = n // 2
-    idx = np.arange(1 << k, dtype=np.int64)
-    low = np.zeros(len(idx))
-    for s in range(k):
-        low += w[s] * ((idx >> s) & 1)
+    m = min(n, CHUNK_SLOTS)
+    base = np.zeros(1)
+    for s in range(m):
+        base = np.concatenate((base, base + w[s]))
     single = np.empty(n)  # single[s]: energy of the state holding slot s alone
-    single[:k] = low[1 << np.arange(k)]
-    for high in range(1 << (n - k)):
-        block = low.copy()
-        for s in range(k, n):
-            if (high >> (s - k)) & 1:
-                block += w[s]
+    single[:m] = base[1 << np.arange(m)]
+    for high, chunk in _chunks_depth_first(base, w[m:]):
         if high.bit_count() == 1:
-            single[k + high.bit_length() - 1] = block[0]
-        i = int(block.argmin())
-        if high == 0 or float(block[i]) < emin:  # strict: an equal later state never displaces the first
-            emin, ground = float(block[i]), (high << k) | i
+            single[m + high.bit_length() - 1] = chunk[0]
+        i = int(chunk.argmin())
+        e, state = float(chunk[i]), (high << m) | i
+        if high == 0 or e < emin or (e == emin and state < ground):
+            emin, ground = e, state
     flips = 1 << np.arange(n)
     free = flips[_is_zero_energy(single, unsplit)]
     free_mask = int(free.sum())

@@ -369,8 +369,8 @@ def _split_hamiltonian_diagonal(cfg: LatticeConfig, eps: float) -> np.ndarray:
 def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float | None = None) -> ModeOperator:
     """Pre-normal-ordered form sum_j E_j cos(p_j eps)(b'_j b_j - d_j d'_j) + const.
 
-    The d d' factor is normal-ordered by the product machinery, exposing the
-    c-number -sum_j E_j cos(p_j eps).  With the default renormalization
+    Each word is normal-ordered by _reduce_word, the engine under multiply,
+    and the d d' word exposes the c-number -sum_j E_j cos(p_j eps).  With the default renormalization
     constant (+sum_j E_j cos(p_j eps)) the result equals split_hamiltonian
     coefficient for coefficient.
     """
@@ -378,12 +378,12 @@ def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float
     splits = _split_energies(cfg, eps)
     if renormalization is None:
         renormalization = sum(splits)
-    op = constant_op(renormalization, n)
+    terms = constant_op(renormalization, n).terms
     for se, w in enumerate(splits):
         sp = se + _first_positron(cfg)
-        op = op + w * (creator_op(se, n) * annihilator_op(se, n))
-        op = op - w * (annihilator_op(sp, n) * creator_op(sp, n))
-    return op
+        _reduce_word(((se, True), (se, False)), w, terms)
+        _reduce_word(((sp, False), (sp, True)), -w, terms)
+    return ModeOperator(n, terms)
 
 
 def charge_density(z: float, cfg: LatticeConfig) -> ModeOperator:

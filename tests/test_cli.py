@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -259,7 +260,8 @@ def test_kernel_names_the_overflowed_default_cutoff(capsys):
 
 def test_importing_the_cli_does_not_load_scipy():
     # the kernel quadrature is numpy-only, and builds its Gauss-Legendre nodes from
-    # numpy.polynomial on first use, so a bare import loads neither
+    # numpy.polynomial on first use, so a bare import loads neither; verify's z
+    # values are literals, so neither verify nor vacuum loads numpy.random
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -268,13 +270,21 @@ def test_importing_the_cli_does_not_load_scipy():
         "import pointsplit.cli as cli\n"
         "loaded = lambda top: sorted(m for m in sys.modules if m == top or m.startswith(top + '.'))\n"
         "print(loaded('scipy'), loaded('numpy.polynomial'))\n"
+        "for argv in (['verify', '--n-max', '1'], ['vacuum', '--n-max', '3', '--eps', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(code, loaded('numpy.random'), loaded('scipy'))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['kernel', '--eps', '0.01'])\n"
         "print(code, loaded('scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] []\n0 []\n"
+    assert proc.stdout == "[] []\n0 [] []\n0 [] []\n0 []\n"
+
+
+def test_default_z_values_are_the_seeded_uniform_draws():
+    assert checks.default_z_values() == np.random.default_rng(20260808).uniform(0.0, 2.0 * math.pi, 5).tolist()
 
 
 def test_kernel_above_eps_065_matches_the_bessel_limit(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointsplit import groundstate
 from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, n_slots_for, vacuum
 from pointsplit.groundstate import (
     EnergyReport,
@@ -181,13 +183,12 @@ def test_zero_boundary_bruteforce_agrees_with_spectrum(mode, k, log_delta, sign)
     assert rep.matches_redefined_vacuum
 
 
-def _full_array_bruteforce(eps, cfg):
-    """Oracle: every state's energy in one 2^n array, summed slot by slot, and
-    one argmin over it -- the enumeration the blocked search must reproduce."""
+def _full_array_energies(eps, cfg):
+    """Every state's energy in one 2^n array, summed slot by slot, and the
+    unsplit energy of every slot."""
     n = n_slots_for(cfg.n_max)
-    spectrum = split_spectrum(eps, cfg)
     unsplit, w = np.empty(n), np.empty(n)
-    for j, _, energy, split in spectrum.entries:
+    for j, _, energy, split in split_spectrum(eps, cfg).entries:
         for species in (ELECTRON, POSITRON):
             slot = SlotIndex(species, j).linear(cfg.n_max)
             unsplit[slot], w[slot] = energy, split
@@ -195,6 +196,15 @@ def _full_array_bruteforce(eps, cfg):
     energies = np.zeros(len(idx))
     for s in range(n):
         energies += w[s] * ((idx >> s) & 1)
+    return energies, unsplit
+
+
+def _full_array_bruteforce(eps, cfg):
+    """Oracle: one argmin over the full array of energies -- the enumeration
+    the chunked search must reproduce."""
+    n = n_slots_for(cfg.n_max)
+    spectrum = split_spectrum(eps, cfg)
+    energies, unsplit = _full_array_energies(eps, cfg)
     ground = int(energies.argmin())
     flips = 1 << np.arange(n)
     free = flips[_is_zero_energy(energies[flips], unsplit)]
@@ -222,14 +232,7 @@ def _lattice_and_eps(draw):
     return cfg, eps
 
 
-@given(_lattice_and_eps())
-@settings(max_examples=60, deadline=None)
-def test_blocked_bruteforce_equals_the_full_array_enumeration(case):
-    # the blocked search adds the same floats in the same order as the full
-    # array, so its minimum has the same bits and its first minimizer the same index
-    cfg, eps = case
-    rep = ground_state_bruteforce(eps, cfg)
-    oracle = _full_array_bruteforce(eps, cfg)
+def _assert_same_report(rep, oracle):
     assert rep.energy.hex() == oracle.energy.hex()
     assert rep.state_bits == oracle.state_bits
     assert rep.degeneracy == oracle.degeneracy
@@ -237,8 +240,53 @@ def test_blocked_bruteforce_equals_the_full_array_enumeration(case):
     assert rep == oracle
 
 
+@given(_lattice_and_eps())
+@settings(max_examples=60, deadline=None)
+def test_blocked_bruteforce_equals_the_full_array_enumeration(case):
+    # every chunk adds the same floats in the same order as the full array, so
+    # the minimum has the same bits and the first minimizer the same index; at
+    # chunk widths 1 and 3 nearly every slot is left to the depth-first walk
+    # (up to n_max 3: at width 1 and n_max 4 the walk visits 2^17 chunks)
+    cfg, eps = case
+    oracle = _full_array_bruteforce(eps, cfg)
+    _assert_same_report(ground_state_bruteforce(eps, cfg), oracle)
+    for chunk_slots in (1, 3) if cfg.n_max <= 3 else ():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groundstate, "CHUNK_SLOTS", chunk_slots)
+            _assert_same_report(ground_state_bruteforce(eps, cfg), oracle)
+
+
+def test_bruteforce_at_n_max_5_equals_the_full_array_enumeration_on_exact_ties():
+    # just past pi/2, cos(p_j eps) is zero by the zero rule for |j| = 1, 3, 5: those
+    # 12 slots' energies are too small to move most sums they join, so many states
+    # tie exactly; 2^22 states, one chunk of the low 13 slots and 2^9 chunks in all
+    cfg = LatticeConfig(1.0, 1.0, 5)
+    eps = math.pi / (2.0 * cfg.momentum(1)) + 1e-16
+    rep = ground_state_bruteforce(eps, cfg)
+    _assert_same_report(rep, _full_array_bruteforce(eps, cfg))
+    assert rep.degeneracy == 2**12
+
+
+@pytest.mark.parametrize("chunk_slots", [1, 3, groundstate.CHUNK_SLOTS])
+def test_bruteforce_names_the_first_minimizer_in_state_order(monkeypatch, chunk_slots):
+    # just past pi/2 the |j| = 1, 3 slots are free and many minimizers tie exactly;
+    # the depth-first walk meets them out of state order, yet keeps argmin's first.
+    # A zero set that disagrees with the free slots makes the search name it.
+    cfg = LatticeConfig(1.0, 1.0, 3)
+    eps = math.pi / (2.0 * cfg.momentum(1)) + 1e-16
+    energies, _ = _full_array_energies(eps, cfg)
+    assert np.count_nonzero(energies == energies.min()) > 1
+    spectrum = split_spectrum(eps, cfg)
+    monkeypatch.setattr(groundstate, "CHUNK_SLOTS", chunk_slots)
+    monkeypatch.setattr(groundstate, "split_spectrum", lambda *_: dataclasses.replace(spectrum, zero_modes=()))
+    n = n_slots_for(cfg.n_max)
+    with pytest.raises(RuntimeError, match=f"minimizer {int(energies.argmin()):0{n}b} with free slots"):
+        ground_state_bruteforce(eps, cfg)
+
+
 def test_bruteforce_never_holds_every_energy_at_once():
-    # 2^22 states at n_max 5: one full-length float64 array alone is 32 MiB
+    # 2^22 states at n_max 5: one full-length float64 array alone is 32 MiB; the
+    # search holds one 64 KiB chunk per depth of its walk
     tracemalloc.start()
     try:
         rep = ground_state_bruteforce(2.0, LatticeConfig(1.0, 1.0, 5))
@@ -246,7 +294,7 @@ def test_bruteforce_never_holds_every_energy_at_once():
     finally:
         tracemalloc.stop()
     assert rep.matches_redefined_vacuum
-    assert peak < 8 * 2**20
+    assert peak < 2**20
 
 
 def test_redefined_vacuum_energy_takes_linear_time():
