@@ -19,7 +19,9 @@ builds operators, as it tests the normal-ordering engine itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -110,13 +112,22 @@ def check_spinors(cfg: LatticeConfig) -> CheckResult:
     return _result("spinor_identities", _worst(residuals), TOL["spinor_identities"])
 
 
-def _signed_table(word, n: int):
-    """One factor on every bitstring, through fock's one sign rule: the
-    target bitstrings and the signs, 0 where the factor meets its slot in
-    the wrong state (the target then stays put)."""
-    hits = [fock._apply_word(*word, bits) for bits in range(1 << n)]
-    target = np.array([hit[0] if hit else bits for bits, hit in enumerate(hits)])
-    sign = np.array([(-1) ** hit[1] if hit else 0 for hit in hits])
+def _factor_table(n: int):
+    """Every single factor a_0..a_{n-1}, a'_0..a'_{n-1} on every bitstring,
+    one fock._apply_word call each, through fock's one sign rule: the target
+    bitstrings (int32) and the signs (int8) as (2n, 2^n) arrays, sign 0
+    where the factor meets its slot in the wrong state (the target then
+    stays put)."""
+    dim = 1 << n
+    target = np.tile(np.arange(dim, dtype=np.int32), (2 * n, 1))
+    sign = np.zeros((2 * n, dim), dtype=np.int8)
+    words = [((), (s,)) for s in range(n)] + [((s,), ()) for s in range(n)]
+    for row, (cre, ann) in enumerate(words):
+        hits = list(map(fock._apply_word, repeat(cre, dim), repeat(ann, dim), range(dim)))
+        acts = np.fromiter(map(bool, hits), dtype=bool, count=dim)
+        flat = np.fromiter(chain.from_iterable(filter(None, hits)), dtype=np.intp)
+        target[row, acts] = flat[0::2]
+        sign[row, acts] = 1 - 2 * (flat[1::2] & 1)
     return target, sign
 
 
@@ -124,32 +135,27 @@ def check_car(cfg: LatticeConfig) -> CheckResult:
     """All pairwise anticommutator identities on every occupation basis state.
 
     For slots s, t checks {a_s, a'_t} = delta_st, {a_s, a_t} = 0 and
-    {a'_s, a'_t} = 0 by explicit application to each basis state: per-slot
-    sign tables are composed so that one identity covers all states at once.
+    {a'_s, a'_t} = 0 by explicit application to each basis state.  Each
+    factor x, a row of the table, is composed with itself and every later
+    row y on all states at once, so each identity is checked once:
+    ({x, y} - delta)|b> is c0|b> + c1|x y b> + c2|y x b> with integer
+    amplitudes, its squared norm is the integer sum_ij c_i c_j [t_i == t_j],
+    and the residual is the square root of the largest one.
     """
     n = n_slots_for(cfg.n_max)
     states = np.arange(1 << n)
-    ann = [_signed_table(((), (s,)), n) for s in range(n)]
-    cre = [_signed_table(((s,), ()), n) for s in range(n)]
-
-    def worst_norm(x, y, delta: int) -> float:
-        """Largest norm of ({x, y} - delta)|bits> over all bitstrings; the
-        rightmost factor acts first and every amplitude is an integer."""
-        (tx, sx), (ty, sy) = x, y
-        parts = [(states, -delta), (tx[ty], sy * sx[ty]), (ty[tx], sx * sy[tx])]
-        # |sum_i c_i |t_i>|^2 = sum_ij c_i c_j [t_i == t_j]
-        square = sum(ci * cj * (ti == tj) for ti, ci in parts for tj, cj in parts)
-        return float(np.sqrt(square).max())
-
-    def residuals():
-        for s in range(n):
-            for t in range(n):
-                yield worst_norm(ann[s], cre[t], 1 if s == t else 0)
-                if t <= s:
-                    yield worst_norm(ann[s], ann[t], 0)
-                    yield worst_norm(cre[s], cre[t], 0)
-
-    return _result("car_relations", _worst(residuals()), TOL["car_relations"], detail=f"{n} slots, dim {1 << n}")
+    target, sign = _factor_table(n)
+    worst = 0
+    for x in range(2 * n):
+        tx, sx = target[x], sign[x]
+        ty, sy = target[x:], sign[x:]
+        t1, c1 = tx[ty], sy * sx[ty]  # x y|b>: the rightmost factor acts first
+        t2, c2 = ty[:, tx], sx * sy[:, tx]  # y x|b>
+        square = c1 * c1 + c2 * c2 + 2 * c1 * c2 * (t1 == t2)
+        if x < n:  # x = a_s, and a'_s, n rows on, has {a_s, a'_s} = 1: c0 = -1
+            square[n] += 1 - 2 * (c1[n] * (t1[n] == states) + c2[n] * (t2[n] == states))
+        worst = max(worst, int(square.max()))
+    return _result("car_relations", math.sqrt(worst), TOL["car_relations"], detail=f"{n} slots, dim {1 << n}")
 
 
 def check_hermiticity(cfg: LatticeConfig, eps_values, z_values, f: TrigPoly) -> CheckResult:

@@ -160,6 +160,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the flags every subcommand shares are declared once, on a parent parser each subparser copies
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file with the same keys as the flags")
+    common.add_argument("--mass", type=float, default=None)
+    common.add_argument("--delta-p", type=float, default=None, dest="delta_p")
+    common.add_argument("--n-max", type=int, default=None, dest="n_max")
+    common.add_argument("--eps", type=float, action="append", default=None, help="repeatable")
+    common.add_argument(
+        "--f-harmonic",
+        type=_parse_harmonic,
+        action="append",
+        default=None,
+        dest="f_harmonics",
+        help="smearing harmonic n:re:im (n >= 0, mirrored to -n); repeatable",
+    )
+    common.add_argument("--eta", type=float, default=None)
+    common.add_argument("--cutoff", type=float, default=None)
+    common.add_argument("--format", choices=["json", "csv"], default=None)
+    common.add_argument("--out", default=None)
     parser = _Parser(
         prog="pointsplit",
         description="Exact workbench for point-split commutators of a 1+1D fermion field.",
@@ -172,24 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("kernel", "small-separation asymptotics of the split vacuum kernel"),
         ("derive", "print the formal rewriting transcript"),
     ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON file with the same keys as the flags")
-        p.add_argument("--mass", type=float, default=None)
-        p.add_argument("--delta-p", type=float, default=None, dest="delta_p")
-        p.add_argument("--n-max", type=int, default=None, dest="n_max")
-        p.add_argument("--eps", type=float, action="append", default=None, help="repeatable")
-        p.add_argument(
-            "--f-harmonic",
-            type=_parse_harmonic,
-            action="append",
-            default=None,
-            dest="f_harmonics",
-            help="smearing harmonic n:re:im (n >= 0, mirrored to -n); repeatable",
-        )
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--cutoff", type=float, default=None)
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--out", default=None)
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if name == "verify":
             p.add_argument("--corrupt-sign-hook", action="store_true", help=argparse.SUPPRESS)
     return parser

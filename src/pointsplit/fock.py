@@ -136,12 +136,18 @@ def _apply_word(cre, ann, bits: int):
     state (annihilating an empty slot or creating in a full one).
     """
     odd = 0
-    for occupied, slots in ((1, ann), (0, cre)):
-        for s in reversed(slots):
-            if (bits >> s) & 1 != occupied:
-                return None
-            odd ^= (bits & ((1 << s) - 1)).bit_count()
-            bits ^= 1 << s
+    for s in reversed(ann):
+        bit = 1 << s
+        if not bits & bit:
+            return None
+        bits ^= bit
+        odd ^= (bits & (bit - 1)).bit_count()
+    for s in reversed(cre):
+        bit = 1 << s
+        if bits & bit:
+            return None
+        odd ^= (bits & (bit - 1)).bit_count()
+        bits ^= bit
     return bits, odd & 1
 
 

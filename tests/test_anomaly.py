@@ -203,6 +203,44 @@ def test_formal_rewrite_is_zero_while_exact_is_positive():
     assert double_commutator_direct(COS1, CFG2) > 0
 
 
+# f = cos z + 0.6 cos 2z on the box of length 2 pi (delta_p 1).  Its continuum
+# anomaly (1/pi) integral_0^{2 pi} f'(z)^2 dz is worked out by hand, with no
+# package code: f' = -sin z - 1.2 sin 2z, and sin^2(nz) integrates to pi, so
+# the limit is 1^2 + 1.2^2.
+CONTINUUM_HARMONICS = [(1, 0.5, 0.0), (2, 0.3, 0.0)]
+CONTINUUM_LIMIT = 1.0**2 + (2 * 0.6) ** 2
+
+# limit - exact value, measured per (mass, n_max), both routes alike.  The
+# lattice drops the modes beyond its cutoff, so the exact value stays below the
+# limit by O(m^2 / n_max^2): deficit * n_max^2 / m^2 reads 1.24 at n_max 32 and
+# 1.22 at 512, at mass 1 and at mass 0.3.  The window is 1e-4 of the deficit:
+# at the smallest deficit that is 1.7e-10, far above the rounding of either
+# route (they agree to 5e-16), while scaling one smearing coefficient by
+# 1 + 1e-6 moves the value by at least 2e-6, over 16 windows at the largest.
+CONTINUUM_DEFICIT = {
+    (1.0, 32): 1.21355e-3,
+    (1.0, 128): 7.48068e-5,
+    (1.0, 512): 4.65930e-6,
+    (0.3, 32): 1.09293e-4,
+    (0.3, 256): 1.67930e-6,
+}
+CONTINUUM_DEFICIT_REL = 1e-4
+
+
+@pytest.mark.parametrize("mass, n_max", sorted(CONTINUUM_DEFICIT))
+def test_exact_routes_stay_below_the_continuum_anomaly(mass, n_max):
+    """Both exact routes approach (1/pi) integral f'^2 from below, each short of
+    it by the deficit measured for this lattice: the Schwinger term the formal
+    rewrite loses, pinned to its continuum value."""
+    cfg = LatticeConfig(mass, 1.0, n_max)
+    f = TrigPoly.from_harmonics(cfg.box_length, CONTINUUM_HARMONICS)
+    assert f.derivative_power() / math.pi == pytest.approx(CONTINUUM_LIMIT, rel=1e-15)
+    for value in (double_commutator_direct(f, cfg), double_commutator_spectral(f, cfg)):
+        deficit = CONTINUUM_LIMIT - value
+        assert deficit > 0
+        assert deficit == pytest.approx(CONTINUUM_DEFICIT[(mass, n_max)], rel=CONTINUUM_DEFICIT_REL)
+
+
 # -- split vacuum kernel ---------------------------------------------------------
 
 

@@ -59,6 +59,61 @@ def test_verify_corrupted_sign_fails(capsys):
     assert "FAIL continuity" in out
 
 
+_SUBCOMMAND_HELP = """\
+usage: pointsplit {name} [-h] [--config CONFIG] [--mass MASS]
+{pad}[--delta-p DELTA_P] [--n-max N_MAX] [--eps EPS]
+{pad}[--f-harmonic F_HARMONICS] [--eta ETA]
+{pad}[--cutoff CUTOFF] [--format {{json,csv}}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON file with the same keys as the flags
+  --mass MASS
+  --delta-p DELTA_P
+  --n-max N_MAX
+  --eps EPS             repeatable
+  --f-harmonic F_HARMONICS
+                        smearing harmonic n:re:im (n >= 0, mirrored to -n);
+                        repeatable
+  --eta ETA
+  --cutoff CUTOFF
+  --format {{json,csv}}
+  --out OUT
+"""
+
+
+@pytest.mark.parametrize("name", ["verify", "anomaly", "vacuum", "kernel", "derive"])
+def test_every_subcommand_keeps_its_help_text_and_unknown_flag_error(monkeypatch, capsys, name):
+    """Each subcommand reads the shared flags from one parent parser; the help
+    and the error lines are those of a parser that declared them per subcommand."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        run_cli([name, "--help"])
+    assert stop.value.code == 0
+    pad = " " * len(f"usage: pointsplit {name} ")
+    assert capsys.readouterr().out == _SUBCOMMAND_HELP.format(name=name, pad=pad)
+    assert run_cli([name, "--bogus"]) == 2
+    assert capsys.readouterr().err == "error: pointsplit: unrecognized arguments: --bogus\n"
+    assert run_cli([name, "--n-max", "x"]) == 2
+    assert capsys.readouterr().err == f"error: pointsplit {name}: argument --n-max: invalid int value: 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["anomaly", "--corrupt-sign-hook"], "pointsplit: unrecognized arguments: --corrupt-sign-hook"),
+        (["derive", "--format", "xml"], "pointsplit derive: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"),
+        (["vacuum", "--f-harmonic", "1:2"], "pointsplit vacuum: argument --f-harmonic: expected n:re:im, got '1:2'"),
+        (["verify", "--eps"], "pointsplit verify: argument --eps: expected one argument"),
+    ],
+)
+def test_shared_flags_keep_their_error_lines(capsys, argv, err):
+    """The sign hook stays on verify alone, and each shared flag's error names
+    the subcommand it was given to."""
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_corrupted_sign_residual_is_one_over_pi(tmp_path):
     # flipping the positron energies leaves [H, rho] off by n_max/pi at the worst monomial
     out = tmp_path / "control.json"

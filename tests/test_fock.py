@@ -1,8 +1,9 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pointsplit import fock
 from pointsplit.checks import check_car
@@ -231,6 +232,139 @@ def test_car_sweep_reaches_every_diagonal_pair(monkeypatch, slot):
     monkeypatch.setattr(fock, "_apply_word", negated)
     car = check_car(CFG1)
     assert not car.passed and car.residual == 2.0
+
+
+def _apply_word_loop(cre, ann, bits: int):
+    """Oracle: the sign rule as one loop over (occupied, slots) pairs, as it
+    was written before the two flat loops."""
+    odd = 0
+    for occupied, slots in ((1, ann), (0, cre)):
+        for s in reversed(slots):
+            if (bits >> s) & 1 != occupied:
+                return None
+            odd ^= (bits & ((1 << s) - 1)).bit_count()
+            bits ^= 1 << s
+    return bits, odd & 1
+
+
+_SLOT_LISTS = st.lists(st.integers(0, 11), max_size=5).map(tuple)
+
+
+@given(st.integers(1, 12), _SLOT_LISTS, _SLOT_LISTS)
+@example(1, (), ())
+@example(12, (), ())
+@example(4, (2, 2), ())
+@example(4, (), (3, 3))
+@example(4, (1, 1), (1, 1))
+@settings(max_examples=60, deadline=None)
+def test_apply_word_equals_the_loop_oracle_on_every_bitstring(n, creators, annihilators):
+    """Empty words, repeated slots on either side, every bitstring of n slots."""
+    creators = tuple(s % n for s in creators)
+    annihilators = tuple(s % n for s in annihilators)
+    for bits in range(1 << n):
+        assert fock._apply_word(creators, annihilators, bits) == _apply_word_loop(creators, annihilators, bits)
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_car_check_makes_one_sign_call_per_factor_and_bitstring(monkeypatch, n_max):
+    signed = fock._apply_word
+    calls = []
+
+    def counted(creators, annihilators, bits):
+        calls.append((creators, annihilators, bits))
+        return signed(creators, annihilators, bits)
+
+    monkeypatch.setattr(fock, "_apply_word", counted)
+    n = n_slots_for(n_max)
+    assert check_car(LatticeConfig(1.0, 1.0, n_max)).passed
+    assert len(calls) == len(set(calls)) == 2 * n * (1 << n)
+
+
+def test_car_check_composes_per_factor_not_as_a_cube():
+    # at 10 slots a (2n, 2n, 2^n) cube of int32 composed targets is 1.6 MiB, and
+    # composing every pair at once needs two; the check holds the (2n, 2^n)
+    # table and one factor's compositions, about 0.5 MiB
+    tracemalloc.start()
+    try:
+        car = check_car(LatticeConfig(1.0, 1.0, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert car.passed and car.detail == "10 slots, dim 1024"
+    assert peak <= 2 * 2**20
+
+
+def _car_residual_per_pair(n: int) -> float:
+    """Oracle: the CAR residual composed pair by pair, from one sign table per
+    factor, each identity's squared norm taken over all nine amplitude pairs."""
+    states = np.arange(1 << n)
+
+    def signed_table(creators, annihilators):
+        hits = [fock._apply_word(creators, annihilators, bits) for bits in range(1 << n)]
+        target = np.array([hit[0] if hit else bits for bits, hit in enumerate(hits)])
+        sign = np.array([(-1) ** hit[1] if hit else 0 for hit in hits])
+        return target, sign
+
+    ann = [signed_table((), (s,)) for s in range(n)]
+    cre = [signed_table((s,), ()) for s in range(n)]
+
+    def worst_norm(x, y, delta: int) -> float:
+        (tx, sx), (ty, sy) = x, y
+        parts = [(states, -delta), (tx[ty], sy * sx[ty]), (ty[tx], sx * sy[tx])]
+        # |sum_i c_i |t_i>|^2 = sum_ij c_i c_j [t_i == t_j]
+        square = sum(ci * cj * (ti == tj) for ti, ci in parts for tj, cj in parts)
+        return float(np.sqrt(square).max())
+
+    def residuals():
+        for s in range(n):
+            for t in range(n):
+                yield worst_norm(ann[s], cre[t], 1 if s == t else 0)
+                if t <= s:
+                    yield worst_norm(ann[s], ann[t], 0)
+                    yield worst_norm(cre[s], cre[t], 0)
+
+    return max(residuals())
+
+
+_BITS1 = st.integers(0, (1 << N1) - 1)
+_FAULT = st.tuples(st.integers(0, N1 - 1), _BITS1, st.sampled_from(("drop_sign", "redirect", "vanish")), _BITS1)
+
+
+@given(st.lists(_FAULT, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_car_residual_equals_the_per_pair_oracle_under_corruption(faults):
+    """Per acting (factor, bitstring): drop its sign, send its target to
+    another bitstring or make it vanish.  The stacked table's per-factor
+    composition reads the same float as the per-pair one."""
+    signed = fock._apply_word
+    corrupt = {}
+    for slot, bits, kind, elsewhere in faults:
+        word = ((), (slot,)) if (bits >> slot) & 1 else ((slot,), ())
+        target, odd = signed(*word, bits)
+        corrupt[(*word, bits)] = {"drop_sign": (target, 0), "redirect": (elsewhere, odd), "vanish": None}[kind]
+
+    def corrupted(creators, annihilators, b):
+        key = (creators, annihilators, b)
+        return corrupt[key] if key in corrupt else signed(creators, annihilators, b)
+
+    with mock.patch.object(fock, "_apply_word", corrupted):
+        assert check_car(CFG1).residual == _car_residual_per_pair(N1)
+
+
+@pytest.mark.parametrize("word", [((), (s,)) for s in range(N1)] + [((s,), ()) for s in range(N1)])
+def test_car_sweep_reaches_every_square(monkeypatch, word):
+    """A factor that acts as the parity (-1)^N where it should vanish still
+    anticommutes with every other slot's factors and misses {a_s, a'_s} = 1 by
+    norm 1, but misses its own square, {a_s, a_s} or {a'_s, a'_s} = 0, by norm 2:
+    only the factor composed with itself reads 2."""
+    signed = fock._apply_word
+
+    def leaky(creators, annihilators, bits):
+        hit = signed(creators, annihilators, bits)
+        return (bits, bits.bit_count() & 1) if hit is None and (creators, annihilators) == word else hit
+
+    monkeypatch.setattr(fock, "_apply_word", leaky)
+    assert check_car(CFG1).residual == _car_residual_per_pair(N1) == 2.0
 
 
 # -- occupancy masks and the vacuum read ---------------------------------------
