@@ -75,15 +75,17 @@ def double_commutator_spectral(f: TrigPoly, cfg: LatticeConfig) -> float:
     the pair states are the whole sum.  The amplitude is read off F's kernel
     without touching a state: F's term K[p, e] d_p b_e (positron slot p,
     electron slot e) gives <0|F d'_p b'_e|0> = -K[p, e], so |<0|F|m>|^2 = |K[p, e]|^2.
+    Only the nonzero entries of that block, on the band of f's harmonics,
+    enter the sum, electron slot outer and positron slot inner.
     """
-    kernel = _smeared_kernel(f, cfg).tolist()
-    energy = _mode_table(cfg).energy.tolist()
+    rows, cols, values = _smeared_kernel(f, cfg)
     first_positron = _first_positron(cfg)
+    pairs = np.flatnonzero((rows >= first_positron) & (cols < first_positron))
+    pairs = pairs[np.lexsort((rows[pairs], cols[pairs]))]
+    energy = _mode_table(cfg).energy.tolist()
     total = 0.0
-    for e in range(first_positron):
-        for p in range(first_positron, len(energy)):
-            if kernel[p][e] != 0:
-                total += 2.0 * abs(kernel[p][e]) ** 2 * (energy[e] + energy[p])
+    for p, e, k in zip(rows[pairs].tolist(), cols[pairs].tolist(), values[pairs].tolist()):
+        total += 2.0 * abs(k) ** 2 * (energy[e] + energy[p])
     return total
 
 

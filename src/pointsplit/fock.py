@@ -14,12 +14,14 @@ apply_create, apply_annihilate, modeops.apply_operator, the vacuum read
 _vacuum_part and the exhaustive CAR check all go through it.  Amplitudes
 are double-precision complex; the signs themselves are exact integers.
 
-Before a normal-ordered word reaches _apply_word, two occupancy masks pick
-the bitstrings it can act on: every slot of its annihilator mask must be
-occupied, and, once those are emptied, every slot of its creator mask must
-be empty.  The word sends every bitstring failing either test to zero
-(for a word without a repeated slot, exactly those), so skipping them
-changes no amplitude and no order.
+Operator application indexes the state's bitstrings by occupied slot once,
+so a word that annihilates slot s visits only the bitstrings holding s.
+Among those, two occupancy masks pick the ones it can act on before
+_apply_word runs: every slot of its annihilator mask must be occupied, and,
+once those are emptied, every slot of its creator mask must be empty.  The
+word sends every bitstring failing either test to zero (for a word without
+a repeated slot, exactly those), so skipping them changes no amplitude and
+no order.
 """
 
 from __future__ import annotations
@@ -160,11 +162,29 @@ def _mask(slots) -> int:
 
 
 def _apply_terms(terms, v: FockVector) -> FockVector:
-    """sum over ((cre, ann), coeff) in terms of coeff * word(cre, ann) applied to v."""
+    """sum over ((cre, ann), coeff) in terms of coeff * word(cre, ann) applied to v.
+
+    The bitstrings holding each occupied slot are listed once, in v's order,
+    and a word visits only the list of its first annihilated slot (every
+    bitstring when it has no annihilator).  Words run in order and each
+    list in v's order, so the hits accumulate in the (term, bitstring) order
+    of trying every word on every bitstring: the same amplitudes, inserted
+    in the same order.
+    """
+    holding: dict[int, list[tuple[int, complex]]] = {}
+    for item in v.amp.items():
+        rest = item[0]
+        while rest:
+            low = rest & -rest
+            holding.setdefault(low.bit_length() - 1, []).append(item)
+            rest ^= low
     out: dict[int, complex] = {}
     for (cre, ann), coeff in terms:
+        candidates = holding.get(ann[0]) if ann else v.amp.items()
+        if not candidates:
+            continue
         full, empty = _mask(ann), _mask(cre)
-        for bits, amp in v.amp.items():
+        for bits, amp in candidates:
             if bits & full != full or (bits ^ full) & empty:
                 continue
             hit = _apply_word(cre, ann, bits)

@@ -23,7 +23,11 @@ matrix over slots,
 
 for the bilinear psi'(x) M psi(y), computed by a private kernel function
 (_field_kernel, ...) and normal-ordered by one conversion (_bilinear)
-through the four blocks b'b, b'd', d b and d d'.  Only the d d' diagonal
+through the four blocks b'b, b'd', d b and d d'.  _bilinear reads a kernel
+as its nonzero entries (rows, cols, values) in row-major order: the dense
+kernels give theirs through _entries, and the smeared charge's kernel,
+nonzero only on the band of its harmonics, is built as those entries and
+never as a matrix (_smeared_kernel).  Only the d d' diagonal
 produces a c-number, the vacuum value Tr(P_- K) (_kernel_vev; densities are
 not normal-ordered here).  The checks stay on kernels: [A'KA, A'GA] =
 A'[K,G]A, whose c-number is the finite Schwinger term, and _kernel_distance
@@ -298,17 +302,31 @@ def _kernel_vev(kernel: np.ndarray, cfg: LatticeConfig) -> complex:
     return sum(np.diagonal(kernel)[_first_positron(cfg) :].tolist(), 0j)
 
 
-def _bilinear(kernel: np.ndarray, cfg: LatticeConfig) -> ModeOperator:
-    """Normal-ordered sum_ab K[a,b] A'_a A_b over linear slots a, b.
+def _entries(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of a dense kernel as (rows, cols, values), in np.nonzero's row-major order."""
+    rows, cols = np.nonzero(kernel)
+    return rows, cols, kernel[rows, cols]
+
+
+def _entries_vev(entries, cfg: LatticeConfig) -> complex:
+    """_kernel_vev of the kernel with these nonzero entries, the same float: its
+    positron diagonal summed in slot order, where a zero entry adds nothing."""
+    rows, cols, values = entries
+    return sum(values[(rows == cols) & (rows >= _first_positron(cfg))].tolist(), 0j)
+
+
+def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
+    """Normal-ordered sum_ab K[a,b] A'_a A_b over linear slots a, b, from K's
+    nonzero entries (rows, cols, values) in row-major order.
 
     A is b (electron annihilator) on electron slots and d' (positron
     creator) on positron slots, so the four blocks normal-order as below;
     only the d d' diagonal (d_a d'_a = 1 - d'_a d_a) yields a c-number.
     """
     first_positron = _first_positron(cfg)
-    terms: dict[Signature, complex] = {_IDENTITY_SIG: _kernel_vev(kernel, cfg)}
-    rows, cols = np.nonzero(kernel)
-    for a, b, c in zip(rows.tolist(), cols.tolist(), kernel[rows, cols].tolist()):
+    terms: dict[Signature, complex] = {_IDENTITY_SIG: _entries_vev(entries, cfg)}
+    rows, cols, values = entries
+    for a, b, c in zip(rows.tolist(), cols.tolist(), values.tolist()):
         if a < first_positron:
             # b'b, or b'd' with the electron slot below the positron slot
             terms[((a,), (b,)) if b < first_positron else ((a, b), ())] = c
@@ -388,17 +406,17 @@ def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float
 
 def charge_density(z: float, cfg: LatticeConfig) -> ModeOperator:
     """psi'(z) psi(z), hermitian; carries the constant background (2n_max+1)/L."""
-    return _bilinear(_field_kernel(z, 0.0, ID2, cfg), cfg)
+    return _bilinear(_entries(_field_kernel(z, 0.0, ID2, cfg)), cfg)
 
 
 def current_shifted(z: float, shift: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
     """One-sided bilinear psi'(z + shift) sigma_x psi(z) (no gamma average)."""
-    return _bilinear(_field_kernel(z, shift, SIGMA_X, cfg, dz), cfg)
+    return _bilinear(_entries(_field_kernel(z, shift, SIGMA_X, cfg, dz)), cfg)
 
 
 def current_density(z: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
     """Unsplit current psi'(z) sigma_x psi(z); dz=True gives its exact z-derivative."""
-    return _bilinear(_field_kernel(z, 0.0, SIGMA_X, cfg, dz), cfg)
+    return _bilinear(_entries(_field_kernel(z, 0.0, SIGMA_X, cfg, dz)), cfg)
 
 
 def split_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -434,7 +452,7 @@ def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False)
     q = p_b - p_a, and just g when q = 0; dz=True differentiates both the
     plain phase and the line factor analytically.
     """
-    return _bilinear(_boulware_kernel(z, eps, cfg, dz), cfg)
+    return _bilinear(_entries(_boulware_kernel(z, eps, cfg, dz)), cfg)
 
 
 def _boulware_kernel(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> np.ndarray:
@@ -469,7 +487,7 @@ def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) ->
     Used as the independent cross-check against the commutator of
     split_hamiltonian with charge_density; the two agree term by term.
     """
-    return _bilinear(_gradient_kernel(z, eps, cfg), cfg)
+    return _bilinear(_entries(_gradient_kernel(z, eps, cfg)), cfg)
 
 
 def _gradient_kernel(z: float, eps: float, cfg: LatticeConfig) -> np.ndarray:
@@ -496,16 +514,32 @@ def smeared_charge(f: TrigPoly, cfg: LatticeConfig) -> ModeOperator:
     return _bilinear(_smeared_kernel(f, cfg), cfg)
 
 
-def _smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> np.ndarray:
-    """Kernel of smeared_charge; rejects harmonics the lattice cannot carry."""
+def _smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel of smeared_charge as its nonzero entries (rows, cols, values) in
+    row-major order; rejects harmonics the lattice cannot carry.
+
+    K[a,b] = c_{j_a - j_b} u_a' u_b is nonzero only on the band where
+    j_a - j_b is a harmonic of f, so only those entries are read from the
+    cached sandwiches.  Each value is the product the dense matrix would hold
+    there, and products that come out zero are dropped, as np.nonzero would.
+    """
     f.check_on_lattice(cfg)
     t = _mode_table(cfg)
     span = 2 * cfg.n_max  # j_a - j_b runs over -span .. span
     coeffs = np.array([f.coeff(n) for n in range(-span, span + 1)], dtype=complex)
-    return coeffs[t.j[:, None] - t.j[None, :] + span] * _sandwich(cfg, ID2)
+    # row a meets j_b = j_a - offset at electron slot j_b + n_max and at the
+    # positron slot first_positron further on; with the offsets descending,
+    # the (row, block, offset) axes run in row-major order
+    j_b = t.j[:, None, None] - (np.flatnonzero(coeffs) - span)[::-1]
+    cols = j_b + cfg.n_max + np.array([0, _first_positron(cfg)])[:, None]
+    band = np.broadcast_to(np.abs(j_b) <= cfg.n_max, cols.shape)
+    rows, cols = np.broadcast_to(np.arange(len(t.j))[:, None, None], cols.shape)[band], cols[band]
+    values = coeffs[t.j[rows] - t.j[cols] + span] * _sandwich(cfg, ID2)[rows, cols]
+    kept = values != 0
+    return rows[kept], cols[kept], values[kept]
 
 
 def total_charge(cfg: LatticeConfig) -> ModeOperator:
     """Q = integral of charge_density over the box: electron number minus
     positron number plus the constant background 2*n_max + 1."""
-    return _bilinear(np.eye(n_slots_for(cfg.n_max)), cfg)
+    return _bilinear(_entries(np.eye(n_slots_for(cfg.n_max))), cfg)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from pointsplit.anomaly import (
 )
 from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, vacuum
 from pointsplit.lattice import ID2, LatticeConfig, dispersion, spinor
-from pointsplit.modeops import _mode_table, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
+from pointsplit.modeops import _mode_table, _sandwich, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
 from pointsplit.symbolic import formal_smeared_commutator
 from pointsplit.trigpoly import TrigPoly
 
@@ -184,17 +185,20 @@ def test_spectral_route_equals_the_normal_form_oracle(data):
     cfg = LatticeConfig(
         data.draw(st.floats(0.05, 5.0) | st.sampled_from([1, 2])),
         data.draw(st.floats(0.1, 3.0) | st.integers(1, 3)),
-        data.draw(st.integers(1, 6)),
+        data.draw(st.integers(1, 8)),
     )
     amplitude = st.floats(-1.0, 1.0, allow_nan=False)
     harmonics = data.draw(
         st.lists(st.tuples(st.integers(1, 2 * cfg.n_max), amplitude, amplitude), min_size=1, max_size=3)
     )
     f = TrigPoly.from_harmonics(cfg.box_length, [(0, data.draw(amplitude), 0.0)] + harmonics)
-    # the lookup over j_a - j_b gives the kernel that evaluating f.coeff entry by entry gives
+    # the band holds the nonzero entries, and their values, that evaluating f.coeff entry by entry gives
     j = _mode_table(cfg).j
     entrywise = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * _mode_table(cfg).sandwich(ID2)
-    assert _smeared_kernel(f, cfg).tobytes() == entrywise.tobytes()
+    rows, cols, values = _smeared_kernel(f, cfg)
+    nonzero = np.nonzero(entrywise)
+    assert rows.tolist() == nonzero[0].tolist() and cols.tolist() == nonzero[1].tolist()
+    assert values.tobytes() == entrywise[nonzero].tobytes()
     assert double_commutator_spectral(f, cfg) == _spectral_from_normal_form(f, cfg)
 
 
@@ -213,14 +217,15 @@ CONTINUUM_LIMIT = 1.0**2 + (2 * 0.6) ** 2
 # limit - exact value, measured per (mass, n_max), both routes alike.  The
 # lattice drops the modes beyond its cutoff, so the exact value stays below the
 # limit by O(m^2 / n_max^2): deficit * n_max^2 / m^2 reads 1.24 at n_max 32 and
-# 1.22 at 512, at mass 1 and at mass 0.3.  The window is 1e-4 of the deficit:
-# at the smallest deficit that is 1.7e-10, far above the rounding of either
-# route (they agree to 5e-16), while scaling one smearing coefficient by
+# 1.22 at 512 and 1024, at mass 1 and at mass 0.3.  The window is 1e-4 of the
+# deficit: at the smallest deficit that is 1.2e-10, far above the rounding of
+# either route (they agree to 5e-16), while scaling one smearing coefficient by
 # 1 + 1e-6 moves the value by at least 2e-6, over 16 windows at the largest.
 CONTINUUM_DEFICIT = {
     (1.0, 32): 1.21355e-3,
     (1.0, 128): 7.48068e-5,
     (1.0, 512): 4.65930e-6,
+    (1.0, 1024): 1.16415e-6,
     (0.3, 32): 1.09293e-4,
     (0.3, 256): 1.67930e-6,
 }
@@ -239,6 +244,28 @@ def test_exact_routes_stay_below_the_continuum_anomaly(mass, n_max):
         deficit = CONTINUUM_LIMIT - value
         assert deficit > 0
         assert deficit == pytest.approx(CONTINUUM_DEFICIT[(mass, n_max)], rel=CONTINUUM_DEFICIT_REL)
+
+
+# The exact routes hold F's kernel as its band, O(n_max * harmonics) entries.
+# At n_max 512 the dense N x N kernel alone was 67 MB, and the routes peaked at
+# 225 MiB (spectral) and 96 MiB (direct); on the band they need 1.1 and 7.3 MiB.
+EXACT_ROUTE_PEAK_BYTES = 16 * 2**20
+
+
+@pytest.mark.parametrize("route", [double_commutator_direct, double_commutator_spectral])
+def test_exact_routes_never_hold_a_dense_kernel(route):
+    """Past the cached sandwiches, which every kernel of the lattice shares,
+    neither exact route allocates anything of size N x N."""
+    cfg = LatticeConfig(1.0, 1.0, 512)
+    f = TrigPoly.from_harmonics(cfg.box_length, CONTINUUM_HARMONICS)
+    _sandwich(cfg, ID2)
+    tracemalloc.start()
+    try:
+        route(f, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= EXACT_ROUTE_PEAK_BYTES
 
 
 # -- split vacuum kernel ---------------------------------------------------------

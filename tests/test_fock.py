@@ -20,8 +20,18 @@ from pointsplit.fock import (
     slot_from_linear,
     vacuum,
 )
+from pointsplit.groundstate import redefined_vacuum
 from pointsplit.lattice import LatticeConfig
-from pointsplit.modeops import ModeOperator, apply_operator, creator_op, multiply
+from pointsplit.modeops import (
+    ModeOperator,
+    apply_operator,
+    creator_op,
+    hamiltonian,
+    multiply,
+    smeared_charge,
+    split_hamiltonian,
+)
+from pointsplit.trigpoly import TrigPoly
 
 CFG1 = LatticeConfig(1.0, 1.0, 1)  # 6 slots, dim 64
 N1 = n_slots_for(1)
@@ -415,6 +425,29 @@ def test_masked_application_equals_the_unmasked_loop(n_max, seed, n_words, n_sta
         terms.append((((s,), (s,)), _full_mantissa(rng)))  # the number operator b'_s b_s
     v = _random_state(rng, n, n_states)
     assert list(fock._apply_terms(terms, v).amp.items()) == list(_apply_terms_unmasked(terms, v).amp.items())
+
+
+def _same_application(terms, v: FockVector) -> bool:
+    """_apply_terms equals the unmasked loop by repr, in insertion order."""
+    return repr(list(fock._apply_terms(terms, v).amp.items())) == repr(list(_apply_terms_unmasked(terms, v).amp.items()))
+
+
+def test_indexed_application_equals_the_unmasked_loop_on_dense_states():
+    """The states the CLI applies operators to: the split Hamiltonian on the
+    redefined vacuum, which holds over a hundred slots, and the direct
+    anomaly route's F on |0> and H on F|0>, whose many pair states each hold
+    two slots."""
+    cfg = LatticeConfig(1.0, 1.0, 64)
+    state = redefined_vacuum(1.3, cfg)
+    assert min(bits.bit_count() for bits in state.amp) >= 100
+    assert _same_application(split_hamiltonian(cfg, 1.3).terms.items(), state)
+    cfg = LatticeConfig(1.0, 1.0, 8)
+    f = TrigPoly.from_harmonics(cfg.box_length, [(0, 0.4, 0.0), (1, 0.5, 0.2), (3, 0.3, -0.6)])
+    F = smeared_charge(f, cfg)
+    assert _same_application(F.terms.items(), vacuum(cfg))
+    pairs = apply_operator(F, vacuum(cfg))
+    assert len(pairs.amp) > 50
+    assert _same_application(hamiltonian(cfg).terms.items(), pairs)
 
 
 def _random_words(rng, n: int, n_terms: int) -> ModeOperator:

@@ -18,11 +18,12 @@ from pointsplit.fock import (
     slot_from_linear,
     vacuum,
 )
-from pointsplit.checks import _commute_diagonal, _result, continuity_pairwise_residual
+from pointsplit.checks import _band_hermiticity, _commute_diagonal, _result, continuity_pairwise_residual
 from pointsplit.lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, dispersion, spinor
 from pointsplit.modeops import (
     ModeOperator,
     _bilinear,
+    _entries,
     _kernel_distance,
     _kernel_vev,
     _mode_table,
@@ -442,7 +443,7 @@ def test_bilinear_matches_product_oracle(data):
         if kernel[a, b] != 0:
             oracle = oracle + complex(kernel[a, b]) * multiply(field_op(a).adjoint(), field_op(b))
     scale = max(1.0, float(np.abs(kernel).sum()))
-    assert coeff_distance(_bilinear(kernel, cfg), oracle) <= 1e-14 * scale
+    assert coeff_distance(_bilinear(_entries(kernel), cfg), oracle) <= 1e-14 * scale
 
 
 @given(st.data())
@@ -457,15 +458,15 @@ def test_bilinear_commutator_matches_normal_ordering_oracle(data):
     # sparse kernels keep the oracle's term-pair count, and so the test, small
     sparse = arrays(complex, (n, n), elements=entry, fill=st.just(0j))
     k, g = data.draw(sparse), data.draw(sparse)
-    a, b = _bilinear(k, cfg), _bilinear(g, cfg)
+    a, b = _bilinear(_entries(k), cfg), _bilinear(_entries(g), cfg)
     scale = max(1.0, float(np.abs(k).sum() * np.abs(g).sum()))
-    assert coeff_distance(_bilinear(k @ g - g @ k, cfg), commutator(a, b)) <= 1e-14 * scale
+    assert coeff_distance(_bilinear(_entries(k @ g - g @ k), cfg), commutator(a, b)) <= 1e-14 * scale
     # an electron-positron pair and its conjugate: [K,G] = E_00 - E_pp leaves the c-number -1
     positron = SlotIndex(POSITRON, 0).linear(n_max)
     pair, conj = np.zeros((n, n), complex), np.zeros((n, n), complex)
     pair[0, positron] = conj[positron, 0] = 1.0
-    a, b = _bilinear(pair, cfg), _bilinear(conj, cfg)
-    assert vev(_bilinear(pair @ conj - conj @ pair, cfg)) == vev(commutator(a, b)) == -1.0
+    a, b = _bilinear(_entries(pair), cfg), _bilinear(_entries(conj), cfg)
+    assert vev(_bilinear(_entries(pair @ conj - conj @ pair), cfg)) == vev(commutator(a, b)) == -1.0
 
 
 def _same(x, y) -> bool:
@@ -499,8 +500,29 @@ def test_kernel_distance_and_vev_equal_their_bilinears_exactly(data):
     with_nan = k.copy()
     with_nan[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = complex(math.nan, 0.0)
     for a, b in ((k, g), (k, shifted), (with_nan, g)):
-        assert _same(_kernel_distance(a, b, cfg), coeff_distance(_bilinear(a, cfg), _bilinear(b, cfg)))
-        assert _same(_kernel_vev(a, cfg), vev(_bilinear(a, cfg)))
+        bilinears = _bilinear(_entries(a), cfg), _bilinear(_entries(b), cfg)
+        assert _same(_kernel_distance(a, b, cfg), coeff_distance(*bilinears))
+        assert _same(_kernel_vev(a, cfg), vev(_bilinear(_entries(a), cfg)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_band_hermiticity_equals_the_dense_distance_exactly(data):
+    """_band_hermiticity on a kernel's nonzero entries is _kernel_distance(K, K^H)
+    bit for bit: for entries whose mirror is missing, for a hermitian kernel
+    (0 exactly), with a NaN entry, and for the empty kernel."""
+    n_max = data.draw(st.integers(1, 3))
+    cfg = LatticeConfig(1.0, 1.0, n_max)
+    n = n_slots_for(n_max)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    k = np.where(rng.random((n, n)) < data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])), 0j, values)
+    hermitian = k + k.conj().T
+    with_nan = k.copy()
+    with_nan[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = complex(math.nan, 0.0)
+    for kernel in (k, hermitian, with_nan):
+        assert _same(_band_hermiticity(_entries(kernel), cfg), _kernel_distance(kernel, kernel.conj().T, cfg))
+    assert _band_hermiticity(_entries(hermitian), cfg) == 0.0
 
 
 # -- evaluation helpers ----------------------------------------------------------
