@@ -32,6 +32,7 @@ from .fock import n_slots_for
 from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, dispersion, spinor
 from .modeops import (
     _boulware_kernel,
+    _d_dz,
     _entries_vev,
     _field_kernel,
     _first_positron,
@@ -219,7 +220,7 @@ def check_continuity(cfg: LatticeConfig, z_values, corrupt_sign: bool = False) -
     residuals = [continuity_pairwise_residual(cfg) if not corrupt_sign else 0.0]
     for z in z_values:
         commuted = _commute_diagonal(h, _field_kernel(z, 0.0, ID2, cfg))
-        residuals.append(_kernel_distance(commuted, 1j * _field_kernel(z, 0.0, SIGMA_X, cfg, dz=True), cfg))
+        residuals.append(_kernel_distance(commuted, 1j * _d_dz(_field_kernel(z, 0.0, SIGMA_X, cfg), cfg), cfg))
     return _result("continuity", _worst(residuals), TOL["continuity"])
 
 
@@ -238,7 +239,7 @@ def check_split_continuity(cfg: LatticeConfig, eps_values, z_values) -> CheckRes
 
     checked monomial by monomial for every (eps, z) pair."""
     residual = _worst(
-        _kernel_distance(commuted, 1j * _boulware_kernel(z, eps, cfg, dz=True), cfg)
+        _kernel_distance(commuted, 1j * _d_dz(_boulware_kernel(z, eps, cfg), cfg), cfg)
         for eps, z, commuted in _split_commutators(cfg, eps_values, z_values)
     )
     return _result("split_continuity_defining_relation", residual, TOL["split_continuity_defining_relation"])

@@ -35,8 +35,10 @@ equals coeff_distance of the bilinears; the split Hamiltonian's diagonal
 kernel is a vector there (_split_hamiltonian_diagonal).  The general product
 engine (multiply, commutator) is the independent oracle the tests hold them to.
 
-Position z enters only through phase factors, so z-derivatives are
-applied analytically to the phases (the dz=True flags), never numerically.
+Position enters a kernel only through the per-slot factor e(x)_a = exp(i p_a x)
+(_plane_wave): z as the phase conj(e(z))_a e(z)_b (_phased), each shift g as factors
+e(g) of its own, never as e(z + g), so both sides of every continuity identity round
+alike, and one d/dz rule, K[a,b] -> i(p_b - p_a) K[a,b] (_d_dz), serves every dz=True flag.
 """
 
 from __future__ import annotations
@@ -140,16 +142,10 @@ def _sort_with_parity(seq, descending: bool):
     sign = 1
     for i in range(1, len(arr)):
         j = i
-        if descending:
-            while j > 0 and arr[j - 1] < arr[j]:
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                sign = -sign
-                j -= 1
-        else:
-            while j > 0 and arr[j - 1] > arr[j]:
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                sign = -sign
-                j -= 1
+        while j > 0 and (arr[j - 1] < arr[j] if descending else arr[j - 1] > arr[j]):
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            sign = -sign
+            j -= 1
     for x, y in zip(arr, arr[1:]):
         if x == y:
             return None, 0
@@ -404,6 +400,23 @@ def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float
     return ModeOperator(n, terms)
 
 
+def _plane_wave(cfg: LatticeConfig, x: float) -> np.ndarray:
+    """The per-slot factor e(x)_a = exp(i p_a x), the one place a position enters a kernel."""
+    return np.exp(1j * _mode_table(cfg).p * x)
+
+
+def _phased(kernel: np.ndarray, z: float, cfg: LatticeConfig, shift: float = 0.0) -> np.ndarray:
+    """K[a,b] conj(e(z) e(shift))_a e(z)_b: z-free K placed at z, with psi' at z + shift."""
+    e_z = _plane_wave(cfg, z)
+    return kernel * (e_z * _plane_wave(cfg, shift)).conj()[:, None] * e_z[None, :]
+
+
+def _d_dz(kernel: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+    """The one d/dz rule: z enters through _phased alone, so d/dz K[a,b] = i(p_b - p_a) K[a,b]."""
+    p = _mode_table(cfg).p
+    return kernel * (1j * (p[None, :] - p[:, None]))
+
+
 def charge_density(z: float, cfg: LatticeConfig) -> ModeOperator:
     """psi'(z) psi(z), hermitian; carries the constant background (2n_max+1)/L."""
     return _bilinear(_entries(_field_kernel(z, 0.0, ID2, cfg)), cfg)
@@ -411,29 +424,23 @@ def charge_density(z: float, cfg: LatticeConfig) -> ModeOperator:
 
 def current_shifted(z: float, shift: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
     """One-sided bilinear psi'(z + shift) sigma_x psi(z) (no gamma average)."""
-    return _bilinear(_entries(_field_kernel(z, shift, SIGMA_X, cfg, dz)), cfg)
+    kernel = _field_kernel(z, shift, SIGMA_X, cfg)
+    return _bilinear(_entries(_d_dz(kernel, cfg) if dz else kernel), cfg)
 
 
 def current_density(z: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
     """Unsplit current psi'(z) sigma_x psi(z); dz=True gives its exact z-derivative."""
-    return _bilinear(_entries(_field_kernel(z, 0.0, SIGMA_X, cfg, dz)), cfg)
+    return current_shifted(z, 0.0, cfg, dz)
 
 
 def split_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
     """Symmetrized split current (1/2) sum_{gamma=+-1} psi'(z + gamma*eps) sigma_x psi(z)."""
-    plus = current_shifted(z, +eps, cfg, dz=dz)
-    minus = current_shifted(z, -eps, cfg, dz=dz)
-    return 0.5 * (plus + minus)
+    return 0.5 * (current_shifted(z, +eps, cfg, dz) + current_shifted(z, -eps, cfg, dz))
 
 
-def _field_kernel(z: float, shift: float, matrix: np.ndarray, cfg: LatticeConfig, dz: bool = False) -> np.ndarray:
-    """K[a,b] = u_a' M u_b exp(i(p_b - p_a)z) exp(-i p_a shift) / L."""
-    t = _mode_table(cfg)
-    pa, pb = t.p[:, None], t.p[None, :]
-    kernel = _sandwich(cfg, matrix) * np.exp(-1j * pa * (z + shift)) * np.exp(1j * pb * z) / cfg.box_length
-    if dz:
-        kernel = kernel * (1j * (pb - pa))
-    return kernel
+def _field_kernel(z: float, shift: float, matrix: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+    """Kernel of psi'(z + shift) M psi(z): K[a,b] = u_a' M u_b conj(e(z) e(shift))_a e(z)_b / L."""
+    return _phased(_sandwich(cfg, matrix), z, cfg, shift) / cfg.box_length
 
 
 def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -448,31 +455,26 @@ def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False)
         + i * integral_{z-g}^{z} psi'(z' + g) (i sigma_x d/dz' - m sigma_z) psi(z') dz'
 
     with g = gamma*eps.  In mode space the line integral is the elementary
-    closed form (exp(iqz) - exp(iq(z - g)))/(iq) for momentum transfer
-    q = p_b - p_a, and just g when q = 0; dz=True differentiates both the
-    plain phase and the line factor analytically.
+    closed form phase (1 - e(g)_a conj(e(g))_b)/(iq), with phase =
+    conj(e(z))_a e(z)_b and momentum transfer q = p_b - p_a, and just
+    g phase when q = 0; dz=True applies the one d/dz rule to the whole kernel.
     """
-    return _bilinear(_entries(_boulware_kernel(z, eps, cfg, dz)), cfg)
+    kernel = _boulware_kernel(z, eps, cfg)
+    return _bilinear(_entries(_d_dz(kernel, cfg) if dz else kernel), cfg)
 
 
-def _boulware_kernel(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> np.ndarray:
-    t = _mode_table(cfg)
-    pa, pb = t.p[:, None], t.p[None, :]
-    q = pb - pa
-    phase = np.exp(1j * q * z)
+def _boulware_kernel(z: float, eps: float, cfg: LatticeConfig) -> np.ndarray:
+    p = _mode_table(cfg).p
+    q = p[None, :] - p[:, None]
+    iq = 1j * np.where(q == 0, 1.0, q)  # where q = 0 the line factor is g phase, set below
     ins_x = _sandwich(cfg, SIGMA_X)
-    ins_line = (-pb) * ins_x - cfg.mass * _sandwich(cfg, SIGMA_Z)  # line integrand, d/dz' -> i p_b
+    ins_line = (-p[None, :]) * ins_x - cfg.mass * _sandwich(cfg, SIGMA_Z)  # line integrand, d/dz' -> i p_b
     kernel = 0.0
     for g in (eps, -eps):
-        s_a = np.exp(-1j * pa * g)
-        back = np.exp(1j * q * (z - g))
-        if dz:
-            plain, line = ins_x * (1j * q) * phase, phase - back
-        else:
-            plain = ins_x * phase
-            line = np.where(q == 0, g, (phase - back) / (1j * np.where(q == 0, 1.0, q)))
-        kernel = kernel + (plain * s_a + 1j * ins_line * s_a * line) / (2.0 * cfg.box_length)
-    return kernel
+        e_g = _plane_wave(cfg, g)
+        line = np.where(q == 0, g, (1 - e_g[:, None] * e_g.conj()[None, :]) / iq)
+        kernel = kernel + (ins_x + 1j * ins_line * line) * e_g.conj()[:, None]
+    return _phased(kernel, z, cfg) / (2.0 * cfg.box_length)
 
 
 def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) -> ModeOperator:
@@ -491,17 +493,11 @@ def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) ->
 
 
 def _gradient_kernel(z: float, eps: float, cfg: LatticeConfig) -> np.ndarray:
-    t = _mode_table(cfg)
-    pa, pb = t.p[:, None], t.p[None, :]
-    m = cfg.mass
-    ins_x, ins_z = _sandwich(cfg, SIGMA_X), _sandwich(cfg, SIGMA_Z)
-    phase = np.exp(1j * (pb - pa) * z)
-    kernel = 0.0
-    for g in (eps, -eps):
-        left, right = np.exp(-1j * pa * g), np.exp(1j * pb * g)
-        c = pa * ins_x * left - pb * ins_x * right + m * ins_z * left - m * ins_z * right
-        kernel = kernel + c * phase / (2.0 * cfg.box_length)
-    return kernel
+    # the gamma average of either shifted field's factor, conj(e(g)) or e(g), is Re e(eps)
+    p, c = _mode_table(cfg).p, _plane_wave(cfg, eps).real
+    ins_x, m_z = _sandwich(cfg, SIGMA_X), cfg.mass * _sandwich(cfg, SIGMA_Z)
+    kernel = (p[:, None] * ins_x + m_z) * c[:, None] - (p[None, :] * ins_x + m_z) * c[None, :]
+    return _phased(kernel, z, cfg) / cfg.box_length
 
 
 def smeared_charge(f: TrigPoly, cfg: LatticeConfig) -> ModeOperator:

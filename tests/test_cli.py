@@ -48,6 +48,14 @@ def test_verify_at_n_max_128_passes_every_check(capsys):
     assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
 
 
+def test_verify_at_large_momenta_passes_every_check(capsys):
+    # momenta up to 256, where z and each shift must enter the kernels as separate
+    # per-slot factors for the split identities to hold to round-off
+    assert run_cli(["verify", "--n-max", "32", "--delta-p", "8", "--eps", "0.3", "--eps", "0.9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
+
+
 def test_verify_rejects_bad_lattice(capsys):
     assert run_cli(["verify", "--n-max", "0"]) == 2
     assert "n_max" in capsys.readouterr().err
