@@ -206,7 +206,7 @@ def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> f
         integral = 0j
         for start, direction, edges, sign in legs:
             t, dt = _leg(start, direction, edges, n)
-            integral += sign * complex(dt @ np.exp(c * m * np.sinh(t) - t))
+            integral += sign * complex(np.sum(dt * np.exp(c * m * np.sinh(t) - t)))
         values.append(elementary - m * integral.imag)
     value, check = values
     err = abs(value - check)

@@ -10,9 +10,7 @@ gradient form of the commutator, renormalization-constant bookkeeping).
 
 Every operator checked here is a fermion bilinear A'KA, so the checks stay
 on the kernels K: [A'KA, A'GA] = A'[K,G]A, the vacuum value is Tr(P_- K)
-and modeops._kernel_distance compares two bilinears exactly.  The smeared
-charge's kernel is only ever its band of nonzero entries, so its
-hermiticity is read there (_band_hermiticity).  The
+and modeops._kernel_distance compares two bilinears exactly.  The
 Hamiltonians are diagonal, carried as the vector h of their diagonal, so
 every continuity identity takes one elementwise commutator [diag(h), K] =
 (h_a - h_b) K[a,b] (_commute_diagonal).  Only the renormalization check
@@ -33,7 +31,6 @@ from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, dispersion, spinor
 from .modeops import (
     _boulware_kernel,
     _d_dz,
-    _entries_vev,
     _field_kernel,
     _first_positron,
     _gradient_kernel,
@@ -164,26 +161,15 @@ def check_car(cfg: LatticeConfig) -> CheckResult:
 
 def check_hermiticity(cfg: LatticeConfig, eps_values, z_values, f: TrigPoly) -> CheckResult:
     """Hermiticity of the Hamiltonians, charge density and smeared charge:
-    A'KA is hermitian when K is."""
+    A'KA is hermitian when K is.  The smeared charge's band of nonzero entries
+    is scattered into a dense kernel and read like the others."""
+    rows, cols, values = _smeared_kernel(f, cfg)
+    smeared = np.zeros((n_slots_for(cfg.n_max),) * 2, dtype=complex)
+    smeared[rows, cols] = values
     kernels = [np.diag(_split_hamiltonian_diagonal(cfg, eps)) for eps in (0.0, *eps_values)]
-    kernels += [_field_kernel(z, 0.0, ID2, cfg) for z in z_values]
+    kernels += [_field_kernel(z, 0.0, ID2, cfg) for z in z_values] + [smeared]
     residuals = [_kernel_distance(k, k.conj().T, cfg) for k in kernels]
-    residuals.append(_band_hermiticity(_smeared_kernel(f, cfg), cfg))
     return _result("hermiticity", _worst(residuals), TOL["hermiticity"])
-
-
-def _band_hermiticity(entries, cfg: LatticeConfig) -> float:
-    """_kernel_distance(K, K^H) for K given by its nonzero entries (rows, cols,
-    values) in row-major order: each entry K[a,b] against conj(K[b,a]), found
-    by binary search (0 where (b,a) holds no entry).  Every nonzero entry of
-    K - K^H sits on an entry of K or on its mirror, with the same magnitude."""
-    rows, cols, values = entries
-    n = n_slots_for(cfg.n_max)
-    flat, mirror = rows * n + cols, cols * n + rows
-    at = np.minimum(np.searchsorted(flat, mirror), len(flat) - 1)
-    d = values - np.where(flat[at] == mirror, values[at], 0).conj()
-    vev = _entries_vev(entries, cfg)
-    return _worst([np.hypot(d.real, d.imag).max(initial=0.0), abs(vev - vev.conjugate())])
 
 
 def _commute_diagonal(h: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -35,6 +35,11 @@ equals coeff_distance of the bilinears; the split Hamiltonian's diagonal
 kernel is a vector there (_split_hamiltonian_diagonal).  The general product
 engine (multiply, commutator) is the independent oracle the tests hold them to.
 
+Every spinor sandwich u_a' M u_b comes from one elementwise float64 rule
+(_sandwich_at), never from a matrix product, so no BLAS kernel sets a bit of a
+report: the dense kernels read it cached over the whole slot grid (_sandwich),
+and the smeared charge evaluates it on its band alone.
+
 Position enters a kernel only through the per-slot factor e(x)_a = exp(i p_a x)
 (_plane_wave): z as the phase conj(e(z))_a e(z)_b (_phased), each shift g as factors
 e(g) of its own, never as e(z + g), so both sides of every continuity identity round
@@ -254,10 +259,6 @@ class _Modes(NamedTuple):
     energy: np.ndarray  # E_j, the same on both of mode j's slots
     u: np.ndarray  # unit spinors, shape (n_slots, 2)
 
-    def sandwich(self, matrix: np.ndarray) -> np.ndarray:
-        """All spinor sandwiches u_a' M u_b at once; the kernels read them cached, through _sandwich."""
-        return self.u.conj() @ (matrix @ self.u.T)
-
 
 @functools.lru_cache(maxsize=8)
 def _mode_table(cfg: LatticeConfig) -> _Modes:
@@ -275,15 +276,25 @@ def _mode_table(cfg: LatticeConfig) -> _Modes:
     return table
 
 
+def _sandwich_at(cfg: LatticeConfig, matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one sandwich rule: u_a' M u_b for slot indices a, b broadcast together, as
+    v_a0 u_b0 + v_a1 u_b1 with v = u'M.  The spinors and the insertions are real, and
+    elementwise float64 arithmetic rounds alike on every CPU, as a BLAS kernel need not."""
+    u, m = _mode_table(cfg).u.real, np.asarray(matrix).real
+    v = u[:, :1] * m[0] + u[:, 1:] * m[1]
+    return v[a, 0] * u[b, 0] + v[a, 1] * u[b, 1]
+
+
 def _sandwich(cfg: LatticeConfig, matrix: np.ndarray) -> np.ndarray:
-    """The mode table's sandwiches u_a' M u_b for a 2x2 matrix M, computed on first use per
+    """The dense N x N sandwiches u_a' M u_b for a 2x2 matrix M, computed on first use per
     lattice and matrix and shared read-only."""
     return _sandwich_of_bytes(cfg, np.asarray(matrix, dtype=complex).tobytes())
 
 
 @functools.lru_cache(maxsize=24)
 def _sandwich_of_bytes(cfg: LatticeConfig, matrix: bytes) -> np.ndarray:
-    sandwiches = _mode_table(cfg).sandwich(np.frombuffer(matrix, dtype=complex).reshape(2, 2))
+    slots = np.arange(n_slots_for(cfg.n_max))
+    sandwiches = _sandwich_at(cfg, np.frombuffer(matrix, dtype=complex).reshape(2, 2), slots[:, None], slots)
     sandwiches.flags.writeable = False
     return sandwiches
 
@@ -304,23 +315,17 @@ def _entries(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, kernel[rows, cols]
 
 
-def _entries_vev(entries, cfg: LatticeConfig) -> complex:
-    """_kernel_vev of the kernel with these nonzero entries, the same float: its
-    positron diagonal summed in slot order, where a zero entry adds nothing."""
-    rows, cols, values = entries
-    return sum(values[(rows == cols) & (rows >= _first_positron(cfg))].tolist(), 0j)
-
-
 def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
     """Normal-ordered sum_ab K[a,b] A'_a A_b over linear slots a, b, from K's
     nonzero entries (rows, cols, values) in row-major order.
 
     A is b (electron annihilator) on electron slots and d' (positron
     creator) on positron slots, so the four blocks normal-order as below;
-    only the d d' diagonal (d_a d'_a = 1 - d'_a d_a) yields a c-number.
+    only the d d' diagonal (d_a d'_a = 1 - d'_a d_a) yields a c-number, summed
+    in slot order as _kernel_vev sums it, where a zero entry adds nothing.
     """
     first_positron = _first_positron(cfg)
-    terms: dict[Signature, complex] = {_IDENTITY_SIG: _entries_vev(entries, cfg)}
+    terms: dict[Signature, complex] = {_IDENTITY_SIG: 0j}
     rows, cols, values = entries
     for a, b, c in zip(rows.tolist(), cols.tolist(), values.tolist()):
         if a < first_positron:
@@ -330,14 +335,16 @@ def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
             terms[((), (a, b))] = c  # d b: positron slot above electron slot
         else:
             terms[((b,), (a,))] = -c  # d_a d'_b = delta_ab - d'_b d_a; the delta is the c-number
+            if a == b:
+                terms[_IDENTITY_SIG] += c
     return ModeOperator(n_slots_for(cfg.n_max), terms)
 
 
 def _kernel_distance(k: np.ndarray, g: np.ndarray, cfg: LatticeConfig) -> float:
-    """coeff_distance(_bilinear(k, cfg), _bilinear(g, cfg)) exactly: each entry is
-    one monomial's coefficient up to sign, plus the c-number.  np.hypot of the
-    real and imaginary parts rounds as Python's complex abs in coeff_distance
-    does; np.abs does not."""
+    """coeff_distance(_bilinear(_entries(k), cfg), _bilinear(_entries(g), cfg))
+    exactly: each entry is one monomial's coefficient up to sign, plus the
+    c-number.  np.hypot of the real and imaginary parts rounds as Python's
+    complex abs in coeff_distance does; np.abs does not."""
     d = k - g
     return _worst([np.hypot(d.real, d.imag).max(), abs(_kernel_vev(k, cfg) - _kernel_vev(g, cfg))])
 
@@ -515,9 +522,10 @@ def _smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> tuple[np.ndarray, np.nda
     row-major order; rejects harmonics the lattice cannot carry.
 
     K[a,b] = c_{j_a - j_b} u_a' u_b is nonzero only on the band where
-    j_a - j_b is a harmonic of f, so only those entries are read from the
-    cached sandwiches.  Each value is the product the dense matrix would hold
-    there, and products that come out zero are dropped, as np.nonzero would.
+    j_a - j_b is a harmonic of f, so the sandwich rule runs on those entries
+    alone and nothing N x N is built.  Each value is the product the dense
+    matrix would hold there, and products that come out zero are dropped, as
+    np.nonzero would.
     """
     f.check_on_lattice(cfg)
     t = _mode_table(cfg)
@@ -530,7 +538,7 @@ def _smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> tuple[np.ndarray, np.nda
     cols = j_b + cfg.n_max + np.array([0, _first_positron(cfg)])[:, None]
     band = np.broadcast_to(np.abs(j_b) <= cfg.n_max, cols.shape)
     rows, cols = np.broadcast_to(np.arange(len(t.j))[:, None, None], cols.shape)[band], cols[band]
-    values = coeffs[t.j[rows] - t.j[cols] + span] * _sandwich(cfg, ID2)[rows, cols]
+    values = coeffs[t.j[rows] - t.j[cols] + span] * _sandwich_at(cfg, ID2, rows, cols)
     kept = values != 0
     return rows[kept], cols[kept], values[kept]
 

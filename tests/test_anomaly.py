@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointsplit import anomaly
+from pointsplit import anomaly, modeops
 from pointsplit.anomaly import (
     damped_kernel_integral,
     double_commutator_direct,
@@ -194,7 +194,7 @@ def test_spectral_route_equals_the_normal_form_oracle(data):
     f = TrigPoly.from_harmonics(cfg.box_length, [(0, data.draw(amplitude), 0.0)] + harmonics)
     # the band holds the nonzero entries, and their values, that evaluating f.coeff entry by entry gives
     j = _mode_table(cfg).j
-    entrywise = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * _mode_table(cfg).sandwich(ID2)
+    entrywise = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * _sandwich(cfg, ID2)
     rows, cols, values = _smeared_kernel(f, cfg)
     nonzero = np.nonzero(entrywise)
     assert rows.tolist() == nonzero[0].tolist() and cols.tolist() == nonzero[1].tolist()
@@ -226,6 +226,7 @@ CONTINUUM_DEFICIT = {
     (1.0, 128): 7.48068e-5,
     (1.0, 512): 4.65930e-6,
     (1.0, 1024): 1.16415e-6,
+    (1.0, 2048): 2.90955e-7,
     (0.3, 32): 1.09293e-4,
     (0.3, 256): 1.67930e-6,
 }
@@ -246,19 +247,21 @@ def test_exact_routes_stay_below_the_continuum_anomaly(mass, n_max):
         assert deficit == pytest.approx(CONTINUUM_DEFICIT[(mass, n_max)], rel=CONTINUUM_DEFICIT_REL)
 
 
-# The exact routes hold F's kernel as its band, O(n_max * harmonics) entries.
-# At n_max 512 the dense N x N kernel alone was 67 MB, and the routes peaked at
-# 225 MiB (spectral) and 96 MiB (direct); on the band they need 1.1 and 7.3 MiB.
+# The exact routes hold F's kernel as its band, O(n_max * harmonics) entries,
+# and evaluate its spinor sandwiches on that band alone.  At n_max 512 the dense
+# N x N sandwich matrix alone is 67 MB; the whole routes trace 7.4 MiB (direct)
+# and 1.1 MiB (spectral).
 EXACT_ROUTE_PEAK_BYTES = 16 * 2**20
 
 
 @pytest.mark.parametrize("route", [double_commutator_direct, double_commutator_spectral])
 def test_exact_routes_never_hold_a_dense_kernel(route):
-    """Past the cached sandwiches, which every kernel of the lattice shares,
-    neither exact route allocates anything of size N x N."""
+    """Neither exact route allocates anything of size N x N, its spinor
+    sandwiches included: the cached sandwiches other tests left are dropped,
+    so nothing is built ahead of the traced call."""
     cfg = LatticeConfig(1.0, 1.0, 512)
     f = TrigPoly.from_harmonics(cfg.box_length, CONTINUUM_HARMONICS)
-    _sandwich(cfg, ID2)
+    modeops._sandwich_of_bytes.cache_clear()
     tracemalloc.start()
     try:
         route(f, cfg)

@@ -346,6 +346,41 @@ def test_importing_the_cli_does_not_load_scipy():
     assert proc.stdout == "[] []\n0 [] []\n0 [] []\n0 []\n"
 
 
+# one config per subcommand whose report reads spinor sandwiches or a quadrature sum
+CROSS_KERNEL_RUNS = [
+    ["anomaly", "--n-max", "16", "--f-harmonic", "1:0.5:0"],
+    ["kernel", "--eps", "0.3", "--eps", "0.9"],
+    ["verify", "--n-max", "16", "--eps", "0.3", "--f-harmonic", "1:0.5:0"],
+]
+
+
+def test_reports_are_byte_identical_under_another_blas_kernel(tmp_path):
+    """The reports do not depend on which OpenBLAS kernel the CPU selects: run
+    natively and with OPENBLAS_CORETYPE=Nehalem (a kernel without fused
+    multiply-add), every --out file has the same bytes.  A BLAS that ignores
+    the variable runs the same kernel twice and passes this trivially."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import pointsplit.cli as cli\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(argv + ['--out', f'{sys.argv[2]}/{i}.json'])\n"
+    )
+    outputs = {}
+    for name, coretype in (("native", None), ("nehalem", "Nehalem")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        (tmp_path / name).mkdir()
+        argv = [sys.executable, "-c", code, json.dumps(CROSS_KERNEL_RUNS), str(tmp_path / name)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[name] = [(tmp_path / name / f"{i}.json").read_bytes() for i in range(len(CROSS_KERNEL_RUNS))]
+    assert outputs["native"] == outputs["nehalem"]
+
+
 def test_default_z_values_are_the_seeded_uniform_draws():
     assert checks.default_z_values() == np.random.default_rng(20260808).uniform(0.0, 2.0 * math.pi, 5).tolist()
 
