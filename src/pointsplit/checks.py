@@ -15,6 +15,10 @@ Hamiltonians are diagonal, carried as the vector h of their diagonal, so
 every continuity identity takes one elementwise commutator [diag(h), K] =
 (h_a - h_b) K[a,b] (_commute_diagonal).  Only the renormalization check
 builds operators, as it tests the normal-ordering engine itself.
+
+Every kernel is z-free: only the public builders in modeops place one at z, by a
+unimodular phase that multiplies both sides of an identity alike, so each identity
+is checked once per eps and holds at every z.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ def check_car(cfg: LatticeConfig) -> CheckResult:
     return _result("car_relations", math.sqrt(worst), TOL["car_relations"], detail=f"{n} slots, dim {1 << n}")
 
 
-def check_hermiticity(cfg: LatticeConfig, eps_values, z_values, f: TrigPoly) -> CheckResult:
+def check_hermiticity(cfg: LatticeConfig, eps_values, f: TrigPoly) -> CheckResult:
     """Hermiticity of the Hamiltonians, charge density and smeared charge:
     A'KA is hermitian when K is.  The smeared charge's band of nonzero entries
     is scattered into a dense kernel and read like the others."""
@@ -167,7 +171,7 @@ def check_hermiticity(cfg: LatticeConfig, eps_values, z_values, f: TrigPoly) -> 
     smeared = np.zeros((n_slots_for(cfg.n_max),) * 2, dtype=complex)
     smeared[rows, cols] = values
     kernels = [np.diag(_split_hamiltonian_diagonal(cfg, eps)) for eps in (0.0, *eps_values)]
-    kernels += [_field_kernel(z, 0.0, ID2, cfg) for z in z_values] + [smeared]
+    kernels += [_field_kernel(0.0, ID2, cfg), smeared]
     residuals = [_kernel_distance(k, k.conj().T, cfg) for k in kernels]
     return _result("hermiticity", _worst(residuals), TOL["hermiticity"])
 
@@ -192,7 +196,7 @@ def continuity_pairwise_residual(cfg: LatticeConfig) -> float:
     return _worst([np.hypot(d.real, d.imag).max()])
 
 
-def check_continuity(cfg: LatticeConfig, z_values, corrupt_sign: bool = False) -> CheckResult:
+def check_continuity(cfg: LatticeConfig, corrupt_sign: bool = False) -> CheckResult:
     """Operator-level continuity: [H, rho(z)] - i d/dz J(z) vanishes monomial-wise.
 
     corrupt_sign is a negative-control hook: it flips the sign of the
@@ -203,39 +207,36 @@ def check_continuity(cfg: LatticeConfig, z_values, corrupt_sign: bool = False) -
     if corrupt_sign:
         positrons = slice(_first_positron(cfg), None)
         h[positrons] = -h[positrons]
+    commuted = _commute_diagonal(h, _field_kernel(0.0, ID2, cfg))
     residuals = [continuity_pairwise_residual(cfg) if not corrupt_sign else 0.0]
-    for z in z_values:
-        commuted = _commute_diagonal(h, _field_kernel(z, 0.0, ID2, cfg))
-        residuals.append(_kernel_distance(commuted, 1j * _d_dz(_field_kernel(z, 0.0, SIGMA_X, cfg), cfg), cfg))
+    residuals.append(_kernel_distance(commuted, 1j * _d_dz(_field_kernel(0.0, SIGMA_X, cfg), cfg), cfg))
     return _result("continuity", _worst(residuals), TOL["continuity"])
 
 
-def _split_commutators(cfg: LatticeConfig, eps_values, z_values):
-    """(eps, z, kernel of [H_split(eps), rho(z)]) for every pair, each rho(z) built once."""
-    diagonals = [(eps, _split_hamiltonian_diagonal(cfg, eps)) for eps in eps_values]
-    for z in z_values:
-        rho = _field_kernel(z, 0.0, ID2, cfg)
-        yield from ((eps, z, _commute_diagonal(h, rho)) for eps, h in diagonals)
+def _split_commutators(cfg: LatticeConfig, eps_values):
+    """(eps, kernel of [H_split(eps), rho]) for every eps, rho built once."""
+    rho = _field_kernel(0.0, ID2, cfg)
+    return ((eps, _commute_diagonal(_split_hamiltonian_diagonal(cfg, eps), rho)) for eps in eps_values)
 
 
-def check_split_continuity(cfg: LatticeConfig, eps_values, z_values) -> CheckResult:
+def check_split_continuity(cfg: LatticeConfig, eps_values) -> CheckResult:
     """Defining relation for the corrected split current:
 
         [H_split(eps), rho(z)] = i d/dz J_corrected(z; eps)
 
-    checked monomial by monomial for every (eps, z) pair."""
+    checked monomial by monomial for every eps, on the z-free kernels."""
     residual = _worst(
-        _kernel_distance(commuted, 1j * _d_dz(_boulware_kernel(z, eps, cfg), cfg), cfg)
-        for eps, z, commuted in _split_commutators(cfg, eps_values, z_values)
+        _kernel_distance(commuted, 1j * _d_dz(_boulware_kernel(eps, cfg), cfg), cfg)
+        for eps, commuted in _split_commutators(cfg, eps_values)
     )
     return _result("split_continuity_defining_relation", residual, TOL["split_continuity_defining_relation"])
 
 
-def check_gradient_form(cfg: LatticeConfig, eps_values, z_values) -> CheckResult:
+def check_gradient_form(cfg: LatticeConfig, eps_values) -> CheckResult:
     """[H_split, rho(z)] against its point-shifted field-gradient expansion."""
     residual = _worst(
-        _kernel_distance(commuted, _gradient_kernel(z, eps, cfg), cfg)
-        for eps, z, commuted in _split_commutators(cfg, eps_values, z_values)
+        _kernel_distance(commuted, _gradient_kernel(eps, cfg), cfg)
+        for eps, commuted in _split_commutators(cfg, eps_values)
     )
     return _result("split_commutator_gradient_form", residual, TOL["split_commutator_gradient_form"])
 
@@ -248,17 +249,15 @@ def check_split_renormalization(cfg: LatticeConfig, eps_values) -> CheckResult:
     return _result("split_hamiltonian_renormalization", _worst(residuals), TOL["split_hamiltonian_renormalization"])
 
 
-def check_split_current_consistency(cfg: LatticeConfig, eps_values, z_values) -> CheckResult:
+def check_split_current_consistency(cfg: LatticeConfig, eps_values) -> CheckResult:
     """Split current sanity: the gamma-symmetrized vacuum value vanishes, and
     the corrected current at eps = 0 matches the unsplit current.  (The plain
     split current at eps = 0 averages one kernel with itself, so it is the
     unsplit current by construction.)"""
-    residuals = []
-    for z in z_values:
-        residuals.append(_kernel_distance(_boulware_kernel(z, 0.0, cfg), _field_kernel(z, 0.0, SIGMA_X, cfg), cfg))
-        for eps in eps_values:
-            plus, minus = _field_kernel(z, +eps, SIGMA_X, cfg), _field_kernel(z, -eps, SIGMA_X, cfg)
-            residuals.append(abs(0.5 * (_kernel_vev(plus, cfg) + _kernel_vev(minus, cfg))))
+    residuals = [_kernel_distance(_boulware_kernel(0.0, cfg), _field_kernel(0.0, SIGMA_X, cfg), cfg)]
+    for eps in eps_values:
+        plus, minus = _field_kernel(+eps, SIGMA_X, cfg), _field_kernel(-eps, SIGMA_X, cfg)
+        residuals.append(abs(0.5 * (_kernel_vev(plus, cfg) + _kernel_vev(minus, cfg))))
     return _result("split_current_consistency", _worst(residuals), TOL["split_current_consistency"])
 
 
@@ -273,13 +272,6 @@ def check_vacuum_annihilation(cfg: LatticeConfig) -> CheckResult:
     return _result("vacuum_annihilation", worst, TOL["vacuum_annihilation"])
 
 
-def default_z_values() -> list[float]:
-    """Five deterministic pseudo-random positions in [0, 2*pi): the draws of
-    np.random.default_rng(20260808).uniform(0.0, 2*pi, 5), written out so that
-    no run imports numpy.random for them."""
-    return [1.5271075817870083, 4.600087140917431, 3.9346114298272377, 4.434355264616942, 0.3658183607509087]
-
-
 # The anticommutator sweep is exhaustive over the Fock basis, so it runs on a
 # lattice capped at this n_max: the identities are per-slot and gain nothing
 # from more modes.
@@ -290,16 +282,15 @@ def run_verify_suite(cfg: LatticeConfig, eps_values, f: TrigPoly, corrupt_sign: 
     """The full identity battery in a fixed order; check_car runs at n_max
     at most CAR_MAX_N_MAX, everything else uses cfg as given."""
     car_cfg = cfg if cfg.n_max <= CAR_MAX_N_MAX else LatticeConfig(cfg.mass, cfg.delta_p, CAR_MAX_N_MAX)
-    zs = default_z_values()
     return [
         check_dispersion(cfg),
         check_spinors(cfg),
         check_car(car_cfg),
         check_vacuum_annihilation(cfg),
-        check_hermiticity(cfg, eps_values, zs, f=f),
-        check_continuity(cfg, zs, corrupt_sign=corrupt_sign),
-        check_split_continuity(cfg, eps_values, zs),
-        check_gradient_form(cfg, eps_values, zs),
+        check_hermiticity(cfg, eps_values, f=f),
+        check_continuity(cfg, corrupt_sign=corrupt_sign),
+        check_split_continuity(cfg, eps_values),
+        check_gradient_form(cfg, eps_values),
         check_split_renormalization(cfg, eps_values),
-        check_split_current_consistency(cfg, eps_values, zs),
+        check_split_current_consistency(cfg, eps_values),
     ]

@@ -40,10 +40,13 @@ Every spinor sandwich u_a' M u_b comes from one elementwise float64 rule
 report: the dense kernels read it cached over the whole slot grid (_sandwich),
 and the smeared charge evaluates it on its band alone.
 
-Position enters a kernel only through the per-slot factor e(x)_a = exp(i p_a x)
-(_plane_wave): z as the phase conj(e(z))_a e(z)_b (_phased), each shift g as factors
-e(g) of its own, never as e(z + g), so both sides of every continuity identity round
-alike, and one d/dz rule, K[a,b] -> i(p_b - p_a) K[a,b] (_d_dz), serves every dz=True flag.
+Position enters only through the per-slot factor e(x)_a = exp(i p_a x) (_plane_wave).
+The private kernels are z-free, with a shift g as the factor conj(e(g))_a of psi'(z + g);
+only the public builders place a kernel at z, by the unimodular phase conj(e(z))_a e(z)_b
+(_phased), so the checks read each identity once, on its z-free kernels.  One d/dz rule,
+K[a,b] -> i(p_b - p_a) K[a,b] (_d_dz), serves every dz=True flag.  The checks multiply no
+two complex numbers that both have real and imaginary parts, a product numpy's SIMD
+kernels may round differently, so the CPU's dispatch sets no bit of a report.
 """
 
 from __future__ import annotations
@@ -412,10 +415,10 @@ def _plane_wave(cfg: LatticeConfig, x: float) -> np.ndarray:
     return np.exp(1j * _mode_table(cfg).p * x)
 
 
-def _phased(kernel: np.ndarray, z: float, cfg: LatticeConfig, shift: float = 0.0) -> np.ndarray:
-    """K[a,b] conj(e(z) e(shift))_a e(z)_b: z-free K placed at z, with psi' at z + shift."""
+def _phased(kernel: np.ndarray, z: float, cfg: LatticeConfig) -> np.ndarray:
+    """K[a,b] conj(e(z))_a e(z)_b: the z-free kernel K placed at z."""
     e_z = _plane_wave(cfg, z)
-    return kernel * (e_z * _plane_wave(cfg, shift)).conj()[:, None] * e_z[None, :]
+    return kernel * e_z.conj()[:, None] * e_z[None, :]
 
 
 def _d_dz(kernel: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
@@ -426,13 +429,13 @@ def _d_dz(kernel: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
 
 def charge_density(z: float, cfg: LatticeConfig) -> ModeOperator:
     """psi'(z) psi(z), hermitian; carries the constant background (2n_max+1)/L."""
-    return _bilinear(_entries(_field_kernel(z, 0.0, ID2, cfg)), cfg)
+    return _bilinear(_entries(_phased(_field_kernel(0.0, ID2, cfg), z, cfg)), cfg)
 
 
 def current_shifted(z: float, shift: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
     """One-sided bilinear psi'(z + shift) sigma_x psi(z) (no gamma average)."""
-    kernel = _field_kernel(z, shift, SIGMA_X, cfg)
-    return _bilinear(_entries(_d_dz(kernel, cfg) if dz else kernel), cfg)
+    kernel = _field_kernel(shift, SIGMA_X, cfg)
+    return _bilinear(_entries(_phased(_d_dz(kernel, cfg) if dz else kernel, z, cfg)), cfg)
 
 
 def current_density(z: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -445,9 +448,9 @@ def split_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) ->
     return 0.5 * (current_shifted(z, +eps, cfg, dz) + current_shifted(z, -eps, cfg, dz))
 
 
-def _field_kernel(z: float, shift: float, matrix: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
-    """Kernel of psi'(z + shift) M psi(z): K[a,b] = u_a' M u_b conj(e(z) e(shift))_a e(z)_b / L."""
-    return _phased(_sandwich(cfg, matrix), z, cfg, shift) / cfg.box_length
+def _field_kernel(shift: float, matrix: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+    """z-free kernel of psi'(z + shift) M psi(z): K[a,b] = u_a' M u_b conj(e(shift))_a / L."""
+    return _sandwich(cfg, matrix) / cfg.box_length * _plane_wave(cfg, shift).conj()[:, None]
 
 
 def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -462,26 +465,23 @@ def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False)
         + i * integral_{z-g}^{z} psi'(z' + g) (i sigma_x d/dz' - m sigma_z) psi(z') dz'
 
     with g = gamma*eps.  In mode space the line integral is the elementary
-    closed form phase (1 - e(g)_a conj(e(g))_b)/(iq), with phase =
-    conj(e(z))_a e(z)_b and momentum transfer q = p_b - p_a, and just
-    g phase when q = 0; dz=True applies the one d/dz rule to the whole kernel.
+    closed form (1 - e(g)_a conj(e(g))_b)/(iq), with momentum transfer
+    q = p_b - p_a, and just g when q = 0.  It multiplies the shifted field's
+    conj(e(g))_a, and since |e(g)| = 1 the gamma average is real: with
+    c + i s = e(eps), the line factor is (c_a - c_b)/q, or eps s_a where q = 0.
+    _phased places the kernel at z; dz=True applies the one d/dz rule to it.
     """
-    kernel = _boulware_kernel(z, eps, cfg)
-    return _bilinear(_entries(_d_dz(kernel, cfg) if dz else kernel), cfg)
+    kernel = _boulware_kernel(eps, cfg)
+    return _bilinear(_entries(_phased(_d_dz(kernel, cfg) if dz else kernel, z, cfg)), cfg)
 
 
-def _boulware_kernel(z: float, eps: float, cfg: LatticeConfig) -> np.ndarray:
-    p = _mode_table(cfg).p
-    q = p[None, :] - p[:, None]
-    iq = 1j * np.where(q == 0, 1.0, q)  # where q = 0 the line factor is g phase, set below
+def _boulware_kernel(eps: float, cfg: LatticeConfig) -> np.ndarray:
+    p, e = _mode_table(cfg).p, _plane_wave(cfg, eps)
+    q, c = p[None, :] - p[:, None], e.real
     ins_x = _sandwich(cfg, SIGMA_X)
     ins_line = (-p[None, :]) * ins_x - cfg.mass * _sandwich(cfg, SIGMA_Z)  # line integrand, d/dz' -> i p_b
-    kernel = 0.0
-    for g in (eps, -eps):
-        e_g = _plane_wave(cfg, g)
-        line = np.where(q == 0, g, (1 - e_g[:, None] * e_g.conj()[None, :]) / iq)
-        kernel = kernel + (ins_x + 1j * ins_line * line) * e_g.conj()[:, None]
-    return _phased(kernel, z, cfg) / (2.0 * cfg.box_length)
+    line = np.where(q == 0, eps * e.imag[:, None], (c[:, None] - c[None, :]) / np.where(q == 0, 1.0, q))
+    return (ins_x * c[:, None] + ins_line * line) / cfg.box_length
 
 
 def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) -> ModeOperator:
@@ -496,15 +496,15 @@ def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) ->
     Used as the independent cross-check against the commutator of
     split_hamiltonian with charge_density; the two agree term by term.
     """
-    return _bilinear(_entries(_gradient_kernel(z, eps, cfg)), cfg)
+    return _bilinear(_entries(_phased(_gradient_kernel(eps, cfg), z, cfg)), cfg)
 
 
-def _gradient_kernel(z: float, eps: float, cfg: LatticeConfig) -> np.ndarray:
+def _gradient_kernel(eps: float, cfg: LatticeConfig) -> np.ndarray:
     # the gamma average of either shifted field's factor, conj(e(g)) or e(g), is Re e(eps)
     p, c = _mode_table(cfg).p, _plane_wave(cfg, eps).real
     ins_x, m_z = _sandwich(cfg, SIGMA_X), cfg.mass * _sandwich(cfg, SIGMA_Z)
     kernel = (p[:, None] * ins_x + m_z) * c[:, None] - (p[None, :] * ins_x + m_z) * c[None, :]
-    return _phased(kernel, z, cfg) / cfg.box_length
+    return kernel / cfg.box_length
 
 
 def smeared_charge(f: TrigPoly, cfg: LatticeConfig) -> ModeOperator:

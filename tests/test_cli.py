@@ -8,7 +8,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -323,8 +322,8 @@ def test_kernel_names_the_overflowed_default_cutoff(capsys):
 
 def test_importing_the_cli_does_not_load_scipy():
     # the kernel quadrature is numpy-only, and builds its Gauss-Legendre nodes from
-    # numpy.polynomial on first use, so a bare import loads neither; verify's z
-    # values are literals, so neither verify nor vacuum loads numpy.random
+    # numpy.polynomial on first use, so a bare import loads neither; verify checks
+    # z-free kernels and draws nothing, so neither verify nor vacuum loads numpy.random
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -354,11 +353,9 @@ CROSS_KERNEL_RUNS = [
 ]
 
 
-def test_reports_are_byte_identical_under_another_blas_kernel(tmp_path):
-    """The reports do not depend on which OpenBLAS kernel the CPU selects: run
-    natively and with OPENBLAS_CORETYPE=Nehalem (a kernel without fused
-    multiply-add), every --out file has the same bytes.  A BLAS that ignores
-    the variable runs the same kernel twice and passes this trivially."""
+def _reports_under(tmp_path, name: str, variable: str, value: str | None, runs) -> list[bytes]:
+    """The --out bytes of each run, all in one fresh interpreter with the
+    environment variable set to value, or unset for None."""
     root = Path(__file__).resolve().parents[1]
     code = (
         "import contextlib, io, json, sys\n"
@@ -367,22 +364,43 @@ def test_reports_are_byte_identical_under_another_blas_kernel(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        cli.main(argv + ['--out', f'{sys.argv[2]}/{i}.json'])\n"
     )
-    outputs = {}
-    for name, coretype in (("native", None), ("nehalem", "Nehalem")):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        if coretype:
-            env["OPENBLAS_CORETYPE"] = coretype
-        (tmp_path / name).mkdir()
-        argv = [sys.executable, "-c", code, json.dumps(CROSS_KERNEL_RUNS), str(tmp_path / name)]
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs[name] = [(tmp_path / name / f"{i}.json").read_bytes() for i in range(len(CROSS_KERNEL_RUNS))]
-    assert outputs["native"] == outputs["nehalem"]
+    env = {k: v for k, v in os.environ.items() if k != variable}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    if value is not None:
+        env[variable] = value
+    (tmp_path / name).mkdir()
+    argv = [sys.executable, "-c", code, json.dumps(runs), str(tmp_path / name)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [(tmp_path / name / f"{i}.json").read_bytes() for i in range(len(runs))]
 
 
-def test_default_z_values_are_the_seeded_uniform_draws():
-    assert checks.default_z_values() == np.random.default_rng(20260808).uniform(0.0, 2.0 * math.pi, 5).tolist()
+def test_reports_are_byte_identical_under_another_blas_kernel(tmp_path):
+    """The reports do not depend on which OpenBLAS kernel the CPU selects: run
+    natively and with OPENBLAS_CORETYPE=Nehalem (a kernel without fused
+    multiply-add), every --out file has the same bytes.  A BLAS that ignores
+    the variable runs the same kernel twice and passes this trivially."""
+    native = _reports_under(tmp_path, "native", "OPENBLAS_CORETYPE", None, CROSS_KERNEL_RUNS)
+    assert native == _reports_under(tmp_path, "nehalem", "OPENBLAS_CORETYPE", "Nehalem", CROSS_KERNEL_RUNS)
+
+
+# verify at small and large momenta and masses, where the split identities
+# read the corrected current's cos and sin factors
+SIMD_RUNS = CROSS_KERNEL_RUNS + [
+    ["verify", "--n-max", "3", "--mass", "2", "--eps", "0.7", "--eps", "1.9"],
+    ["verify", "--n-max", "8", "--delta-p", "8", "--mass", "0.3", "--eps", "0.3", "--eps", "0.9"],
+]
+
+
+def test_reports_are_byte_identical_with_numpy_simd_dispatch_off(tmp_path):
+    """The reports do not depend on which SIMD kernels numpy dispatches: run
+    natively and with NPY_DISABLE_CPU_FEATURES naming numpy's AVX2 and AVX-512
+    targets, every --out file has the same bytes.  The variable disables only
+    what the host offers, so on a host without AVX-512 the two runs use nearly
+    the same kernels and this passes trivially."""
+    native = _reports_under(tmp_path, "native", "NPY_DISABLE_CPU_FEATURES", None, SIMD_RUNS)
+    off = _reports_under(tmp_path, "off", "NPY_DISABLE_CPU_FEATURES", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR", SIMD_RUNS)
+    assert native == off
 
 
 def test_kernel_above_eps_065_matches_the_bessel_limit(tmp_path):
