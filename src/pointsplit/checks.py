@@ -4,17 +4,20 @@ Each check returns a CheckResult carrying the worst residual it saw; a
 check passes when that residual stays below its tolerance.  The suites
 cover the algebraic backbone: anticommutation relations on every basis
 state, spinor eigenvector/completeness identities, hermiticity of the
-built operators, the continuity identity for the unsplit theory, and the
+smeared charge, the continuity identity for the unsplit theory, and the
 split-Hamiltonian analogs (defining relation for the corrected current,
 gradient form of the commutator, renormalization-constant bookkeeping).
 
 Every operator checked here is a fermion bilinear A'KA, so the checks stay
-on the kernels K: [A'KA, A'GA] = A'[K,G]A, the vacuum value is Tr(P_- K)
-and modeops._kernel_distance compares two bilinears exactly.  The
+on the kernels K: [A'KA, A'GA] = A'[K,G]A, the vacuum value is Tr(P_- K) off
+K's diagonal and modeops._kernel_distance compares two bilinears exactly.  The
 Hamiltonians are diagonal, carried as the vector h of their diagonal, so
 every continuity identity takes one elementwise commutator [diag(h), K] =
-(h_a - h_b) K[a,b] (_commute_diagonal).  Only the renormalization check
-builds operators, as it tests the normal-ordering engine itself.
+(h_a - h_b) K[a,b] (_commute_diagonal).  The renormalization check builds
+operators, as it tests the normal-ordering engine itself, and the hermiticity
+check builds F, the one operator whose hermiticity can fail.  What it and the
+split-current check no longer read is exact by construction (tests/test_modeops.py
+holds that; tests/test_checks.py holds both to the dense routes they replaced).
 
 Every kernel is z-free: only the public builders in modeops place one at z, by a
 unimodular phase that multiplies both sides of an identity alike, so each identity
@@ -41,11 +44,13 @@ from .modeops import (
     _kernel_distance,
     _kernel_vev,
     _mode_table,
+    _plane_wave,
     _sandwich,
-    _smeared_kernel,
+    _sandwich_at,
     _split_hamiltonian_diagonal,
     _worst,
     coeff_distance,
+    smeared_charge,
     split_hamiltonian,
     split_hamiltonian_raw,
 )
@@ -163,17 +168,11 @@ def check_car(cfg: LatticeConfig) -> CheckResult:
     return _result("car_relations", math.sqrt(worst), TOL["car_relations"], detail=f"{n} slots, dim {1 << n}")
 
 
-def check_hermiticity(cfg: LatticeConfig, eps_values, f: TrigPoly) -> CheckResult:
-    """Hermiticity of the Hamiltonians, charge density and smeared charge:
-    A'KA is hermitian when K is.  The smeared charge's band of nonzero entries
-    is scattered into a dense kernel and read like the others."""
-    rows, cols, values = _smeared_kernel(f, cfg)
-    smeared = np.zeros((n_slots_for(cfg.n_max),) * 2, dtype=complex)
-    smeared[rows, cols] = values
-    kernels = [np.diag(_split_hamiltonian_diagonal(cfg, eps)) for eps in (0.0, *eps_values)]
-    kernels += [_field_kernel(0.0, ID2, cfg), smeared]
-    residuals = [_kernel_distance(k, k.conj().T, cfg) for k in kernels]
-    return _result("hermiticity", _worst(residuals), TOL["hermiticity"])
+def check_hermiticity(cfg: LatticeConfig, f: TrigPoly) -> CheckResult:
+    """coeff_distance(F, F') for F = smeared_charge(f): nonzero where one of f's
+    c_{-n} sits off conj(c_n), as TrigPoly allows within its tolerance."""
+    F = smeared_charge(f, cfg)
+    return _result("hermiticity", coeff_distance(F, F.adjoint()), TOL["hermiticity"])
 
 
 def _commute_diagonal(h: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -250,13 +249,13 @@ def check_split_renormalization(cfg: LatticeConfig, eps_values) -> CheckResult:
 
 
 def check_split_current_consistency(cfg: LatticeConfig, eps_values) -> CheckResult:
-    """Split current sanity: the gamma-symmetrized vacuum value vanishes, and
-    the corrected current at eps = 0 matches the unsplit current.  (The plain
-    split current at eps = 0 averages one kernel with itself, so it is the
-    unsplit current by construction.)"""
-    residuals = [_kernel_distance(_boulware_kernel(0.0, cfg), _field_kernel(0.0, SIGMA_X, cfg), cfg)]
+    """The gamma-symmetrized split current's vacuum value vanishes; it reads only
+    the N diagonal entries u_a' sigma_x u_a conj(e(+-eps))_a / L."""
+    slots = np.arange(n_slots_for(cfg.n_max))
+    diagonal = _sandwich_at(cfg, SIGMA_X, slots, slots) / cfg.box_length
+    residuals = []
     for eps in eps_values:
-        plus, minus = _field_kernel(+eps, SIGMA_X, cfg), _field_kernel(-eps, SIGMA_X, cfg)
+        plus, minus = (diagonal * _plane_wave(cfg, g).conj() for g in (+eps, -eps))
         residuals.append(abs(0.5 * (_kernel_vev(plus, cfg) + _kernel_vev(minus, cfg))))
     return _result("split_current_consistency", _worst(residuals), TOL["split_current_consistency"])
 
@@ -287,7 +286,7 @@ def run_verify_suite(cfg: LatticeConfig, eps_values, f: TrigPoly, corrupt_sign: 
         check_spinors(cfg),
         check_car(car_cfg),
         check_vacuum_annihilation(cfg),
-        check_hermiticity(cfg, eps_values, f=f),
+        check_hermiticity(cfg, f),
         check_continuity(cfg, corrupt_sign=corrupt_sign),
         check_split_continuity(cfg, eps_values),
         check_gradient_form(cfg, eps_values),

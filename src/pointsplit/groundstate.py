@@ -75,10 +75,8 @@ def excitation_energy(q: int, species: str, eps: float, cfg: LatticeConfig) -> f
     full create/apply/inner round trip -- and cross-checked to 1e-12 before
     returning.  Identical for the two species.
     """
-    if abs(q) > cfg.n_max:
-        raise ValueError(f"mode index {q} out of range [-{cfg.n_max}, {cfg.n_max}]")
+    slot = SlotIndex(species, q).linear(cfg.n_max)  # rejects a bad q before any work
     h = split_hamiltonian(cfg, eps)
-    slot = SlotIndex(species, q).linear(cfg.n_max)
     read_off = h.coefficient(((slot,), (slot,))).real
     state = apply_create(SlotIndex(species, q), vacuum(cfg))
     applied = inner(state, apply_operator(h, state))

@@ -27,9 +27,9 @@ through the four blocks b'b, b'd', d b and d d'.  _bilinear reads a kernel
 as its nonzero entries (rows, cols, values) in row-major order: the dense
 kernels give theirs through _entries, and the smeared charge's kernel,
 nonzero only on the band of its harmonics, is built as those entries and
-never as a matrix (_smeared_kernel).  Only the d d' diagonal
-produces a c-number, the vacuum value Tr(P_- K) (_kernel_vev; densities are
-not normal-ordered here).  The checks stay on kernels: [A'KA, A'GA] =
+never as a matrix (_smeared_kernel).  Only the d d' diagonal produces
+a c-number, the vacuum value Tr(P_- K), read off K's diagonal alone (_kernel_vev;
+densities are not normal-ordered here).  The checks stay on kernels: [A'KA, A'GA] =
 A'[K,G]A, whose c-number is the finite Schwinger term, and _kernel_distance
 equals coeff_distance of the bilinears; the split Hamiltonian's diagonal
 kernel is a vector there (_split_hamiltonian_diagonal).  The general product
@@ -307,9 +307,9 @@ def _first_positron(cfg: LatticeConfig) -> int:
     return n_slots_for(cfg.n_max) // 2
 
 
-def _kernel_vev(kernel: np.ndarray, cfg: LatticeConfig) -> complex:
-    """Vacuum value of A'KA, Tr(P_- K): the positron diagonal summed in slot order."""
-    return sum(np.diagonal(kernel)[_first_positron(cfg) :].tolist(), 0j)
+def _kernel_vev(diagonal: np.ndarray, cfg: LatticeConfig) -> complex:
+    """Vacuum value of A'KA from the diagonal of K, Tr(P_- K): its positron entries summed in slot order."""
+    return sum(diagonal[_first_positron(cfg) :].tolist(), 0j)
 
 
 def _entries(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,7 +349,8 @@ def _kernel_distance(k: np.ndarray, g: np.ndarray, cfg: LatticeConfig) -> float:
     c-number.  np.hypot of the real and imaginary parts rounds as Python's
     complex abs in coeff_distance does; np.abs does not."""
     d = k - g
-    return _worst([np.hypot(d.real, d.imag).max(), abs(_kernel_vev(k, cfg) - _kernel_vev(g, cfg))])
+    vev_k, vev_g = (_kernel_vev(np.diagonal(x), cfg) for x in (k, g))
+    return _worst([np.hypot(d.real, d.imag).max(), abs(vev_k - vev_g)])
 
 
 # -- operator builders ---------------------------------------------------
@@ -546,4 +547,5 @@ def _smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> tuple[np.ndarray, np.nda
 def total_charge(cfg: LatticeConfig) -> ModeOperator:
     """Q = integral of charge_density over the box: electron number minus
     positron number plus the constant background 2*n_max + 1."""
-    return _bilinear(_entries(np.eye(n_slots_for(cfg.n_max))), cfg)
+    slots = np.arange(n_slots_for(cfg.n_max))
+    return _bilinear((slots, slots, np.ones(len(slots))), cfg)

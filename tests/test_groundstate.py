@@ -55,9 +55,13 @@ def test_excitation_energy_frozen_example():
     assert got == pytest.approx(-1.4615915693101362, abs=1e-12)
 
 
-def test_excitation_energy_out_of_range():
-    with pytest.raises(ValueError):
-        excitation_energy(4, ELECTRON, 0.1, CFG3)
+def test_excitation_energy_out_of_range(monkeypatch):
+    # SlotIndex.linear rejects q for either species before H is built
+    monkeypatch.setattr(groundstate, "split_hamiltonian", None)
+    for species in (ELECTRON, POSITRON):
+        for q in (-4, 4, 100):
+            with pytest.raises(ValueError, match=f"mode index {q} out of range"):
+                excitation_energy(q, species, 0.1, CFG3)
 
 
 def test_split_spectrum_eps_zero_empty():

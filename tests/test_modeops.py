@@ -289,6 +289,14 @@ def test_total_charge_is_box_integral_of_density():
     assert coeff_distance(acc, total_charge(CFG2)) < 1e-12
 
 
+def test_total_charge_is_the_identity_kernel_term_for_term():
+    """The diagonal triplets give the same monomials, in the same order, as the
+    nonzero entries of the identity matrix."""
+    for cfg in (CFG1, CFG2, LatticeConfig(0.3, 2.0, 7)):
+        identity = _bilinear(_entries(np.eye(n_slots_for(cfg.n_max))), cfg)
+        assert list(total_charge(cfg).terms.items()) == list(identity.terms.items())
+
+
 def test_total_charge_conserved():
     Q = total_charge(CFG2)
     assert commutator(hamiltonian(CFG2), Q).max_abs_coeff() < 1e-12
@@ -405,6 +413,22 @@ def test_continuity_operator_level(z):
 def test_boulware_eps_zero_is_plain_current():
     for z in (0.0, 1.9):
         assert coeff_distance(boulware_current(z, 0.0, CFG2), current_density(z, CFG2)) < 1e-14
+
+
+# What verify's hermiticity and split-current checks no longer read holds exactly,
+# on every lattice: the real symmetric insertions give symmetric sandwiches, the
+# split Hamiltonians' kernels are real diagonals, and at eps = 0 the corrected
+# current's kernel is the unsplit one (e(0) = 1, and the line factor is 0).
+@given(LATTICES, st.floats(-3.0, 3.0))
+@example(LatticeConfig(1e10, 1.0, 3), 0.3)
+@example(LatticeConfig(1.0, 16.0, 32), 0.9)
+@settings(max_examples=60, deadline=None)
+def test_guarantees_of_construction_behind_the_slim_checks(cfg, eps):
+    for matrix in (ID2, SIGMA_X, SIGMA_Z):
+        assert np.array_equal(_sandwich(cfg, matrix), _sandwich(cfg, matrix).T)
+    for g in (0.0, eps):
+        assert _split_hamiltonian_diagonal(cfg, g).dtype == np.float64
+    assert np.array_equal(_boulware_kernel(0.0, cfg), _field_kernel(0.0, SIGMA_X, cfg))
 
 
 @pytest.mark.parametrize("eps", [0.3, 1.7])
@@ -728,7 +752,7 @@ def test_kernel_distance_and_vev_equal_their_bilinears_exactly(data):
     for a, b in ((k, g), (k, shifted), (with_nan, g)):
         bilinears = _bilinear(_entries(a), cfg), _bilinear(_entries(b), cfg)
         assert _same(_kernel_distance(a, b, cfg), coeff_distance(*bilinears))
-        assert _same(_kernel_vev(a, cfg), vev(_bilinear(_entries(a), cfg)))
+        assert _same(_kernel_vev(np.diagonal(a), cfg), vev(_bilinear(_entries(a), cfg)))
 
 
 # -- evaluation helpers ----------------------------------------------------------
