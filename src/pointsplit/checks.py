@@ -26,6 +26,7 @@ is checked once per eps and holds at every z.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
@@ -122,18 +123,17 @@ def check_spinors(cfg: LatticeConfig) -> CheckResult:
     return _result("spinor_identities", _worst(residuals), TOL["spinor_identities"])
 
 
-def _factor_table(n: int):
+def _factor_table(n: int, apply_word):
     """Every single factor a_0..a_{n-1}, a'_0..a'_{n-1} on every bitstring,
-    one fock._apply_word call each, through fock's one sign rule: the target
-    bitstrings (int32) and the signs (int8) as (2n, 2^n) arrays, sign 0
-    where the factor meets its slot in the wrong state (the target then
-    stays put)."""
+    one apply_word call each (fock's one sign rule): the target bitstrings
+    (int32) and the signs (int8) as (2n, 2^n) arrays, sign 0 where the
+    factor meets its slot in the wrong state (the target then stays put)."""
     dim = 1 << n
     target = np.tile(np.arange(dim, dtype=np.int32), (2 * n, 1))
     sign = np.zeros((2 * n, dim), dtype=np.int8)
     words = [((), (s,)) for s in range(n)] + [((s,), ()) for s in range(n)]
     for row, (cre, ann) in enumerate(words):
-        hits = list(map(fock._apply_word, repeat(cre, dim), repeat(ann, dim), range(dim)))
+        hits = list(map(apply_word, repeat(cre, dim), repeat(ann, dim), range(dim)))
         acts = np.fromiter(map(bool, hits), dtype=bool, count=dim)
         flat = np.fromiter(chain.from_iterable(filter(None, hits)), dtype=np.intp)
         target[row, acts] = flat[0::2]
@@ -141,20 +141,19 @@ def _factor_table(n: int):
     return target, sign
 
 
-def check_car(cfg: LatticeConfig) -> CheckResult:
-    """All pairwise anticommutator identities on every occupation basis state.
+@functools.lru_cache(maxsize=2)
+def _car_worst(n: int, apply_word) -> int:
+    """The largest squared norm of ({x, y} - delta)|b> over all factors x, y
+    of n slots and all bitstrings b, under the sign rule apply_word.
 
-    For slots s, t checks {a_s, a'_t} = delta_st, {a_s, a_t} = 0 and
-    {a'_s, a'_t} = 0 by explicit application to each basis state.  Each
-    factor x, a row of the table, is composed with itself and every later
-    row y on all states at once, so each identity is checked once:
+    Each factor x, a row of the table, is composed with itself and every
+    later row y on all states at once, so each identity is checked once:
     ({x, y} - delta)|b> is c0|b> + c1|x y b> + c2|y x b> with integer
-    amplitudes, its squared norm is the integer sum_ij c_i c_j [t_i == t_j],
-    and the residual is the square root of the largest one.
-    """
-    n = n_slots_for(cfg.n_max)
+    amplitudes, and its squared norm is the integer sum_ij c_i c_j [t_i == t_j].
+    A pure function of its arguments, so each sweep runs once per process;
+    2 entries hold the 6- and 10-slot sweeps that verify runs."""
     states = np.arange(1 << n)
-    target, sign = _factor_table(n)
+    target, sign = _factor_table(n, apply_word)
     worst = 0
     for x in range(2 * n):
         tx, sx = target[x], sign[x]
@@ -165,6 +164,20 @@ def check_car(cfg: LatticeConfig) -> CheckResult:
         if x < n:  # x = a_s, and a'_s, n rows on, has {a_s, a'_s} = 1: c0 = -1
             square[n] += 1 - 2 * (c1[n] * (t1[n] == states) + c2[n] * (t2[n] == states))
         worst = max(worst, int(square.max()))
+    return worst
+
+
+def check_car(cfg: LatticeConfig) -> CheckResult:
+    """All pairwise anticommutator identities on every occupation basis state.
+
+    For slots s, t checks {a_s, a'_t} = delta_st, {a_s, a_t} = 0 and
+    {a'_s, a'_t} = 0 by explicit application to each basis state; the
+    residual is the square root of _car_worst's largest squared norm.
+    fock._apply_word is looked up at each call, so a replaced sign rule is a
+    new cache key and gets a fresh sweep.
+    """
+    n = n_slots_for(cfg.n_max)
+    worst = _car_worst(n, fock._apply_word)
     return _result("car_relations", math.sqrt(worst), TOL["car_relations"], detail=f"{n} slots, dim {1 << n}")
 
 

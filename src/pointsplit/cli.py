@@ -12,6 +12,7 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -159,7 +160,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: a parse keeps its state in the Namespace it returns, not in the parser;
     # the flags every subcommand shares are declared once, on a parent parser each subparser copies
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with the same keys as the flags")

@@ -290,11 +290,12 @@ def _sandwich_at(cfg: LatticeConfig, matrix: np.ndarray, a: np.ndarray, b: np.nd
 
 def _sandwich(cfg: LatticeConfig, matrix: np.ndarray) -> np.ndarray:
     """The dense N x N sandwiches u_a' M u_b for a 2x2 matrix M, computed on first use per
-    lattice and matrix and shared read-only."""
+    lattice and matrix and shared read-only.  The cache holds the three that verify reads
+    on one lattice (ID2, sigma_x, sigma_z), so a new lattice's sandwiches evict the last one's."""
     return _sandwich_of_bytes(cfg, np.asarray(matrix, dtype=complex).tobytes())
 
 
-@functools.lru_cache(maxsize=24)
+@functools.lru_cache(maxsize=3)
 def _sandwich_of_bytes(cfg: LatticeConfig, matrix: bytes) -> np.ndarray:
     slots = np.arange(n_slots_for(cfg.n_max))
     sandwiches = _sandwich_at(cfg, np.frombuffer(matrix, dtype=complex).reshape(2, 2), slots[:, None], slots)

@@ -24,6 +24,9 @@ class TrigPoly:
             raise ValueError(f"box length must be positive, got {length}")
         cleaned = {int(n): complex(c) for n, c in coeffs.items() if c != 0}
         for n, c in cleaned.items():
+            if not cmath.isfinite(c):
+                raise ValueError(f"harmonic {n} must be finite, got {c}")
+        for n, c in cleaned.items():
             mirror = cleaned.get(-n, 0.0 + 0.0j)
             if abs(mirror - c.conjugate()) > _SYMMETRY_TOL:
                 raise ValueError(

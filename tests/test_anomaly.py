@@ -61,6 +61,20 @@ def test_trigpoly_conjugate_symmetry_enforced():
         TrigPoly.from_harmonics(2 * math.pi, [(0, 1.0, 0.5)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trigpoly_rejects_non_finite_coefficients(bad):
+    """A NaN passes the conjugate-symmetry test (every comparison with it is
+    False), so finiteness is checked on its own, in either part, through the
+    constructor and through from_harmonics, with one line naming the harmonic."""
+    L = 2 * math.pi
+    for coeffs in ({1: complex(bad, 0), -1: 0.5}, {1: 0.5, -1: complex(0, bad)}, {0: bad}):
+        with pytest.raises(ValueError, match=r"^harmonic -?\d+ must be finite, got [^\n]*$"):
+            TrigPoly(L, coeffs)
+    for harmonic in ((1, bad, 0.0), (1, 0.5, bad), (0, bad, 0.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            TrigPoly.from_harmonics(L, [harmonic])
+
+
 def test_trigpoly_parseval():
     f = TrigPoly.from_harmonics(2 * math.pi, [(1, 0.3, -0.1), (3, 0.0, 0.25)])
     df = f.derivative()

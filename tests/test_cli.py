@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,64 @@ def test_every_subcommand_keeps_its_help_text_and_unknown_flag_error(monkeypatch
     assert capsys.readouterr().err == f"error: pointsplit {name}: argument --n-max: invalid int value: 'x'\n"
 
 
+def test_the_parser_is_built_once_and_keeps_no_parse_state(tmp_path, monkeypatch, capsys):
+    """Calls with different --eps and --f-harmonic lists through the one cached
+    parser each write what a fresh parser's call writes, and a subcommand's help
+    is laid out at the COLUMNS of the call that asks for it."""
+    assert cli._build_parser() is cli._build_parser()
+    runs = [
+        ["verify", "--n-max", "1", "--eps", "0.3", "--eps", "0.9", "--f-harmonic", "1:0.5:0"],
+        ["verify", "--n-max", "1", "--eps", "0.7", "--f-harmonic", "2:0.2:0.1", "--f-harmonic", "1:0.1:0"],
+    ]
+
+    def run(argv, name):
+        code = run_cli(argv + ["--out", str(tmp_path / name)])
+        return code, capsys.readouterr(), (tmp_path / name).read_bytes()
+
+    alone = []
+    for i, argv in enumerate(runs):
+        cli._build_parser.cache_clear()
+        alone.append(run(argv, f"alone-{i}.json"))
+    assert [run(argv, f"together-{i}.json") for i, argv in enumerate(runs)] == alone
+    assert json.loads(alone[1][2])["config"]["eps"] == [0.7]
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        run_cli(["verify", "--help"])
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        run_cli(["verify", "--help"])
+    pad = " " * len("usage: pointsplit verify ")
+    assert capsys.readouterr().out == _SUBCOMMAND_HELP.format(name="verify", pad=pad)
+
+
+def _benchmark_ladder(workload: str, seed: int) -> list[list[str]]:
+    """perfbench's ladder for a seed, loaded from its file without importing the benchmark as a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return [list(inv.argv) for inv in module.build(workload, seed)]
+
+
+def test_back_to_back_calls_match_a_fresh_interpreter_each(tmp_path, capsys):
+    """The verify ladder's calls, run one after another in this process, where
+    the parser and the CAR sweeps are cached, each write the --out bytes, stdout
+    and exit code of a fresh interpreter running that call alone."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    for i, argv in enumerate(_benchmark_ladder("verify-ladder", 1)):
+        fresh, here = tmp_path / f"fresh-{i}.json", tmp_path / f"here-{i}.json"
+        cmd = [sys.executable, "-m", "pointsplit.cli", *argv, "--out", str(fresh)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        code = run_cli([*argv, "--out", str(here)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert here.read_bytes() == fresh.read_bytes(), argv
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -186,6 +246,7 @@ def test_config_file_mistyped_value(tmp_path, capsys, key, value):
     "argv",
     [
         ["anomaly", "--f-harmonic", "1:nan:0"],
+        ["verify", "--f-harmonic", "1:0.5:inf"],
         ["kernel", "--eps", "nan"],
         ["kernel", "--cutoff", "nan"],
         ["kernel", "--eta", "-1"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pointsplit import fock
+from pointsplit import checks, fock
 from pointsplit.checks import check_car
 from pointsplit.fock import (
     ELECTRON,
@@ -290,10 +290,48 @@ def test_car_check_makes_one_sign_call_per_factor_and_bitstring(monkeypatch, n_m
     assert len(calls) == len(set(calls)) == 2 * n * (1 << n)
 
 
+def test_car_sweep_runs_once_per_slot_count_and_sign_rule(monkeypatch):
+    """A second check at the same slot count reads the cached sweep, so both
+    calls together make one sign call per factor and bitstring."""
+    signed = fock._apply_word
+    calls = []
+
+    def counted(creators, annihilators, bits):
+        calls.append((creators, annihilators, bits))
+        return signed(creators, annihilators, bits)
+
+    monkeypatch.setattr(fock, "_apply_word", counted)
+    first, second = check_car(CFG1), check_car(LatticeConfig(2.0, 0.5, 1))
+    assert first == second and first.passed
+    assert len(calls) == 2 * N1 * (1 << N1)
+
+
+def test_verify_suite_builds_each_car_table_once_per_process(monkeypatch):
+    """verify's ladder, n_max 1, 2, 3 and 5 plus the corrupt-sign control at
+    n_max 1, builds the 6-slot and the 10-slot table once each."""
+    built = []
+    table = checks._factor_table
+
+    def counted(n, *rule):
+        built.append(n)
+        return table(n, *rule)
+
+    checks._car_worst.cache_clear()
+    monkeypatch.setattr(checks, "_factor_table", counted)
+    for n_max, corrupt in ((1, False), (2, False), (3, False), (5, False), (1, True)):
+        cfg = LatticeConfig(1.0, 1.0, n_max)
+        f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0)])
+        car = checks.run_verify_suite(cfg, [0.3], f, corrupt_sign=corrupt)[2]
+        assert car.name == "car_relations" and car.passed
+    assert built == [6, 10]
+
+
 def test_car_check_composes_per_factor_not_as_a_cube():
     # at 10 slots a (2n, 2n, 2^n) cube of int32 composed targets is 1.6 MiB, and
     # composing every pair at once needs two; the check holds the (2n, 2^n)
-    # table and one factor's compositions, about 0.5 MiB
+    # table and one factor's compositions, about 0.5 MiB.  The cache is cleared
+    # first, so the sweep runs under the trace whatever ran before.
+    checks._car_worst.cache_clear()
     tracemalloc.start()
     try:
         car = check_car(LatticeConfig(1.0, 1.0, 2))

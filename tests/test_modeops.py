@@ -43,6 +43,7 @@ from pointsplit.modeops import (
     _mode_table,
     _phased,
     _sandwich,
+    _sandwich_of_bytes,
     _smeared_kernel,
     _split_hamiltonian_diagonal,
     _worst,
@@ -244,6 +245,23 @@ def test_sandwiches_are_computed_once_per_lattice_and_matrix_and_shared_read_onl
     assert _sandwich(LatticeConfig(0.7, 2, 4), SIGMA_X) is not sandwich
     with pytest.raises(ValueError, match="read-only"):
         sandwich[0, 0] = 0
+
+
+def test_sandwich_cache_holds_one_lattice():
+    """verify reads three sandwiches per lattice; once the next lattice has read
+    its three, none of the last one's are kept alive."""
+    first, second = LatticeConfig(0.7, 2, 3), LatticeConfig(0.7, 2, 4)
+    _sandwich_of_bytes.cache_clear()
+    for cfg in (first, second):
+        for matrix in (ID2, SIGMA_X, SIGMA_Z):
+            _sandwich(cfg, matrix)
+    assert _sandwich_of_bytes.cache_info().currsize == 3
+    for matrix in (ID2, SIGMA_X, SIGMA_Z):
+        _sandwich(second, matrix)
+    hits, misses = _sandwich_of_bytes.cache_info()[:2]
+    assert (hits, misses) == (3, 6)
+    _sandwich(first, ID2)
+    assert _sandwich_of_bytes.cache_info()[:2] == (3, 7)
 
 
 @given(
