@@ -20,7 +20,6 @@ principal-value 1/eps.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -126,15 +125,32 @@ def split_commutator_integral(f: TrigPoly, eps: float, cfg: LatticeConfig) -> fl
 _PANEL_NODES, _CHECK_NODES = 24, 12  # Gauss-Legendre order per panel, and the lower order that checks it
 
 
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the n-point rule on [-1, 1], built on first use so that
-    importing the package does not load numpy.polynomial."""
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(n)
+def _mirrored(half_nodes: list[float], half_weights: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of an even-order rule on [-1, 1] from its positive half: the
+    rule is symmetric, so the negative nodes are the positive ones negated, in mirrored order."""
+    nodes = np.array([-x for x in reversed(half_nodes)] + half_nodes)
+    weights = np.array(half_weights[::-1] + half_weights)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+# numpy.polynomial.legendre.leggauss(n) to the last bit, pinned so that no run loads numpy.polynomial
+_GAUSS_LEGENDRE = {
+    24: _mirrored(
+        [0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451, 0.5454214713888396,
+         0.6480936519369755, 0.7401241915785544, 0.820001985973903, 0.8864155270044011, 0.9382745520027328,
+         0.9747285559713095, 0.9951872199970213],
+        [0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552, 0.10744427011596556,
+         0.09761865210411393, 0.0861901615319532, 0.07334648141108016, 0.05929858491543636, 0.04427743881741941,
+         0.02853138862893356, 0.01234122979998869],
+    ),
+    12: _mirrored(
+        [0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047, 0.9041172563704748,
+         0.9815606342467192],
+        [0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642, 0.10693932599531907,
+         0.04717533638651141],
+    ),
+}
 
 
 def _graded_edges(length: float, rate: float) -> np.ndarray:
@@ -150,7 +166,7 @@ def _graded_edges(length: float, rate: float) -> np.ndarray:
 
 def _leg(start: complex, direction: complex, edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t = start + direction*u and weights dt of the n-point rule on every panel of edges in u."""
-    x, w = _gauss_legendre(n)
+    x, w = _GAUSS_LEGENDRE[n]
     half = 0.5 * np.diff(edges)[:, None]
     u = edges[:-1, None] + half * (1.0 + x)
     return start + direction * u.ravel(), direction * (half * w).ravel()

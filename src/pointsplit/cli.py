@@ -234,10 +234,49 @@ _COLUMNS = {
 }
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _flat(value) -> bool:
+    return not any(isinstance(v, _CONTAINERS) for v in (value.values() if isinstance(value, dict) else value))
+
+
+def _indented(value, indent: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2, allow_nan=False) for a tree with string keys, at
+    nesting `indent`.  With an indent CPython's json falls back to its pure-Python encoder, so each
+    flat container, and each list of flat non-empty dicts (a table's rows), is one call of the C
+    encoder with the indent folded into its item separator; Python walks only the containers above."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        return json.dumps(value, allow_nan=False)
+    inner = "\n" + indent + "  "
+    if _flat(value):
+        text = json.dumps(value, sort_keys=True, allow_nan=False, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + "\n" + indent + text[-1]
+    if isinstance(value, dict):
+        items = (json.dumps(k) + ": " + _indented(v, indent + "  ") for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + "\n" + indent + "}"
+    if all(isinstance(row, dict) and row and _flat(row) for row in value):
+        row_inner = inner + "  "
+        text = json.dumps(value, sort_keys=True, allow_nan=False, separators=("," + row_inner, ": "))
+        # raw newlines come only from separators, and no row holds a dict, so "},<row_inner>{" is a row boundary
+        rows = text[2:-2].replace("}," + row_inner + "{", inner + "}," + inner + "{" + row_inner)
+        return "[" + inner + "{" + row_inner + rows + inner + "}\n" + indent + "]"
+    return "[" + inner + ("," + inner).join(_indented(v, indent + "  ") for v in value) + "\n" + indent + "]"
+
+
+def _json_report(report: dict) -> str:
+    """The report as json.dumps(report, sort_keys=True, indent=2, allow_nan=False) writes it, plus a newline;
+    strict JSON: a NaN or an infinity raises the reference encoder's ValueError, which main maps to exit 2."""
+    try:
+        return _indented(report, "") + "\n"
+    except ValueError:  # the C encoder's message leaves out the value; the reference encoder's names it
+        json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        raise
+
+
 def _emit(report: dict, config: RunConfig) -> None:
     if config.format == "json":
-        # strict JSON: a NaN or an infinity raises ValueError, which main maps to exit 2
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = _json_report(report)
     else:
         lines: list[str] = []
         for name in sorted(report.get("tables", {})):

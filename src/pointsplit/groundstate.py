@@ -134,15 +134,16 @@ def _chunks_depth_first(base: np.ndarray, w_high: np.ndarray):
     one buffer per depth, overwritten by the next chunk at that depth, so
     the caller reads each chunk before asking for the next.
     """
-    buffers = [np.empty_like(base) for _ in w_high]
+    return _visit(0, base, 0, 0, w_high, [np.empty_like(base) for _ in w_high])
 
-    def visit(high: int, chunk: np.ndarray, first: int, depth: int):
-        yield high, chunk
-        for t in range(first, len(w_high)):
-            child = np.add(chunk, w_high[t], out=buffers[depth])
-            yield from visit(high | (1 << t), child, t + 1, depth + 1)
 
-    return visit(0, base, 0, 0)
+def _visit(high: int, chunk: np.ndarray, first: int, depth: int, w_high: np.ndarray, buffers: list):
+    """_chunks_depth_first's recursion; at module level, so that no closure refers to itself and the
+    buffers are freed when the search drops them, not at the next garbage collection."""
+    yield high, chunk
+    for t in range(first, len(w_high)):
+        child = np.add(chunk, w_high[t], out=buffers[depth])
+        yield from _visit(high | (1 << t), child, t + 1, depth + 1, w_high, buffers)
 
 
 def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:

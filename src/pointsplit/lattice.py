@@ -112,15 +112,17 @@ def spinor(lam: int, j: int, cfg: LatticeConfig) -> ModeSpinor:
     if lam not in (+1, -1):
         raise ValueError(f"energy sign must be +1 or -1, got {lam}")
     p = cfg.momentum(j)
-    m = cfg.mass
-    energy = dispersion(p, m)
-    norm = math.sqrt((energy + m) / (2.0 * energy))
-    w = p / (energy + m)
-    if lam == +1:
-        u = np.array([1.0, w], dtype=complex) * norm
-    else:
-        u = np.array([-w, 1.0], dtype=complex) * norm
+    energy = dispersion(p, cfg.mass)
+    norm, w_norm = _spinor_components(p, energy, cfg.mass)
+    u = np.array([norm, w_norm] if lam == +1 else [-w_norm, norm], dtype=complex)
     return ModeSpinor(lam=lam, j=j, p=p, energy=energy, u=u)
+
+
+def _spinor_components(p, energy, m):
+    """(norm, w * norm) with norm = sqrt((E + m)/(2E)) and w = p/(E + m), for floats or for arrays
+    over modes alike: the lam = +1 spinor is (norm, w * norm) and the lam = -1 one (-w * norm, norm)."""
+    norm = np.sqrt((energy + m) / (2.0 * energy))
+    return norm, p / (energy + m) * norm
 
 
 def mode_function(lam: int, j: int, z: float, cfg: LatticeConfig) -> np.ndarray:

@@ -58,8 +58,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .fock import ELECTRON, FockVector, n_slots_for, slot_from_linear
-from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, spinor
+from .fock import FockVector, n_slots_for
+from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, _spinor_components, dispersion
 from .trigpoly import TrigPoly
 
 Signature = tuple[tuple[int, ...], tuple[int, ...]]
@@ -265,14 +265,20 @@ class _Modes(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _mode_table(cfg: LatticeConfig) -> _Modes:
-    """Positive-energy spinors on electron slots, negative-energy ones on positron slots, once per lattice."""
-    slots = [slot_from_linear(a, cfg.n_max) for a in range(n_slots_for(cfg.n_max))]
-    sps = [spinor(+1 if s.species == ELECTRON else -1, s.j, cfg) for s in slots]
+    """Positive-energy spinors on electron slots, negative-energy ones on positron slots, once per
+    lattice: lattice.spinor's values, from its momenta and dispersion per mode and its component
+    formula over all modes at once."""
+    p = [j * cfg.delta_p for j in cfg.mode_indices()]  # cfg.momentum's product, whatever delta_p's type
+    energy = np.array([dispersion(x, cfg.mass) for x in p])
+    p = np.array(p, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of float range: inf and nan, as spinor's floats, no error
+        norm, w_norm = _spinor_components(p, energy, cfg.mass)
+    u = np.concatenate((np.column_stack((norm, w_norm)), np.column_stack((-w_norm, norm))))
     table = _Modes(
-        j=np.array([sp.j for sp in sps]),
-        p=np.array([sp.p for sp in sps], dtype=float),
-        energy=np.array([sp.energy for sp in sps]),
-        u=np.array([sp.u for sp in sps]),
+        j=np.tile(np.arange(-cfg.n_max, cfg.n_max + 1), 2),
+        p=np.tile(p, 2),
+        energy=np.tile(energy, 2),
+        u=u.astype(complex),
     )
     for column in table:
         column.flags.writeable = False

@@ -418,9 +418,26 @@ def test_damped_integral_resolves_the_input_qawo_gave_up_on():
 
 
 def test_damped_integral_raises_when_its_error_estimate_misses_the_tolerance(monkeypatch):
-    monkeypatch.setattr(anomaly, "_CHECK_NODES", 2)  # a check rule too coarse to agree to 1e-6
+    from numpy.polynomial.legendre import leggauss
+
+    # a check rule too coarse to agree to 1e-6; the pinned tables hold only the rules in use
+    monkeypatch.setitem(anomaly._GAUSS_LEGENDRE, 2, leggauss(2))
+    monkeypatch.setattr(anomaly, "_CHECK_NODES", 2)
     with pytest.raises(RuntimeError, match="quadrature tolerance not met: achieved error estimate"):
         damped_kernel_integral(0.7, 0.49, 1e4, 1.0)
+
+
+@pytest.mark.parametrize("n", [anomaly._PANEL_NODES, anomaly._CHECK_NODES])
+def test_pinned_quadrature_tables_are_leggauss_to_the_last_bit(n):
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = anomaly._GAUSS_LEGENDRE[n]
+    expected_nodes, expected_weights = leggauss(n)
+    assert nodes.tobytes() == expected_nodes.tobytes()
+    assert weights.tobytes() == expected_weights.tobytes()
+    for table in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
 
 
 def test_kernel_asymptote_principal_value():

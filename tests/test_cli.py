@@ -149,13 +149,14 @@ def _benchmark_ladder(workload: str, seed: int) -> list[list[str]]:
 
 
 def test_back_to_back_calls_match_a_fresh_interpreter_each(tmp_path, capsys):
-    """The verify ladder's calls, run one after another in this process, where
-    the parser and the CAR sweeps are cached, each write the --out bytes, stdout
-    and exit code of a fresh interpreter running that call alone."""
+    """Every benchmark ladder's calls, run one after another in this process, where
+    the parser, the CAR sweeps and the mode tables are cached, each write the --out
+    bytes, stdout and exit code of a fresh interpreter running that call alone."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    for i, argv in enumerate(_benchmark_ladder("verify-ladder", 1)):
+    ladders = ("verify-ladder", "anomaly-ladder", "vacuum-kernel")
+    for i, argv in enumerate(argv for workload in ladders for argv in _benchmark_ladder(workload, 1)):
         fresh, here = tmp_path / f"fresh-{i}.json", tmp_path / f"here-{i}.json"
         cmd = [sys.executable, "-m", "pointsplit.cli", *argv, "--out", str(fresh)]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
@@ -205,6 +206,43 @@ def test_invariant_failure_exits_1_with_one_error_line(monkeypatch, capsys):
     assert run_cli(["anomaly", "--f-harmonic", "1:0.5:0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: exact routes disagree") and err.count("\n") == 1
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e308])
+    | st.text(alphabet=st.sampled_from(list('{},"\n:[] \\aé∂\u2028')) | st.characters())
+)
+JSON_KEYS = st.text(alphabet=st.sampled_from(list('{},"\n ab\u00e9')), max_size=4)
+JSON_ROWS = st.lists(st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=4), max_size=4)  # tables, some rows empty
+JSON_TREES = st.recursive(
+    JSON_SCALARS | JSON_ROWS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+def test_report_writer_writes_what_the_reference_encoder_writes(tree):
+    assert cli._json_report(tree) == json.dumps(tree, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("value, name", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_a_non_finite_report_value_exits_2_naming_the_value(tmp_path, monkeypatch, capsys, value, name):
+    # the C encoder's error leaves the value out; the writer raises the reference encoder's message
+    monkeypatch.setattr(cli, "_damped_and_extrapolated", lambda eps, eta, cutoff, m: (1.0, value))
+    out = tmp_path / "kernel.json"
+    assert run_cli(["kernel", "--eps", "0.1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: Out of range float values are not JSON compliant: {name}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -382,9 +420,9 @@ def test_kernel_names_the_overflowed_default_cutoff(capsys):
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # the kernel quadrature is numpy-only, and builds its Gauss-Legendre nodes from
-    # numpy.polynomial on first use, so a bare import loads neither; verify checks
-    # z-free kernels and draws nothing, so neither verify nor vacuum loads numpy.random
+    # the kernel quadrature is numpy-only and reads pinned Gauss-Legendre tables, so
+    # neither an import nor a kernel run loads numpy.polynomial; verify checks z-free
+    # kernels and draws nothing, so neither verify nor vacuum loads numpy.random
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -399,11 +437,11 @@ def test_importing_the_cli_does_not_load_scipy():
         "    print(code, loaded('numpy.random'), loaded('scipy'))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['kernel', '--eps', '0.01'])\n"
-        "print(code, loaded('scipy'))\n"
+        "print(code, loaded('scipy'), loaded('numpy.polynomial'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] []\n0 [] []\n0 [] []\n0 []\n"
+    assert proc.stdout == "[] []\n0 [] []\n0 [] []\n0 [] []\n"
 
 
 # one config per subcommand whose report reads spinor sandwiches or a quadrature sum

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import time
 import tracemalloc
@@ -299,6 +300,24 @@ def test_bruteforce_never_holds_every_energy_at_once():
         tracemalloc.stop()
     assert rep.matches_redefined_vacuum
     assert peak < 2**20
+
+
+def test_bruteforce_frees_its_chunks_when_it_returns():
+    # with the cyclic garbage collector off, memory the search leaves behind is held
+    # by a reference cycle: each search's nine 64 KiB chunk buffers at n_max 5 would
+    # otherwise stay until some later collection, whose timing unrelated code sets
+    cfg = LatticeConfig(1.0, 1.0, 5)
+    ground_state_bruteforce(2.0, cfg)  # the lattice's cached tables, outside the trace
+    gc.disable()
+    tracemalloc.start()
+    try:
+        ground_state_bruteforce(2.0, cfg)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak > 9 * 2**16  # the buffers were there while the search ran
+    assert left < 2**14
 
 
 def test_redefined_vacuum_energy_takes_linear_time():

@@ -216,6 +216,64 @@ def test_split_hamiltonian_raw_renormalization():
 # -- mode table ------------------------------------------------------------------
 
 
+def _spinor_textbook(lam: int, j: int, cfg: LatticeConfig) -> np.ndarray:
+    """The oracle for spinor's u: the column (1, w) or (-w, 1), w = p/(E + m), times the norm
+    sqrt((E + m)/(2E)) as one complex product, with math.sqrt."""
+    p, m = cfg.momentum(j), cfg.mass
+    energy = dispersion(p, m)
+    w = p / (energy + m)
+    return np.array([1.0, w] if lam == +1 else [-w, 1.0], dtype=complex) * math.sqrt((energy + m) / (2.0 * energy))
+
+
+def _mode_table_per_slot(cfg: LatticeConfig) -> tuple[np.ndarray, ...]:
+    """The oracle for the mode table: one SlotIndex, one spinor and one array per linear slot."""
+    slots = [slot_from_linear(a, cfg.n_max) for a in range(n_slots_for(cfg.n_max))]
+    sps = [spinor(+1 if s.species == ELECTRON else -1, s.j, cfg) for s in slots]
+    return (
+        np.array([sp.j for sp in sps]),
+        np.array([sp.p for sp in sps], dtype=float),
+        np.array([sp.energy for sp in sps]),
+        np.array([sp.u for sp in sps]),
+    )
+
+
+LATTICES_WIDE = st.builds(
+    LatticeConfig,
+    st.floats(1e-4, 1e10),
+    st.floats(1e-6, 16.0) | st.integers(1, 16),
+    st.integers(1, 64),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(LATTICES_WIDE)
+@example(LatticeConfig(1e-4, 16.0, 64))
+@example(LatticeConfig(1e10, 1e-6, 1))
+def test_mode_table_columns_equal_the_per_slot_construction_bit_for_bit(cfg):
+    # tobytes() compares dtypes' bits, the +0.0 imaginary parts of u included
+    table, oracle = _mode_table(cfg), _mode_table_per_slot(cfg)
+    for column, expected in zip(table, oracle, strict=True):
+        assert (column.dtype, column.shape) == (expected.dtype, expected.shape)
+        assert column.tobytes() == expected.tobytes()
+    for a, s in enumerate(slot_from_linear(a, cfg.n_max) for a in range(n_slots_for(cfg.n_max))):
+        assert table.u[a].tobytes() == _spinor_textbook(+1 if s.species == ELECTRON else -1, s.j, cfg).tobytes()
+
+
+@pytest.mark.parametrize(
+    "lam, j, message",
+    [
+        (0, 0, "energy sign must be +1 or -1, got 0"),
+        (2, 9, "energy sign must be +1 or -1, got 2"),
+        (+1, 4, "mode index 4 out of range [-3, 3]"),
+        (-1, -5, "mode index -5 out of range [-3, 3]"),
+    ],
+)
+def test_spinor_keeps_its_error_messages(lam, j, message):
+    with pytest.raises(ValueError) as excinfo:
+        spinor(lam, j, LatticeConfig(0.7, 2, 3))
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("mass, delta_p", [(0.7, 2), (1.3, 0.45)])
 def test_mode_table_is_one_read_only_table_of_spinor_floats_per_lattice(mass, delta_p):
     cfg = LatticeConfig(mass, delta_p, 3)
