@@ -112,14 +112,36 @@ def split_commutator_integral(f: TrigPoly, eps: float, cfg: LatticeConfig) -> fl
     Real by the odd/imaginary structure of K; zero for constant f and at
     eps = 0.
     """
+    return _split_commutator(f, eps, cfg)[0]
+
+
+def _split_commutator(f: TrigPoly, eps: float, cfg: LatticeConfig) -> tuple[float, list[complex]]:
+    """split_commutator_integral and the kernels [K(eps), K(-eps)] it reads, in that order."""
     f.check_on_lattice(cfg)
-    df = f.derivative()
+    total, kernels = 0j, []
+    for g in (eps, -eps):
+        weight = _shift_weight(f, g)
+        kernels.append(split_vev_kernel(g, cfg))
+        total += weight * kernels[-1]
+    return _require_real(-0.5j * total, "split-current evaluation"), kernels
+
+
+def _shift_weight(f: TrigPoly, g: float) -> float:
+    """integral (f(z+g) - f(z)) f'(z) dz = L sum_n (c_n e^{i k_n g} - c_n) i k_{-n} c_{-n}.
+
+    These are the terms ((f.shifted(g) - f) * f.derivative()) sums into its constant
+    coefficient, formed by the same expressions and summed in the same order from the
+    same 0j, so the value is the same float, without that product's symmetry checks.
+    The product drops terms with an exactly zero factor (n = 0, g = +-0.0); each adds
+    a signed zero to a sum started at +0.0, which stays +0.0, so no bit depends on it.
+    A sum that leaves the float range raises a ValueError, as the product's did.
+    """
     total = 0j
-    for gamma in (+1, -1):
-        g = gamma * eps
-        weight = ((f.shifted(g) - f) * df).integral()
-        total += weight * split_vev_kernel(g, cfg)
-    return _require_real(-0.5j * total, "split-current evaluation")
+    for n, c in f.coeffs.items():
+        total += (c * cmath.exp(1j * f.wavenumber(n) * g) + -1.0 * c) * (1j * f.wavenumber(-n) * f.coeff(-n))
+    if not cmath.isfinite(total):
+        raise ValueError(f"integral (f(z+g) - f(z)) f'(z) dz leaves the float range at g={g!r}")
+    return (f.length * total).real
 
 
 _PANEL_NODES, _CHECK_NODES = 24, 12  # Gauss-Legendre order per panel, and the lower order that checks it
@@ -287,11 +309,9 @@ def finite_difference_limit(f: TrigPoly, eps: float) -> tuple[float, float]:
     """
     if eps == 0:
         raise ValueError("eps must be nonzero")
-    df = f.derivative()
     fd = 0.0
-    for gamma in (+1, -1):
-        g = gamma * eps
-        fd += 2.0 * ((f.shifted(g) - f) * df).integral() / g
+    for g in (eps, -eps):
+        fd += 2.0 * _shift_weight(f, g) / g
     limit = 4.0 * f.derivative_power()
     return fd, limit
 

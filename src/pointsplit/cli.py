@@ -24,11 +24,10 @@ from .anomaly import (
     AnomalyReport,
     _damped_and_extrapolated,
     _kernel_defaults,
+    _split_commutator,
     double_commutator_direct,
     double_commutator_spectral,
     finite_difference_limit,
-    split_commutator_integral,
-    split_vev_kernel,
 )
 from .checks import run_verify_suite
 from .fock import inner, n_slots_for
@@ -333,18 +332,17 @@ def cmd_verify(config: RunConfig, corrupt_sign: bool = False) -> int:
 def cmd_anomaly(config: RunConfig) -> int:
     lattice = config.lattice()
     f = config.smearing(required=True)
-    transcript_steps: list = []
-    formal = formal_smeared_commutator(split=False, record=transcript_steps)
+    formal = formal_smeared_commutator(split=False)
     direct = double_commutator_direct(f, lattice)
     spectral = double_commutator_spectral(f, lattice)
     pointsplit_rows = []
     kernel_rows = []
     continuum_rows = []
     for eps in sorted(config.eps):
-        value = split_commutator_integral(f, eps, lattice)
+        value, kernels = _split_commutator(f, eps, lattice)
         pointsplit_rows.append({"eps": eps, "value": value, "positive": value > 0})
-        for g in (eps, -eps):
-            kernel_rows.append({"g": g, "kernel_imag": split_vev_kernel(g, lattice).imag})
+        for g, kernel in zip((eps, -eps), kernels):
+            kernel_rows.append({"g": g, "kernel_imag": kernel.imag})
         if eps != 0:
             fd, limit = finite_difference_limit(f, eps)
             continuum_rows.append(

@@ -179,22 +179,27 @@ def _apply_terms(terms, v: FockVector) -> FockVector:
             holding.setdefault(low.bit_length() - 1, []).append(item)
             rest ^= low
     out: dict[int, complex] = {}
+    get, pop, apply_word, holders, everything = out.get, out.pop, _apply_word, holding.get, v.amp.items()
     for (cre, ann), coeff in terms:
-        candidates = holding.get(ann[0]) if ann else v.amp.items()
+        candidates = holders(ann[0]) if ann else everything
         if not candidates:
             continue
-        full, empty = _mask(ann), _mask(cre)
+        full = empty = 0
+        for s in ann:
+            full |= 1 << s
+        for s in cre:
+            empty |= 1 << s
         for bits, amp in candidates:
             if bits & full != full or (bits ^ full) & empty:
                 continue
-            hit = _apply_word(cre, ann, bits)
+            hit = apply_word(cre, ann, bits)
             if hit is None:
                 continue
             b, odd = hit
             x = -(coeff * amp) if odd else coeff * amp
-            acc = out.get(b, 0j) + x
+            acc = get(b, 0j) + x
             if acc == 0:
-                out.pop(b, None)
+                pop(b, None)
             else:
                 out[b] = acc
     return FockVector(v.n_slots, out)
@@ -210,12 +215,15 @@ def _vacuum_part(terms, v: FockVector) -> FockVector:
     entry and restarts from 0j, this sum already is 0j.
     """
     total = 0j
+    amps, apply_word = v.amp.get, _apply_word
     for (cre, ann), coeff in terms:
         if cre:
             continue
-        bits = _mask(ann)
-        amp = v.amp.get(bits)
-        hit = None if amp is None else _apply_word(cre, ann, bits)
+        bits = 0
+        for s in ann:
+            bits |= 1 << s
+        amp = amps(bits)
+        hit = None if amp is None else apply_word(cre, ann, bits)
         if hit is None:
             continue
         total += -(coeff * amp) if hit[1] else coeff * amp

@@ -34,7 +34,7 @@ class LatticeConfig:
 
     mass     -- fermion mass m > 0, finite (energy units)
     delta_p  -- momentum spacing between adjacent modes, > 0 and finite
-    n_max    -- largest mode index; modes are j = -n_max .. +n_max
+    n_max    -- largest mode index; modes are j = -n_max .. +n_max, n_max * delta_p finite
     """
 
     mass: float
@@ -54,6 +54,8 @@ class LatticeConfig:
             raise ValueError(f"delta_p must be positive and finite, got {self.delta_p}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.cutoff == math.inf:
+            raise ValueError(f"the cutoff n_max * delta_p overflows to inf at delta_p={self.delta_p}, n_max={self.n_max}")
 
     @property
     def box_length(self) -> float:

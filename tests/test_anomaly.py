@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointsplit import anomaly, modeops
+from pointsplit import anomaly, cli, modeops
 from pointsplit.anomaly import (
     damped_kernel_integral,
     double_commutator_direct,
@@ -319,22 +320,107 @@ def test_split_integral_positive_in_asymptotic_regime():
     assert exact > 0  # same sign as the split-current evaluation
 
 
-def test_split_integral_matches_quadrature_oracle():
-    # independent route: dense trapezoid in z (exact for trig integrands)
-    cfg = LatticeConfig(1.0, 1.0, 5)
-    f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0), (2, -0.2, 0.1)])
-    eps = 0.37
-    n = 256
-    zs = np.arange(n) * cfg.box_length / n
+def _trapezoid(values, cfg: LatticeConfig, n: int = 256) -> float:
+    """integral over the box of a function of z, by the n-point trapezoid sum (exact for
+    trigonometric integrands of harmonics below n)."""
+    return sum(values(z) for z in np.arange(n) * cfg.box_length / n) * cfg.box_length / n
+
+
+def _trapezoid_split_value(f: TrigPoly, eps: float, cfg: LatticeConfig) -> float:
     df = f.derivative()
     total = 0j
     for gamma in (+1, -1):
         g = gamma * eps
-        kern = split_vev_kernel(g, cfg)
-        weight = sum((f(z + g) - f(z)) * df(z) for z in zs) * cfg.box_length / n
-        total += weight * kern
-    oracle = (-0.5j * total).real
-    assert split_commutator_integral(f, eps, cfg) == pytest.approx(oracle, abs=1e-12)
+        weight = _trapezoid(lambda z: (f(z + g) - f(z)) * df(z), cfg)
+        total += weight * split_vev_kernel(g, cfg)
+    return (-0.5j * total).real
+
+
+def test_split_integral_matches_quadrature_oracle():
+    # independent route: dense trapezoid in z (exact for trig integrands)
+    cfg = LatticeConfig(1.0, 1.0, 5)
+    f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0), (2, -0.2, 0.1)])
+    assert split_commutator_integral(f, 0.37, cfg) == pytest.approx(_trapezoid_split_value(f, 0.37, cfg), abs=1e-12)
+
+
+def test_large_smearing_amplitudes_match_the_quadrature_oracle(tmp_path, capsys):
+    """Amplitudes near 1e3 give f' (f(z+g) - f(z)) coefficients near 1e5 whose mirrored
+    pairs differ in round-off beyond any absolute symmetry tolerance; the split-current
+    value and the finite difference read f's harmonics directly, so the run ends in 0 with
+    both rows on the trapezoid z-sum."""
+    out = tmp_path / "large.json"
+    harmonics = ["1:1000:0.37", "2:1000:-0.21", "3:0.3:1000"]
+    argv = ["anomaly", "--n-max", "8", "--eps", "0.05", "--out", str(out)]
+    assert cli.main(argv + [x for h in harmonics for x in ("--f-harmonic", h)]) == 0
+    assert capsys.readouterr().err == ""
+    tables = json.loads(out.read_text())["tables"]
+    cfg = LatticeConfig(1.0, 1.0, 8)
+    f = TrigPoly.from_harmonics(cfg.box_length, [(1, 1000, 0.37), (2, 1000, -0.21), (3, 0.3, 1000)])
+    [row] = tables["pointsplit"]
+    assert row["value"] == pytest.approx(_trapezoid_split_value(f, 0.05, cfg), rel=1e-12, abs=0)
+    [row] = tables["continuum"]
+    df = f.derivative()
+    fd = sum(2.0 * _trapezoid(lambda z: (f(z + g) - f(z)) * df(z), cfg) / g for g in (0.05, -0.05))
+    assert row["finite_difference"] == pytest.approx(fd, rel=1e-12, abs=0)
+    assert row["limit"] == pytest.approx(4.0 * _trapezoid(lambda z: df(z) ** 2, cfg), rel=1e-12, abs=0)
+
+
+def test_shift_integral_past_the_float_range_raises():
+    # harmonic 34 of a lattice at delta_p 1e307 has an infinite wavenumber
+    cfg = LatticeConfig(1.0, 1e307, 17)
+    f = TrigPoly.from_harmonics(cfg.box_length, [(34, 0.5, 0.0)])
+    with pytest.raises(ValueError):
+        split_commutator_integral(f, 0.1, cfg)
+    with pytest.raises(ValueError):
+        finite_difference_limit(f, 0.1)
+
+
+def _trigpoly_shift_weight(f: TrigPoly, g: float) -> float:
+    """integral (f(z+g) - f(z)) f'(z) dz through TrigPoly arithmetic."""
+    return ((f.shifted(g) - f) * f.derivative()).integral()
+
+
+@given(
+    delta_p=st.floats(0.05, 20.0),
+    n_max=st.integers(1, 12),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_shift_weight_is_the_trigpoly_route_to_the_bit(delta_p, n_max, data):
+    """The closed form over f's harmonics gives the TrigPoly product's float, the constant
+    harmonic included, at shifts of either sign, signed zeros and whole box lengths among
+    them, and so do the split-current value and the finite difference built on it."""
+    cfg = LatticeConfig(1.0, delta_p, n_max)
+    indices = data.draw(st.lists(st.integers(0, 2 * n_max), min_size=1, max_size=6, unique=True))
+    amplitude = st.floats(1e-3, 10.0)
+    harmonics = []
+    for n in indices:
+        c = data.draw(amplitude) * cmath.exp(1j * (0.0 if n == 0 else data.draw(st.floats(-math.pi, math.pi))))
+        harmonics.append((n, c.real, c.imag))
+    f = TrigPoly.from_harmonics(cfg.box_length, harmonics)
+    g = data.draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.integers(-3, 3).map(lambda k: k * cfg.box_length),
+            st.floats(-50.0, 50.0),
+        )
+    )
+    try:
+        expected = _trigpoly_shift_weight(f, g)
+    except ValueError:
+        return
+    assert anomaly._shift_weight(f, g).hex() == expected.hex()
+    try:
+        weights = [expected, _trigpoly_shift_weight(f, -g)]
+    except ValueError:
+        return
+    total, fd = 0j, 0.0
+    for s, weight in zip((g, -g), weights):
+        total += weight * split_vev_kernel(s, cfg)
+        fd += 2.0 * weight / s if g else 0.0
+    assert split_commutator_integral(f, g, cfg).hex() == (-0.5j * total).real.hex()
+    if g:
+        assert finite_difference_limit(f, g)[0].hex() == fd.hex()
 
 
 # -- continuum kernel integral -----------------------------------------------------

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointsplit import anomaly, checks, cli
+from pointsplit import anomaly, checks, cli, symbolic
 from pointsplit.cli import RunConfig, main
 
 
@@ -148,15 +148,13 @@ def _benchmark_ladder(workload: str, seed: int) -> list[list[str]]:
     return [list(inv.argv) for inv in module.build(workload, seed)]
 
 
-def test_back_to_back_calls_match_a_fresh_interpreter_each(tmp_path, capsys):
-    """Every benchmark ladder's calls, run one after another in this process, where
-    the parser, the CAR sweeps and the mode tables are cached, each write the --out
-    bytes, stdout and exit code of a fresh interpreter running that call alone."""
+def _assert_each_call_matches_a_fresh_interpreter(argvs, tmp_path, capsys):
+    """Run each argv here, one after another, and in a fresh interpreter of its own: the
+    exit code, stdout, stderr and --out bytes must agree."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    ladders = ("verify-ladder", "anomaly-ladder", "vacuum-kernel")
-    for i, argv in enumerate(argv for workload in ladders for argv in _benchmark_ladder(workload, 1)):
+    for i, argv in enumerate(argvs):
         fresh, here = tmp_path / f"fresh-{i}.json", tmp_path / f"here-{i}.json"
         cmd = [sys.executable, "-m", "pointsplit.cli", *argv, "--out", str(fresh)]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
@@ -164,6 +162,58 @@ def test_back_to_back_calls_match_a_fresh_interpreter_each(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr), argv
         assert here.read_bytes() == fresh.read_bytes(), argv
+
+
+def test_back_to_back_calls_match_a_fresh_interpreter_each(tmp_path, capsys):
+    """Every benchmark ladder's calls, run one after another in this process, where
+    the parser, the CAR sweeps and the mode tables are cached, each write the --out
+    bytes, stdout and exit code of a fresh interpreter running that call alone."""
+    ladders = ("verify-ladder", "anomaly-ladder", "vacuum-kernel")
+    argvs = [argv for workload in ladders for argv in _benchmark_ladder(workload, 1)]
+    _assert_each_call_matches_a_fresh_interpreter(argvs, tmp_path, capsys)
+
+
+def test_anomaly_edge_calls_match_a_fresh_interpreter_each(tmp_path, capsys):
+    """Amplitudes near 1e3, shifts of both signed zeros and a large lattice with a
+    negative eps, each run twice in this process, write what a fresh interpreter writes."""
+    large = ["--f-harmonic", "1:1000:0.37", "--f-harmonic", "2:1000:-0.21", "--f-harmonic", "3:0.3:1000"]
+    argvs = [
+        ["anomaly", "--n-max", "8", *large, "--eps", "0.05"],
+        ["anomaly", "--n-max", "8", "--f-harmonic", "1:0.5:0", "--eps", "0", "--eps=-0.0"],
+        ["anomaly", "--n-max", "64", "--f-harmonic", "1:0.5:0", "--f-harmonic", "2:0.3:0.1", "--eps", "0.3", "--eps=-0.7"],
+    ]
+    _assert_each_call_matches_a_fresh_interpreter(argvs + argvs, tmp_path, capsys)
+
+
+def test_anomaly_evaluates_each_split_kernel_once_and_formats_one_transcript(tmp_path, monkeypatch):
+    """With k eps values the split vacuum kernel runs at eps and -eps once each, 2k calls
+    shared by the pointsplit and kernel tables, each kernel row holding its own shift's
+    value, and the formal route formats only the transcript the report prints."""
+    kernel = anomaly.split_vev_kernel
+    calls = {}
+
+    def count(name, fn):
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        for module in (anomaly, cli, symbolic):  # wherever a module binds fn, so no call goes uncounted
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+    count("kernel", anomaly.split_vev_kernel)
+    count("format", symbolic.format_expr)
+    eps = ["--eps", "0.1", "--eps", "0", "--eps=-0.4"]
+    argv = ["anomaly", "--n-max", "4", "--f-harmonic", "1:0.5:0", *eps, "--out", str(tmp_path / "a.json")]
+    assert run_cli(argv) == 0
+    assert calls == {"kernel": 6, "format": 1}
+    rows = json.loads((tmp_path / "a.json").read_text())["tables"]["kernel"]
+    cfg = RunConfig(n_max=4).lattice()
+    shifts = (-0.4, -0.1, 0.0, -0.0, 0.1, 0.4)
+    assert [(row["g"], row["kernel_imag"]) for row in rows] == [(g, kernel(g, cfg).imag) for g in shifts]
 
 
 @pytest.mark.parametrize(
@@ -299,6 +349,14 @@ def test_non_finite_input_exits_2_before_any_work(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["vacuum", "kernel", "derive", "verify", "anomaly"])
+def test_a_cutoff_past_the_float_range_exits_2_naming_both_inputs(capsys, command):
+    assert run_cli([command, "--delta-p", "1e307", "--n-max", "64", "--f-harmonic", "1:0.5:0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the cutoff n_max * delta_p overflows to inf at delta_p=1e+307, n_max=64\n"
 
 
 @pytest.mark.parametrize("flag, key", [("--eps", "eps"), ("--mass", "mass"), ("--delta-p", "delta_p")])

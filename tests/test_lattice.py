@@ -30,6 +30,12 @@ def test_config_validation():
             LatticeConfig(mass=1.0, delta_p=1.0, n_max=bad)
 
 
+def test_config_rejects_a_cutoff_past_the_float_range():
+    with pytest.raises(ValueError, match=r"n_max \* delta_p overflows to inf at delta_p=1e\+307, n_max=64"):
+        LatticeConfig(mass=1.0, delta_p=1e307, n_max=64)
+    assert LatticeConfig(mass=1.0, delta_p=1e307, n_max=17).cutoff == 1.7e308
+
+
 def test_config_accepts_numpy_integers():
     cfg = LatticeConfig(mass=1.0, delta_p=1.0, n_max=np.int64(3))
     assert cfg.n_max == 3 and type(cfg.n_max) is int
