@@ -1,27 +1,24 @@
 """Machine-checkable identity suites shared by the CLI and the test suite.
 
-Each check returns a CheckResult carrying the worst residual it saw; a
-check passes when that residual stays below its tolerance.  The suites
-cover the algebraic backbone: anticommutation relations on every basis
-state, spinor eigenvector/completeness identities, hermiticity of the
-smeared charge, the continuity identity for the unsplit theory, and the
-split-Hamiltonian analogs (defining relation for the corrected current,
-gradient form of the commutator, renormalization-constant bookkeeping).
+Each check returns a CheckResult carrying the worst residual it saw; a check passes when that
+residual stays below its tolerance.  The suites cover the algebraic backbone: anticommutation
+relations on every basis state, spinor eigenvector/completeness identities, hermiticity of the
+smeared charge, the continuity identity for the unsplit theory, and the split-Hamiltonian analogs
+(defining relation for the corrected current, gradient form of the commutator,
+renormalization-constant bookkeeping).
 
-Every operator checked here is a fermion bilinear A'KA, so the checks stay
-on the kernels K: [A'KA, A'GA] = A'[K,G]A, the vacuum value is Tr(P_- K) off
-K's diagonal and modeops._kernel_distance compares two bilinears exactly.  The
-Hamiltonians are diagonal, carried as the vector h of their diagonal, so
-every continuity identity takes one elementwise commutator [diag(h), K] =
-(h_a - h_b) K[a,b] (_commute_diagonal).  The renormalization check builds
-operators, as it tests the normal-ordering engine itself, and the hermiticity
-check builds F, the one operator whose hermiticity can fail.  What it and the
-split-current check no longer read is exact by construction (tests/test_modeops.py
-holds that; tests/test_checks.py holds both to the dense routes they replaced).
+Every operator checked here is a fermion bilinear A'KA, so the checks stay on the kernels K:
+[A'KA, A'GA] = A'[K,G]A and the vacuum value is Tr(P_- K) off K's diagonal.  The Hamiltonians are
+diagonal, carried as the vector h of their diagonal, so every continuity identity takes one
+elementwise commutator [diag(h), K] = (h_a - h_b) K[a,b] (_commute_diagonal), and its two kernels
+are compared entry by entry, one block of rows at a time (_largest_difference): no N x N array is
+held.  The renormalization check builds operators, as it tests the normal-ordering engine itself,
+and the hermiticity check builds F, the one operator whose hermiticity can fail.
+tests/test_checks.py holds every check that reads less than whole kernels to a dense route.
 
-Every kernel is z-free: only the public builders in modeops place one at z, by a
-unimodular phase that multiplies both sides of an identity alike, so each identity
-is checked once per eps and holds at every z.
+Every kernel is z-free: only the public builders in modeops place one at z, by a unimodular phase
+that multiplies both sides of an identity alike, so each identity is checked once per eps and holds
+at every z.
 """
 
 from __future__ import annotations
@@ -42,11 +39,10 @@ from .modeops import (
     _field_kernel,
     _first_positron,
     _gradient_kernel,
-    _kernel_distance,
     _kernel_vev,
     _mode_table,
     _plane_wave,
-    _sandwich,
+    _Rows,
     _sandwich_at,
     _split_hamiltonian_diagonal,
     _worst,
@@ -188,10 +184,27 @@ def check_hermiticity(cfg: LatticeConfig, f: TrigPoly) -> CheckResult:
     return _result("hermiticity", coeff_distance(F, F.adjoint()), TOL["hermiticity"])
 
 
-def _commute_diagonal(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Kernel of [A'diag(h)A, A'KA], that is (h_a - h_b) K[a,b]: the values of
-    diag(h) @ K - K @ diag(h), without the matrix products."""
-    return h[:, None] * k - k * h[None, :]
+def _commute_diagonal(h: np.ndarray, k: np.ndarray, rows: _Rows) -> np.ndarray:
+    """Kernel of [A'diag(h)A, A'KA] on K's rows: (h_a - h_b) K[a,b], diag(h) @ K - K @ diag(h) without products."""
+    return h[rows.slots, None] * k - k * h[None, :]
+
+
+BLOCK_BYTES = 2**20  # the continuity identities' kernels are read in blocks of rows of about this many bytes
+
+
+def _largest_difference(cfg: LatticeConfig, identities) -> float:
+    """Largest np.hypot of K - G, NaN if any is NaN, over the pairs (K, G) identities(rows) gives per block
+    of rows: the bilinears' exact distance, as both sides have zero diagonals and so equal vacuum values."""
+    n = n_slots_for(cfg.n_max)
+    height = max(1, BLOCK_BYTES // (16 * n))
+    blocks = (_Rows(cfg, start, start + height) for start in range(0, n, height))
+    return _worst(np.hypot(d.real, d.imag).max() for rows in blocks for k, g in identities(rows) for d in [k - g])
+
+
+def _pairwise(h: np.ndarray, rows: _Rows):
+    """The pairwise continuity identity below on these rows, as a pair of kernels to subtract."""
+    p = _mode_table(rows.cfg).p
+    return _commute_diagonal(h, rows.sandwich(ID2), rows), (p[rows.slots, None] - p[None, :]) * rows.sandwich(SIGMA_X)
 
 
 def continuity_pairwise_residual(cfg: LatticeConfig) -> float:
@@ -199,36 +212,41 @@ def continuity_pairwise_residual(cfg: LatticeConfig) -> float:
 
         u_a' [ (h_a - h_b) + (p_b - p_a) sigma_x ] u_b = 0,
 
-    with h_a = E_a on electron slots and -E_a on positron slots, which makes
-    the commutator of the Hamiltonian with the charge density equal i d/dz
-    of the current for every z at once."""
-    p = _mode_table(cfg).p
-    d = _commute_diagonal(_split_hamiltonian_diagonal(cfg, 0.0), _sandwich(cfg, ID2))
-    d = d + (p[None, :] - p[:, None]) * _sandwich(cfg, SIGMA_X)
-    return _worst([np.hypot(d.real, d.imag).max()])
+    with h_a = E_a on electron slots and -E_a on positron slots, which makes the commutator
+    of the Hamiltonian with the charge density equal i d/dz of the current for every z at once."""
+    h = _split_hamiltonian_diagonal(cfg, 0.0)
+    return _largest_difference(cfg, lambda rows: [_pairwise(h, rows)])
 
 
 def check_continuity(cfg: LatticeConfig, corrupt_sign: bool = False) -> CheckResult:
-    """Operator-level continuity: [H, rho(z)] - i d/dz J(z) vanishes monomial-wise.
+    """Operator-level continuity: [H, rho(z)] - i d/dz J(z) vanishes monomial-wise, read in one
+    pass with the pairwise identity unless corrupt_sign is set.
 
-    corrupt_sign is a negative-control hook: it flips the sign of the
-    positron part of the Hamiltonian (a classic convention bug), which must
-    make this check fail.
+    corrupt_sign is a negative-control hook: it flips the sign of the positron part of the
+    Hamiltonian (a classic convention bug), which must make this check fail.
     """
     h = _split_hamiltonian_diagonal(cfg, 0.0)
     if corrupt_sign:
-        positrons = slice(_first_positron(cfg), None)
-        h[positrons] = -h[positrons]
-    commuted = _commute_diagonal(h, _field_kernel(0.0, ID2, cfg))
-    residuals = [continuity_pairwise_residual(cfg) if not corrupt_sign else 0.0]
-    residuals.append(_kernel_distance(commuted, 1j * _d_dz(_field_kernel(0.0, SIGMA_X, cfg), cfg), cfg))
-    return _result("continuity", _worst(residuals), TOL["continuity"])
+        h[_first_positron(cfg) :] *= -1
+
+    def identities(rows):
+        if not corrupt_sign:
+            yield _pairwise(h, rows)
+        current = _field_kernel(0.0, SIGMA_X, rows)
+        yield _commute_diagonal(h, _field_kernel(0.0, ID2, rows), rows), 1j * _d_dz(current, rows)
+
+    return _result("continuity", _largest_difference(cfg, identities), TOL["continuity"])
 
 
-def _split_commutators(cfg: LatticeConfig, eps_values):
-    """(eps, kernel of [H_split(eps), rho]) for every eps, rho built once."""
-    rho = _field_kernel(0.0, ID2, cfg)
-    return ((eps, _commute_diagonal(_split_hamiltonian_diagonal(cfg, eps), rho)) for eps in eps_values)
+def _split_residual(cfg: LatticeConfig, eps_values, other_side) -> float:
+    """[H_split(eps), rho] against other_side(eps, rows) for every eps, rho built once per block."""
+    hamiltonians = [(eps, _split_hamiltonian_diagonal(cfg, eps)) for eps in eps_values]
+
+    def identities(rows):
+        rho = _field_kernel(0.0, ID2, rows)
+        return ((_commute_diagonal(h, rho, rows), other_side(eps, rows)) for eps, h in hamiltonians)
+
+    return _largest_difference(cfg, identities)
 
 
 def check_split_continuity(cfg: LatticeConfig, eps_values) -> CheckResult:
@@ -237,19 +255,13 @@ def check_split_continuity(cfg: LatticeConfig, eps_values) -> CheckResult:
         [H_split(eps), rho(z)] = i d/dz J_corrected(z; eps)
 
     checked monomial by monomial for every eps, on the z-free kernels."""
-    residual = _worst(
-        _kernel_distance(commuted, 1j * _d_dz(_boulware_kernel(eps, cfg), cfg), cfg)
-        for eps, commuted in _split_commutators(cfg, eps_values)
-    )
+    residual = _split_residual(cfg, eps_values, lambda eps, rows: 1j * _d_dz(_boulware_kernel(eps, rows), rows))
     return _result("split_continuity_defining_relation", residual, TOL["split_continuity_defining_relation"])
 
 
 def check_gradient_form(cfg: LatticeConfig, eps_values) -> CheckResult:
     """[H_split, rho(z)] against its point-shifted field-gradient expansion."""
-    residual = _worst(
-        _kernel_distance(commuted, _gradient_kernel(eps, cfg), cfg)
-        for eps, commuted in _split_commutators(cfg, eps_values)
-    )
+    residual = _split_residual(cfg, eps_values, _gradient_kernel)
     return _result("split_commutator_gradient_form", residual, TOL["split_commutator_gradient_form"])
 
 

@@ -30,15 +30,14 @@ nonzero only on the band of its harmonics, is built as those entries and
 never as a matrix (_smeared_kernel).  Only the d d' diagonal produces
 a c-number, the vacuum value Tr(P_- K), read off K's diagonal alone (_kernel_vev;
 densities are not normal-ordered here).  The checks stay on kernels: [A'KA, A'GA] =
-A'[K,G]A, whose c-number is the finite Schwinger term, and _kernel_distance
-equals coeff_distance of the bilinears; the split Hamiltonian's diagonal
+A'[K,G]A, whose c-number is the finite Schwinger term; the split Hamiltonian's diagonal
 kernel is a vector there (_split_hamiltonian_diagonal).  The general product
 engine (multiply, commutator) is the independent oracle the tests hold them to.
 
-Every spinor sandwich u_a' M u_b comes from one elementwise float64 rule
-(_sandwich_at), never from a matrix product, so no BLAS kernel sets a bit of a
-report: the dense kernels read it cached over the whole slot grid (_sandwich),
-and the smeared charge evaluates it on its band alone.
+Every spinor sandwich u_a' M u_b comes from one elementwise float64 rule (_sandwich_at), never
+from a matrix product, so no BLAS kernel sets a bit of a report.  A kernel function evaluates one
+range of its kernel's rows (_Rows, which holds the range's sandwiches for every kernel built on it),
+all rows for the public builders; the smeared charge evaluates the rule on its band alone.
 
 Position enters only through the per-slot factor e(x)_a = exp(i p_a x) (_plane_wave).
 The private kernels are z-free, with a shift g as the factor conj(e(g))_a of psi'(z + g);
@@ -294,19 +293,19 @@ def _sandwich_at(cfg: LatticeConfig, matrix: np.ndarray, a: np.ndarray, b: np.nd
     return v[a, 0] * u[b, 0] + v[a, 1] * u[b, 1]
 
 
-def _sandwich(cfg: LatticeConfig, matrix: np.ndarray) -> np.ndarray:
-    """The dense N x N sandwiches u_a' M u_b for a 2x2 matrix M, computed on first use per
-    lattice and matrix and shared read-only.  The cache holds the three that verify reads
-    on one lattice (ID2, sigma_x, sigma_z), so a new lattice's sandwiches evict the last one's."""
-    return _sandwich_of_bytes(cfg, np.asarray(matrix, dtype=complex).tobytes())
+class _Rows:
+    """Rows [start, stop) of a lattice's N x N kernels, every column b included: the range as a slice,
+    and each insertion's sandwiches u_a' M u_b on it, from _sandwich_at on first use, for every kernel."""
 
+    def __init__(self, cfg: LatticeConfig, start: int = 0, stop: int | None = None):
+        self.cfg, self.slots, self._sandwiches = cfg, slice(start, stop), {}
 
-@functools.lru_cache(maxsize=3)
-def _sandwich_of_bytes(cfg: LatticeConfig, matrix: bytes) -> np.ndarray:
-    slots = np.arange(n_slots_for(cfg.n_max))
-    sandwiches = _sandwich_at(cfg, np.frombuffer(matrix, dtype=complex).reshape(2, 2), slots[:, None], slots)
-    sandwiches.flags.writeable = False
-    return sandwiches
+    def sandwich(self, matrix: np.ndarray) -> np.ndarray:
+        key = np.asarray(matrix).tobytes()
+        if key not in self._sandwiches:
+            b = np.arange(n_slots_for(self.cfg.n_max))
+            self._sandwiches[key] = _sandwich_at(self.cfg, matrix, b[self.slots, None], b)
+        return self._sandwiches[key]
 
 
 def _first_positron(cfg: LatticeConfig) -> int:
@@ -348,16 +347,6 @@ def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
             if a == b:
                 terms[_IDENTITY_SIG] += c
     return ModeOperator(n_slots_for(cfg.n_max), terms)
-
-
-def _kernel_distance(k: np.ndarray, g: np.ndarray, cfg: LatticeConfig) -> float:
-    """coeff_distance(_bilinear(_entries(k), cfg), _bilinear(_entries(g), cfg))
-    exactly: each entry is one monomial's coefficient up to sign, plus the
-    c-number.  np.hypot of the real and imaginary parts rounds as Python's
-    complex abs in coeff_distance does; np.abs does not."""
-    d = k - g
-    vev_k, vev_g = (_kernel_vev(np.diagonal(x), cfg) for x in (k, g))
-    return _worst([np.hypot(d.real, d.imag).max(), abs(vev_k - vev_g)])
 
 
 # -- operator builders ---------------------------------------------------
@@ -429,21 +418,21 @@ def _phased(kernel: np.ndarray, z: float, cfg: LatticeConfig) -> np.ndarray:
     return kernel * e_z.conj()[:, None] * e_z[None, :]
 
 
-def _d_dz(kernel: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+def _d_dz(kernel: np.ndarray, rows: _Rows) -> np.ndarray:
     """The one d/dz rule: z enters through _phased alone, so d/dz K[a,b] = i(p_b - p_a) K[a,b]."""
-    p = _mode_table(cfg).p
-    return kernel * (1j * (p[None, :] - p[:, None]))
+    p = _mode_table(rows.cfg).p
+    return kernel * (1j * (p[None, :] - p[rows.slots, None]))
 
 
 def charge_density(z: float, cfg: LatticeConfig) -> ModeOperator:
     """psi'(z) psi(z), hermitian; carries the constant background (2n_max+1)/L."""
-    return _bilinear(_entries(_phased(_field_kernel(0.0, ID2, cfg), z, cfg)), cfg)
+    return _bilinear(_entries(_phased(_field_kernel(0.0, ID2, _Rows(cfg)), z, cfg)), cfg)
 
 
 def current_shifted(z: float, shift: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
     """One-sided bilinear psi'(z + shift) sigma_x psi(z) (no gamma average)."""
-    kernel = _field_kernel(shift, SIGMA_X, cfg)
-    return _bilinear(_entries(_phased(_d_dz(kernel, cfg) if dz else kernel, z, cfg)), cfg)
+    kernel = _field_kernel(shift, SIGMA_X, _Rows(cfg))
+    return _bilinear(_entries(_phased(_d_dz(kernel, _Rows(cfg)) if dz else kernel, z, cfg)), cfg)
 
 
 def current_density(z: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -456,9 +445,9 @@ def split_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) ->
     return 0.5 * (current_shifted(z, +eps, cfg, dz) + current_shifted(z, -eps, cfg, dz))
 
 
-def _field_kernel(shift: float, matrix: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
-    """z-free kernel of psi'(z + shift) M psi(z): K[a,b] = u_a' M u_b conj(e(shift))_a / L."""
-    return _sandwich(cfg, matrix) / cfg.box_length * _plane_wave(cfg, shift).conj()[:, None]
+def _field_kernel(shift: float, matrix: np.ndarray, rows: _Rows) -> np.ndarray:
+    """z-free kernel of psi'(z + shift) M psi(z) on these rows: K[a,b] = u_a' M u_b conj(e(shift))_a / L."""
+    return rows.sandwich(matrix) / rows.cfg.box_length * _plane_wave(rows.cfg, shift).conj()[rows.slots, None]
 
 
 def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -479,17 +468,17 @@ def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False)
     c + i s = e(eps), the line factor is (c_a - c_b)/q, or eps s_a where q = 0.
     _phased places the kernel at z; dz=True applies the one d/dz rule to it.
     """
-    kernel = _boulware_kernel(eps, cfg)
-    return _bilinear(_entries(_phased(_d_dz(kernel, cfg) if dz else kernel, z, cfg)), cfg)
+    kernel = _boulware_kernel(eps, _Rows(cfg))
+    return _bilinear(_entries(_phased(_d_dz(kernel, _Rows(cfg)) if dz else kernel, z, cfg)), cfg)
 
 
-def _boulware_kernel(eps: float, cfg: LatticeConfig) -> np.ndarray:
-    p, e = _mode_table(cfg).p, _plane_wave(cfg, eps)
-    q, c = p[None, :] - p[:, None], e.real
-    ins_x = _sandwich(cfg, SIGMA_X)
-    ins_line = (-p[None, :]) * ins_x - cfg.mass * _sandwich(cfg, SIGMA_Z)  # line integrand, d/dz' -> i p_b
-    line = np.where(q == 0, eps * e.imag[:, None], (c[:, None] - c[None, :]) / np.where(q == 0, 1.0, q))
-    return (ins_x * c[:, None] + ins_line * line) / cfg.box_length
+def _boulware_kernel(eps: float, rows: _Rows) -> np.ndarray:
+    cfg, a, p, e = rows.cfg, rows.slots, _mode_table(rows.cfg).p, _plane_wave(rows.cfg, eps)
+    q, c = p[None, :] - p[a, None], e.real
+    ins_x = rows.sandwich(SIGMA_X)
+    ins_line = (-p[None, :]) * ins_x - cfg.mass * rows.sandwich(SIGMA_Z)  # line integrand, d/dz' -> i p_b
+    line = np.where(q == 0, eps * e.imag[a, None], (c[a, None] - c[None, :]) / np.where(q == 0, 1.0, q))
+    return (ins_x * c[a, None] + ins_line * line) / cfg.box_length
 
 
 def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) -> ModeOperator:
@@ -504,15 +493,14 @@ def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) ->
     Used as the independent cross-check against the commutator of
     split_hamiltonian with charge_density; the two agree term by term.
     """
-    return _bilinear(_entries(_phased(_gradient_kernel(eps, cfg), z, cfg)), cfg)
+    return _bilinear(_entries(_phased(_gradient_kernel(eps, _Rows(cfg)), z, cfg)), cfg)
 
 
-def _gradient_kernel(eps: float, cfg: LatticeConfig) -> np.ndarray:
+def _gradient_kernel(eps: float, rows: _Rows) -> np.ndarray:
     # the gamma average of either shifted field's factor, conj(e(g)) or e(g), is Re e(eps)
-    p, c = _mode_table(cfg).p, _plane_wave(cfg, eps).real
-    ins_x, m_z = _sandwich(cfg, SIGMA_X), cfg.mass * _sandwich(cfg, SIGMA_Z)
-    kernel = (p[:, None] * ins_x + m_z) * c[:, None] - (p[None, :] * ins_x + m_z) * c[None, :]
-    return kernel / cfg.box_length
+    cfg, a, p, c = rows.cfg, rows.slots, _mode_table(rows.cfg).p, _plane_wave(rows.cfg, eps).real
+    ins_x, m_z = rows.sandwich(SIGMA_X), cfg.mass * rows.sandwich(SIGMA_Z)
+    return ((p[a, None] * ins_x + m_z) * c[a, None] - (p[None, :] * ins_x + m_z) * c[None, :]) / cfg.box_length
 
 
 def smeared_charge(f: TrigPoly, cfg: LatticeConfig) -> ModeOperator:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointsplit import anomaly, cli, modeops
+from pointsplit import anomaly, cli
 from pointsplit.anomaly import (
     damped_kernel_integral,
     double_commutator_direct,
@@ -18,9 +18,9 @@ from pointsplit.anomaly import (
     split_commutator_integral,
     split_vev_kernel,
 )
-from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, vacuum
+from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, n_slots_for, vacuum
 from pointsplit.lattice import ID2, LatticeConfig, dispersion, spinor
-from pointsplit.modeops import _mode_table, _sandwich, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
+from pointsplit.modeops import _mode_table, _sandwich_at, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
 from pointsplit.symbolic import formal_smeared_commutator
 from pointsplit.trigpoly import TrigPoly
 
@@ -208,8 +208,9 @@ def test_spectral_route_equals_the_normal_form_oracle(data):
     )
     f = TrigPoly.from_harmonics(cfg.box_length, [(0, data.draw(amplitude), 0.0)] + harmonics)
     # the band holds the nonzero entries, and their values, that evaluating f.coeff entry by entry gives
-    j = _mode_table(cfg).j
-    entrywise = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * _sandwich(cfg, ID2)
+    j, slots = _mode_table(cfg).j, np.arange(n_slots_for(cfg.n_max))
+    sandwiches = _sandwich_at(cfg, ID2, slots[:, None], slots)
+    entrywise = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * sandwiches
     rows, cols, values = _smeared_kernel(f, cfg)
     nonzero = np.nonzero(entrywise)
     assert rows.tolist() == nonzero[0].tolist() and cols.tolist() == nonzero[1].tolist()
@@ -272,11 +273,9 @@ EXACT_ROUTE_PEAK_BYTES = 16 * 2**20
 @pytest.mark.parametrize("route", [double_commutator_direct, double_commutator_spectral])
 def test_exact_routes_never_hold_a_dense_kernel(route):
     """Neither exact route allocates anything of size N x N, its spinor
-    sandwiches included: the cached sandwiches other tests left are dropped,
-    so nothing is built ahead of the traced call."""
+    sandwiches included."""
     cfg = LatticeConfig(1.0, 1.0, 512)
     f = TrigPoly.from_harmonics(cfg.box_length, CONTINUUM_HARMONICS)
-    modeops._sandwich_of_bytes.cache_clear()
     tracemalloc.start()
     try:
         route(f, cfg)

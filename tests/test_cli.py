@@ -300,8 +300,9 @@ def test_a_non_finite_report_value_exits_2_naming_the_value(tmp_path, monkeypatc
     [(checks, "_field_kernel", ["verify"]), (anomaly, "_smeared_kernel", ["anomaly", "--f-harmonic", "1:0.5:0"])],
 )
 def test_kernel_out_of_memory_exits_2_with_one_error_line(monkeypatch, capsys, module, builder, argv):
-    # a kernel too large to allocate, as at --n-max 30000; a real allocation of
-    # that size fails only when the OS refuses it, so the builder is patched
+    # an allocation the OS refuses: verify streams its kernels in row blocks and
+    # anomaly builds F's band alone, so even --n-max 30000 runs its O(N^2) work
+    # rather than failing here, and the builder is patched to raise as numpy does
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 13.4 GiB for an array with shape (60002, 60002)")
 
@@ -542,10 +543,12 @@ def test_reports_are_byte_identical_under_another_blas_kernel(tmp_path):
 
 
 # verify at small and large momenta and masses, where the split identities
-# read the corrected current's cos and sin factors
+# read the corrected current's cos and sin factors, and at n_max 64, where
+# N = 258 spans two row blocks of verify's 1 MiB kernel budget
 SIMD_RUNS = CROSS_KERNEL_RUNS + [
     ["verify", "--n-max", "3", "--mass", "2", "--eps", "0.7", "--eps", "1.9"],
     ["verify", "--n-max", "8", "--delta-p", "8", "--mass", "0.3", "--eps", "0.3", "--eps", "0.9"],
+    ["verify", "--n-max", "64", "--eps", "0.3", "--eps", "0.9"],
 ]
 
 

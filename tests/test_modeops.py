@@ -38,12 +38,12 @@ from pointsplit.modeops import (
     _entries,
     _field_kernel,
     _first_positron,
-    _kernel_distance,
+    _gradient_kernel,
     _kernel_vev,
     _mode_table,
     _phased,
-    _sandwich,
-    _sandwich_of_bytes,
+    _Rows,
+    _sandwich_at,
     _smeared_kernel,
     _split_hamiltonian_diagonal,
     _worst,
@@ -70,6 +70,8 @@ from pointsplit.modeops import (
     vev,
 )
 from pointsplit.trigpoly import TrigPoly
+
+from oracles import _kernel_distance
 
 CFG1 = LatticeConfig(1.0, 1.0, 1)
 CFG2 = LatticeConfig(1.0, 1.0, 2)
@@ -294,34 +296,6 @@ def test_mode_table_is_one_read_only_table_of_spinor_floats_per_lattice(mass, de
 
 
 
-def test_sandwiches_are_computed_once_per_lattice_and_matrix_and_shared_read_only():
-    cfg = LatticeConfig(0.7, 2, 3)
-    sandwich = _sandwich(cfg, SIGMA_X)
-    assert _sandwich(LatticeConfig(0.7, 2.0, 3), SIGMA_X.copy()) is sandwich  # equal lattice, equal matrix
-    assert _sandwich(cfg, SIGMA_X.real) is sandwich  # the same matrix with another dtype
-    assert _sandwich(cfg, SIGMA_Z) is not sandwich
-    assert _sandwich(LatticeConfig(0.7, 2, 4), SIGMA_X) is not sandwich
-    with pytest.raises(ValueError, match="read-only"):
-        sandwich[0, 0] = 0
-
-
-def test_sandwich_cache_holds_one_lattice():
-    """verify reads three sandwiches per lattice; once the next lattice has read
-    its three, none of the last one's are kept alive."""
-    first, second = LatticeConfig(0.7, 2, 3), LatticeConfig(0.7, 2, 4)
-    _sandwich_of_bytes.cache_clear()
-    for cfg in (first, second):
-        for matrix in (ID2, SIGMA_X, SIGMA_Z):
-            _sandwich(cfg, matrix)
-    assert _sandwich_of_bytes.cache_info().currsize == 3
-    for matrix in (ID2, SIGMA_X, SIGMA_Z):
-        _sandwich(second, matrix)
-    hits, misses = _sandwich_of_bytes.cache_info()[:2]
-    assert (hits, misses) == (3, 6)
-    _sandwich(first, ID2)
-    assert _sandwich_of_bytes.cache_info()[:2] == (3, 7)
-
-
 @given(
     st.floats(0.05, 10.0) | st.sampled_from([1.0, 2.0]),
     st.floats(0.1, 5.0) | st.integers(1, 3),
@@ -334,14 +308,15 @@ def test_sandwiches_are_plain_float_arithmetic(mass, delta_p, n_max):
     Python computes it: no fused multiply-add, whatever the CPU.  That holds
     because the spinors and the insertions are real, which is checked too."""
     cfg = LatticeConfig(mass, delta_p, n_max)
-    u = _mode_table(cfg).u
+    u, slots = _mode_table(cfg).u, np.arange(n_slots_for(n_max))
     assert not u.imag.any()
     spinors = u.real.tolist()
     for matrix in (ID2, SIGMA_X, SIGMA_Z):
         assert not matrix.imag.any()
         (m00, m01), (m10, m11) = matrix.real.tolist()
         v = [(x0 * m00 + x1 * m10, x0 * m01 + x1 * m11) for x0, x1 in spinors]
-        assert _sandwich(cfg, matrix).tolist() == [[va0 * ub0 + va1 * ub1 for ub0, ub1 in spinors] for va0, va1 in v]
+        sandwiches = _sandwich_at(cfg, matrix, slots[:, None], slots)
+        assert sandwiches.tolist() == [[va0 * ub0 + va1 * ub1 for ub0, ub1 in spinors] for va0, va1 in v]
 
 
 # -- charge density and total charge ------------------------------------------
@@ -469,11 +444,14 @@ def test_continuity_residual_equals_the_spinor_pair_oracle(cfg):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_diagonal_commutator_equals_the_matrix_products(data):
-    """[diag(h), K] entry for entry, for real h and any complex K."""
+    """[diag(h), K] entry for entry, for real h and any complex K, on any range of K's rows."""
     n = data.draw(st.integers(1, 12))
+    start = data.draw(st.integers(0, n - 1))
+    stop = data.draw(st.integers(start + 1, n))
     h = data.draw(arrays(float, n, elements=st.floats(-1e3, 1e3)))
     k = data.draw(arrays(complex, (n, n), elements=st.complex_numbers(max_magnitude=1e3, allow_nan=False)))
-    assert np.array_equal(_commute_diagonal(h, k), np.diag(h) @ k - k @ np.diag(h))
+    rows = _Rows(CFG1, start, stop)  # _commute_diagonal reads only the range, not the lattice
+    assert np.array_equal(_commute_diagonal(h, k[start:stop], rows), (np.diag(h) @ k - k @ np.diag(h))[start:stop])
 
 
 @pytest.mark.parametrize("z", [0.0, 0.31, 2.7])
@@ -500,11 +478,35 @@ def test_boulware_eps_zero_is_plain_current():
 @example(LatticeConfig(1.0, 16.0, 32), 0.9)
 @settings(max_examples=60, deadline=None)
 def test_guarantees_of_construction_behind_the_slim_checks(cfg, eps):
+    slots = np.arange(n_slots_for(cfg.n_max))
     for matrix in (ID2, SIGMA_X, SIGMA_Z):
-        assert np.array_equal(_sandwich(cfg, matrix), _sandwich(cfg, matrix).T)
+        sandwiches = _sandwich_at(cfg, matrix, slots[:, None], slots)
+        assert np.array_equal(sandwiches, sandwiches.T)
     for g in (0.0, eps):
         assert _split_hamiltonian_diagonal(cfg, g).dtype == np.float64
-    assert np.array_equal(_boulware_kernel(0.0, cfg), _field_kernel(0.0, SIGMA_X, cfg))
+    assert np.array_equal(_boulware_kernel(0.0, _Rows(cfg)), _field_kernel(0.0, SIGMA_X, _Rows(cfg)))
+
+
+@given(LATTICES, st.floats(-3.0, 3.0), st.integers(0, 200), st.integers(0, 200))
+@example(LatticeConfig(1.0, 16.0, 32), 0.9, 2, 100)
+@settings(max_examples=60, deadline=None)
+def test_each_kernel_on_a_range_of_rows_is_those_rows_of_the_whole_kernel(cfg, eps, first, count):
+    """verify reads its kernels block by block: every kernel function evaluated on
+    rows [start, stop) gives, bit for bit, those rows of the kernel over all rows."""
+    n = n_slots_for(cfg.n_max)
+    start = first % n
+    stop = min(n, start + 1 + count % n)
+    h = _split_hamiltonian_diagonal(cfg, eps)
+    kernels = {
+        "field": lambda rows: _field_kernel(eps, SIGMA_X, rows),
+        "boulware": lambda rows: _boulware_kernel(eps, rows),
+        "gradient": lambda rows: _gradient_kernel(eps, rows),
+        "d_dz": lambda rows: _d_dz(_boulware_kernel(eps, rows), rows),
+        "commuted": lambda rows: _commute_diagonal(h, _field_kernel(0.0, ID2, rows), rows),
+    }
+    for name, kernel in kernels.items():
+        block, whole = kernel(_Rows(cfg, start, stop)), kernel(_Rows(cfg))[start:stop]
+        assert block.tobytes() == whole.tobytes() and block.shape == whole.shape, name
 
 
 @pytest.mark.parametrize("eps", [0.3, 1.7])
@@ -586,7 +588,7 @@ def _residuals_at(z: float, cfg: LatticeConfig, eps_values) -> tuple[float, floa
     rho = _kernel_of(charge_density(z, cfg), cfg)
 
     def commuted(eps):
-        return _commute_diagonal(_split_hamiltonian_diagonal(cfg, eps), rho)
+        return _commute_diagonal(_split_hamiltonian_diagonal(cfg, eps), rho, _Rows(cfg))
 
     continuity = _kernel_distance(commuted(0.0), 1j * _kernel_of(current_density(z, cfg, dz=True), cfg), cfg)
     split = _worst(
@@ -648,7 +650,7 @@ def test_placed_field_kernels_are_mode_function_sandwiches(cfg, z, g):
     placed = [mode_function(lam, j, z, cfg) for lam, j in modes]
     for matrix in (ID2, SIGMA_X, SIGMA_Z):
         oracle = np.array([[np.vdot(sa, matrix @ sb) for sb in placed] for sa in shifted])
-        assert np.abs(_phased(_field_kernel(g, matrix, cfg), z, cfg) - oracle).max() <= 1e-12
+        assert np.abs(_phased(_field_kernel(g, matrix, _Rows(cfg)), z, cfg) - oracle).max() <= 1e-12
 
 
 @st.composite
@@ -684,7 +686,7 @@ def test_smeared_charge_is_the_box_integral_of_the_placed_density(case):
     f(z_k) rho(z_k) with rho placed at each node by _phased: this ties the
     anomaly's F to verify's rho(z)."""
     cfg, f = case
-    nodes, rho = _box_nodes(cfg), _field_kernel(0.0, ID2, cfg)
+    nodes, rho = _box_nodes(cfg), _field_kernel(0.0, ID2, _Rows(cfg))
     integral = cfg.box_length / len(nodes) * sum(f(z) * _phased(rho, z, cfg) for z in nodes)
     rows, cols, values = _smeared_kernel(f, cfg)
     band = np.zeros_like(integral)
@@ -701,8 +703,9 @@ def test_d_dz_rule_integrates_by_parts(case, g):
     rule is the derivative of the z-dependence _phased gives a kernel."""
     cfg, f = case
     nodes, df = _box_nodes(cfg), f.derivative()
-    for kernel in (_field_kernel(g, SIGMA_X, cfg), _boulware_kernel(g, cfg)):
-        dz = _d_dz(kernel, cfg)
+    rows = _Rows(cfg)
+    for kernel in (_field_kernel(g, SIGMA_X, rows), _boulware_kernel(g, rows)):
+        dz = _d_dz(kernel, rows)
         lhs = sum(f(z) * _phased(dz, z, cfg) for z in nodes)
         rhs = -sum(df(z) * _phased(kernel, z, cfg) for z in nodes)
         scale = sum(abs(f(z)) for z in nodes) * np.abs(dz).max() + sum(abs(df(z)) for z in nodes) * np.abs(kernel).max()
