@@ -129,9 +129,10 @@ def _split_commutator(f: TrigPoly, eps: float, cfg: LatticeConfig) -> tuple[floa
 def _shift_weight(f: TrigPoly, g: float) -> float:
     """integral (f(z+g) - f(z)) f'(z) dz = L sum_n (c_n e^{i k_n g} - c_n) i k_{-n} c_{-n}.
 
-    These are the terms ((f.shifted(g) - f) * f.derivative()) sums into its constant
-    coefficient, formed by the same expressions and summed in the same order from the
-    same 0j, so the value is the same float, without that product's symmetry checks.
+    These are the terms that the TrigPoly product ((f.shifted(g) - f) * f.derivative())
+    of tests/oracles.py sums into its constant coefficient, formed by the same expressions
+    and summed in the same order from the same 0j, so the value is the same float, without
+    that product's symmetry checks.
     The product drops terms with an exactly zero factor (n = 0, g = +-0.0); each adds
     a signed zero to a sum started at +0.0, which stays +0.0, so no bit depends on it.
     A sum that leaves the float range raises a ValueError, as the product's did.

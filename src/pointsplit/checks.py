@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -63,7 +63,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 # Tolerance per check: a check passes when its worst residual is at most this.

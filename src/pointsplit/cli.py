@@ -319,11 +319,8 @@ def cmd_verify(config: RunConfig, corrupt_sign: bool = False) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         sys.stdout.write(f"{status} {res.name} max_residual={res.residual:.3e} tol={res.tolerance:.1e}\n")
-    report = {
-        "config": config.to_dict(),
-        "checks": [r.to_dict() for r in results],
-        "tables": {"checks": [r.to_dict() for r in results]},
-    }
+    rows = [r.to_dict() for r in results]
+    report = {"config": config.to_dict(), "checks": rows, "tables": {"checks": rows}}
     if config.out:  # stdout already carries the human-readable lines
         _emit(report, config)
     return 0 if all(r.passed for r in results) else 1

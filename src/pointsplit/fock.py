@@ -16,12 +16,13 @@ are double-precision complex; the signs themselves are exact integers.
 
 Operator application indexes the state's bitstrings by occupied slot once,
 so a word that annihilates slot s visits only the bitstrings holding s.
-Among those, two occupancy masks pick the ones it can act on before
-_apply_word runs: every slot of its annihilator mask must be occupied, and,
-once those are emptied, every slot of its creator mask must be empty.  The
-word sends every bitstring failing either test to zero (for a word without
-a repeated slot, exactly those), so skipping them changes no amplitude and
-no order.
+Among those, one mask test picks the ones it can act on before _apply_word
+runs: of the slots the word touches (full, its annihilated slots, and its
+creators' slots), a bitstring must hold exactly full, since a creator finds
+its slot empty only if the slot was empty or is one the word annihilates.
+The word sends every bitstring failing the test to zero (for a word
+without a repeated slot, exactly those), so skipping them changes no
+amplitude and no order.
 """
 
 from __future__ import annotations
@@ -153,14 +154,6 @@ def _apply_word(cre, ann, bits: int):
     return bits, odd & 1
 
 
-def _mask(slots) -> int:
-    """The bitstring with exactly the given slots set."""
-    bits = 0
-    for s in slots:
-        bits |= 1 << s
-    return bits
-
-
 def _apply_terms(terms, v: FockVector) -> FockVector:
     """sum over ((cre, ann), coeff) in terms of coeff * word(cre, ann) applied to v.
 
@@ -172,36 +165,39 @@ def _apply_terms(terms, v: FockVector) -> FockVector:
     in the same order.
     """
     holding: dict[int, list[tuple[int, complex]]] = {}
+    held_by = holding.get
     for item in v.amp.items():
         rest = item[0]
         while rest:
-            low = rest & -rest
-            holding.setdefault(low.bit_length() - 1, []).append(item)
-            rest ^= low
+            s = rest.bit_length() - 1
+            held = held_by(s)
+            if held is None:
+                holding[s] = [item]
+            else:
+                held.append(item)
+            rest ^= 1 << s
     out: dict[int, complex] = {}
-    get, pop, apply_word, holders, everything = out.get, out.pop, _apply_word, holding.get, v.amp.items()
+    get, pop, apply_word, everything = out.get, out.pop, _apply_word, v.amp.items()
     for (cre, ann), coeff in terms:
-        candidates = holders(ann[0]) if ann else everything
+        candidates = held_by(ann[0]) if ann else everything
         if not candidates:
             continue
-        full = empty = 0
+        full = 0
         for s in ann:
             full |= 1 << s
+        touched = full
         for s in cre:
-            empty |= 1 << s
+            touched |= 1 << s
         for bits, amp in candidates:
-            if bits & full != full or (bits ^ full) & empty:
-                continue
-            hit = apply_word(cre, ann, bits)
-            if hit is None:
-                continue
-            b, odd = hit
-            x = -(coeff * amp) if odd else coeff * amp
-            acc = get(b, 0j) + x
-            if acc == 0:
-                pop(b, None)
-            else:
-                out[b] = acc
+            if bits & touched == full:
+                hit = apply_word(cre, ann, bits)
+                if hit is not None:
+                    b, odd = hit
+                    acc = get(b, 0j) + (-(coeff * amp) if odd else coeff * amp)
+                    if acc:
+                        out[b] = acc
+                    else:
+                        pop(b, None)
     return FockVector(v.n_slots, out)
 
 

@@ -11,12 +11,12 @@ all occupation states is available as the final arbiter at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
-from .fock import ELECTRON, POSITRON, FockVector, SlotIndex, apply_create, inner, n_slots_for, vacuum
+from .fock import FockVector, SlotIndex, apply_create, inner, n_slots_for, vacuum
 from .lattice import LatticeConfig
 from .modeops import _first_positron, _mode_table, _split_energies, apply_operator, split_hamiltonian
 
@@ -102,8 +102,10 @@ def split_spectrum(eps: float, cfg: LatticeConfig) -> SplitSpectrum:
 
 
 def _mask(modes, cfg: LatticeConfig) -> int:
-    """Bitmask of the electron and positron slots of the given modes."""
-    return fock._mask([SlotIndex(species, j).linear(cfg.n_max) for j in modes for species in (ELECTRON, POSITRON)])
+    """Bitmask of the electron and positron slots of the given modes: mode j's electron slot is
+    j + n_max, and its positron slot lies _first_positron(cfg) above that."""
+    electrons = sum(1 << (j + cfg.n_max) for j in set(modes))
+    return electrons | electrons << _first_positron(cfg)
 
 
 def redefined_vacuum(eps: float, cfg: LatticeConfig) -> FockVector:
@@ -119,10 +121,18 @@ def redefined_vacuum(eps: float, cfg: LatticeConfig) -> FockVector:
 
 
 def redefined_vacuum_energy(eps: float, cfg: LatticeConfig) -> float:
-    """Additive energy of the redefined vacuum: sum over S of 2 E_q cos(p_q eps) <= 0."""
+    """Additive energy of the redefined vacuum: sum over S of 2 E_q cos(p_q eps) <= 0.
+
+    An OverflowError names the lattice when the sum leaves the float range.
+    """
     spectrum = split_spectrum(eps, cfg)
     negative = set(spectrum.negative_modes)
-    return sum(2.0 * row[3] for row in spectrum.entries if row[0] in negative)
+    energy = sum(2.0 * row[3] for row in spectrum.entries if row[0] in negative)
+    if not math.isfinite(energy):
+        raise OverflowError(
+            f"the redefined vacuum energy leaves the float range at delta_p={cfg.delta_p}, n_max={cfg.n_max}"
+        )
+    return energy
 
 
 def _chunks_depth_first(base: np.ndarray, w_high: np.ndarray):
@@ -182,18 +192,24 @@ def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     spectrum = split_spectrum(eps, cfg)
     unsplit, w = _mode_table(cfg).energy, np.tile(_split_energies(cfg, eps), 2)  # per linear slot
     m = min(n, CHUNK_SLOTS)
-    base = np.zeros(1)
-    for s in range(m):
-        base = np.concatenate((base, base + w[s]))
-    single = np.empty(n)  # single[s]: energy of the state holding slot s alone
-    single[:m] = base[1 << np.arange(m)]
-    for high, chunk in _chunks_depth_first(base, w[m:]):
-        if high.bit_count() == 1:
-            single[m + high.bit_length() - 1] = chunk[0]
-        i = int(chunk.argmin())
-        e, state = float(chunk[i]), (high << m) | i
-        if high == 0 or e < emin or (e == emin and state < ground):
-            emin, ground = e, state
+    try:
+        with np.errstate(over="raise"):
+            base = np.zeros(1)
+            for s in range(m):
+                base = np.concatenate((base, base + w[s]))
+            single = np.empty(n)  # single[s]: energy of the state holding slot s alone
+            single[:m] = base[1 << np.arange(m)]
+            for high, chunk in _chunks_depth_first(base, w[m:]):
+                if high.bit_count() == 1:
+                    single[m + high.bit_length() - 1] = chunk[0]
+                i = int(chunk.argmin())
+                e, state = float(chunk[i]), (high << m) | i
+                if high == 0 or e < emin or (e == emin and state < ground):
+                    emin, ground = e, state
+    except FloatingPointError:
+        raise OverflowError(
+            f"a state's energy leaves the float range at delta_p={cfg.delta_p}, n_max={cfg.n_max}"
+        ) from None
     flips = 1 << np.arange(n)
     free = flips[_is_zero_energy(single, unsplit)]
     free_mask = int(free.sum())

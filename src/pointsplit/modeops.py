@@ -79,6 +79,13 @@ class ModeOperator:
                 if c != 0:
                     self.terms[sig] = complex(c)
 
+    @classmethod
+    def _of(cls, n_slots: int, terms: dict[Signature, complex]) -> "ModeOperator":
+        """The operator holding a finished term dict itself: every coefficient complex, none zero."""
+        op = object.__new__(cls)
+        op.n_slots, op.terms = n_slots, terms
+        return op
+
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "ModeOperator") -> "ModeOperator":
@@ -90,7 +97,7 @@ class ModeOperator:
                 out.pop(sig, None)
             else:
                 out[sig] = s
-        return ModeOperator(self.n_slots, out)
+        return ModeOperator._of(self.n_slots, out)
 
     def __sub__(self, other: "ModeOperator") -> "ModeOperator":
         return self + (-1.0) * other
@@ -198,7 +205,7 @@ def multiply(a: ModeOperator, b: ModeOperator) -> ModeOperator:
         for (c2, a2), y in b.terms.items():
             word = w1 + tuple((s, True) for s in c2) + tuple((s, False) for s in a2)
             _reduce_word(word, x * y, out)
-    return ModeOperator(a.n_slots, out)
+    return ModeOperator._of(a.n_slots, out)
 
 
 def commutator(a: ModeOperator, b: ModeOperator) -> ModeOperator:
@@ -332,11 +339,12 @@ def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
     creator) on positron slots, so the four blocks normal-order as below;
     only the d d' diagonal (d_a d'_a = 1 - d'_a d_a) yields a c-number, summed
     in slot order as _kernel_vev sums it, where a zero entry adds nothing.
+    The entries are nonzero, so only a c-number that sums to zero is dropped.
     """
     first_positron = _first_positron(cfg)
     terms: dict[Signature, complex] = {_IDENTITY_SIG: 0j}
     rows, cols, values = entries
-    for a, b, c in zip(rows.tolist(), cols.tolist(), values.tolist()):
+    for a, b, c in zip(rows.tolist(), cols.tolist(), values.astype(complex, copy=False).tolist()):
         if a < first_positron:
             # b'b, or b'd' with the electron slot below the positron slot
             terms[((a,), (b,)) if b < first_positron else ((a, b), ())] = c
@@ -346,7 +354,9 @@ def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
             terms[((b,), (a,))] = -c  # d_a d'_b = delta_ab - d'_b d_a; the delta is the c-number
             if a == b:
                 terms[_IDENTITY_SIG] += c
-    return ModeOperator(n_slots_for(cfg.n_max), terms)
+    if not terms[_IDENTITY_SIG]:
+        del terms[_IDENTITY_SIG]
+    return ModeOperator._of(n_slots_for(cfg.n_max), terms)
 
 
 # -- operator builders ---------------------------------------------------
@@ -376,7 +386,7 @@ def split_hamiltonian(cfg: LatticeConfig, eps: float) -> ModeOperator:
         if w != 0:
             terms[((se,), (se,))] = complex(w)
             terms[((se + first_positron,), (se + first_positron,))] = complex(w)
-    return ModeOperator(n_slots_for(cfg.n_max), terms)
+    return ModeOperator._of(n_slots_for(cfg.n_max), terms)
 
 
 def _split_hamiltonian_diagonal(cfg: LatticeConfig, eps: float) -> np.ndarray:
@@ -526,7 +536,8 @@ def _smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> tuple[np.ndarray, np.nda
     f.check_on_lattice(cfg)
     t = _mode_table(cfg)
     span = 2 * cfg.n_max  # j_a - j_b runs over -span .. span
-    coeffs = np.array([f.coeff(n) for n in range(-span, span + 1)], dtype=complex)
+    coeffs = np.zeros(2 * span + 1, dtype=complex)  # c_n at n + span; check_on_lattice bounds |n| by span
+    coeffs[np.array(list(f.coeffs), dtype=int) + span] = list(f.coeffs.values())
     # row a meets j_b = j_a - offset at electron slot j_b + n_max and at the
     # positron slot first_positron further on; with the offsets descending,
     # the (row, block, offset) axes run in row-major order

@@ -5,7 +5,9 @@ Smearing functions are restricted to finitely many box harmonics,
     f(z) = sum_n c_n exp(2*pi*i*n*z / L),   c_{-n} = conj(c_n),
 
 so that every spatial integral used elsewhere (products, derivatives,
-shifted arguments) is an exact finite sum instead of a quadrature.
+shifted arguments) is an exact finite sum over the coefficients instead of
+a quadrature.  The package reads f through its coefficients alone; the
+tests' oracles evaluate and combine TrigPolys (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -80,54 +82,21 @@ class TrigPoly:
                 f"harmonic {self.max_harmonic} out of range for n_max={cfg.n_max} (limit {2 * cfg.n_max})"
             )
 
-    def __call__(self, z: float) -> float:
-        total = sum(c * cmath.exp(1j * self.wavenumber(n) * z) for n, c in self.coeffs.items())
-        return total.real
-
-    def derivative(self) -> "TrigPoly":
-        return TrigPoly(self.length, {n: 1j * self.wavenumber(n) * c for n, c in self.coeffs.items()})
-
-    def shifted(self, a: float) -> "TrigPoly":
-        """The translate z -> f(z + a); still real."""
-        return TrigPoly(
-            self.length,
-            {n: c * cmath.exp(1j * self.wavenumber(n) * a) for n, c in self.coeffs.items()},
-        )
-
-    def integral(self) -> float:
-        """Exact integral over one period: L * c_0."""
-        return (self.length * self.coeff(0)).real
-
     def derivative_power(self) -> float:
-        """Exact integral of f'(z)^2 over one period (Parseval)."""
-        return self.length * sum(self.wavenumber(n) ** 2 * abs(c) ** 2 for n, c in self.coeffs.items())
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        self._check_box(other)
-        merged = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            merged[n] = merged.get(n, 0j) + c
-        return TrigPoly(self.length, merged)
-
-    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + (-1.0) * other
-
-    def __mul__(self, other):
-        if isinstance(other, TrigPoly):
-            self._check_box(other)
-            prod: dict[int, complex] = {}
-            for n1, c1 in self.coeffs.items():
-                for n2, c2 in other.coeffs.items():
-                    n = n1 + n2
-                    prod[n] = prod.get(n, 0j) + c1 * c2
-            return TrigPoly(self.length, prod)
-        return TrigPoly(self.length, {n: other * c for n, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def _check_box(self, other: "TrigPoly") -> None:
-        if abs(self.length - other.length) > 1e-12 * max(self.length, other.length):
-            raise ValueError(f"box length mismatch: {self.length} vs {other.length}")
+        """Exact integral of f'(z)^2 over one period (Parseval).  Where it leaves the float range,
+        an OverflowError names the harmonic with the largest |k_n c_n| and the spacing 2*pi/L."""
+        try:
+            power = self.length * sum(self.wavenumber(n) ** 2 * abs(c) ** 2 for n, c in self.coeffs.items())
+        except OverflowError:  # ** and a complex abs raise where float * gives inf
+            power = math.inf
+        if not math.isfinite(power):
+            size = {n: abs(self.wavenumber(n)) * math.hypot(c.real, c.imag) for n, c in self.coeffs.items()}
+            n = max(size, key=size.get)
+            raise OverflowError(
+                f"the integral of f'(z)^2 leaves the float range at harmonic {n}, "
+                f"delta_p={2.0 * math.pi / self.length:.6g}"
+            )
+        return power
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}: {c}" for n, c in sorted(self.coeffs.items()))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointsplit import anomaly, cli
+from pointsplit import anomaly, cli, fock
 from pointsplit.anomaly import (
     damped_kernel_integral,
     double_commutator_direct,
@@ -22,7 +22,8 @@ from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, n_slots_for, v
 from pointsplit.lattice import ID2, LatticeConfig, dispersion, spinor
 from pointsplit.modeops import _mode_table, _sandwich_at, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
 from pointsplit.symbolic import formal_smeared_commutator
-from pointsplit.trigpoly import TrigPoly
+
+from oracles import TrigPoly
 
 CFG2 = LatticeConfig(1.0, 1.0, 2)
 COS1 = TrigPoly.from_harmonics(CFG2.box_length, [(1, 0.5, 0.0)])  # cos(2 pi z / L)
@@ -176,6 +177,36 @@ def test_direct_route_equals_the_three_full_passes(data):
     )
     f = TrigPoly.from_harmonics(cfg.box_length, [(k, a, b if k else 0.0) for k, a, b in harmonics])
     assert repr(double_commutator_direct(f, cfg)) == repr(_direct_by_three_full_passes(f, cfg))
+
+
+def test_direct_route_makes_one_sign_call_per_hit(monkeypatch):
+    """F|0> acts once with each pair-creating word, H F|0> once with the
+    number operator of each slot each pair state holds, and <0|F once with
+    each pair-annihilating word, in that order: at n_max 32 with harmonics 1
+    and 2, the 2 (2 n_max + 1 - n) pairs per harmonic n make 254 + 508 + 254
+    sign calls, each one a hit, none repeated."""
+    cfg = LatticeConfig(1.0, 1.0, 32)
+    f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0), (2, 0.3, 0.1)])
+    signed, calls = fock._apply_word, []
+
+    def counted(creators, annihilators, bits):
+        hit = signed(creators, annihilators, bits)
+        calls.append((creators, annihilators, bits, hit))
+        return hit
+
+    monkeypatch.setattr(fock, "_apply_word", counted)
+    value = double_commutator_direct(f, cfg)
+    pairs = sum(2 * (2 * cfg.n_max + 1 - n) for n in (1, 2))
+    creating = [c for c in calls if c[0] and not c[1]]
+    counting = [c for c in calls if c[0] and c[0] == c[1]]
+    annihilating = [c for c in calls if c[1] and not c[0]]
+    assert (len(creating), len(counting), len(annihilating)) == (254, 508, 254) == (pairs, 2 * pairs, pairs)
+    assert calls == creating + counting + annihilating
+    assert all(bits == 0 for _, _, bits, _ in creating)
+    assert all(hit is not None for *_, hit in calls)
+    assert len({c[:3] for c in calls}) == len(calls)
+    monkeypatch.undo()
+    assert repr(value) == repr(double_commutator_direct(f, cfg))
 
 
 def _spectral_from_normal_form(f: TrigPoly, cfg: LatticeConfig) -> float:

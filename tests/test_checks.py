@@ -10,6 +10,7 @@ slot grid and compare it with _kernel_distance, vacuum values included.
 """
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -297,3 +298,17 @@ def test_every_per_layer_metric_name_resolves_under_the_tracer():
         if name not in HARNESS_METRICS and name not in spans.COUNTER_KEYS and name.rsplit(".", 1)[0] not in traced
     ]
     assert unresolved == []
+
+
+def test_each_check_row_is_its_fields_in_order_and_serves_both_tables(tmp_path):
+    cfg = LatticeConfig(1.0, 1.0, 1)
+    f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0)])
+    for result in run_verify_suite(cfg, [0.3], f):
+        row = result.to_dict()
+        assert list(row.items()) == [(field.name, getattr(result, field.name)) for field in dataclasses.fields(result)]
+        assert row is not result.to_dict()
+    out = tmp_path / "verify.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--n-max", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["checks"] == report["tables"]["checks"] and len(report["checks"]) == 10

@@ -637,6 +637,37 @@ def test_runconfig_echo_excludes_output_path(tmp_path):
     assert "out" not in cfg.to_dict()
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["vacuum", "--delta-p", "1e306", "--n-max", "64"],
+            "the redefined vacuum energy leaves the float range at delta_p=1e+306, n_max=64",
+        ),
+        (
+            ["vacuum", "--delta-p", "1e307", "--n-max", "17"],
+            "the redefined vacuum energy leaves the float range at delta_p=1e+307, n_max=17",
+        ),
+        (
+            ["anomaly", "--delta-p", "1e307", "--n-max", "8", "--f-harmonic", "1:0.5:0"],
+            "the integral of f'(z)^2 leaves the float range at harmonic 1, delta_p=1e+307",
+        ),
+        (
+            ["vacuum", "--delta-p", "1e307", "--n-max", "5"],
+            "a state's energy leaves the float range at delta_p=1e+307, n_max=5",
+        ),
+    ],
+)
+def test_a_sum_past_the_float_range_exits_2_naming_the_inputs(capsys, argv, err):
+    """The cutoff fits the float range, but a sum the run forms does not: the
+    vacuum's additive energy, the brute force's positive energies, or the
+    smearing's integral of f'^2."""
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 

@@ -488,6 +488,21 @@ def test_indexed_application_equals_the_unmasked_loop_on_dense_states():
     assert _same_application(hamiltonian(cfg).terms.items(), pairs)
 
 
+def test_vacuum_read_equals_the_unmasked_loop_on_dense_states():
+    """The vacuum entry of the unmasked loop, for the direct anomaly route's last
+    pass, <0|F on H F|0>, and for the same read on F|0>, which keeps a vacuum
+    component where f has a constant part."""
+    cfg = LatticeConfig(1.0, 1.0, 8)
+    for harmonics in ([(0, 0.4, 0.0), (1, 0.5, 0.2), (3, 0.3, -0.6)], [(1, 0.5, 0.0), (2, 0.3, 0.1)]):
+        F = smeared_charge(TrigPoly.from_harmonics(cfg.box_length, harmonics), cfg)
+        pairs = apply_operator(F, vacuum(cfg))
+        for v in (pairs, apply_operator(hamiltonian(cfg), pairs)):
+            assert len(v.amp) > 50
+            full = _apply_terms_unmasked(F.terms.items(), v).amp
+            assert repr(fock._vacuum_part(F.terms.items(), v).amp) == repr({b: a for b, a in full.items() if b == 0})
+        assert (0 in pairs.amp) == (harmonics[0][0] == 0)
+
+
 def _random_words(rng, n: int, n_terms: int) -> ModeOperator:
     """Up to two creators and two annihilators per word, c-number included."""
     terms = {}

@@ -331,3 +331,13 @@ def test_redefined_vacuum_energy_takes_linear_time():
     assert split_spectrum(2.1, cfg).zero_modes == ()
     assert energy == sum(2.0 * w for w in splits if w < 0)
     assert elapsed < 5.0
+
+
+@given(st.integers(1, 40), st.data())
+@settings(max_examples=40, deadline=None)
+def test_mode_mask_sets_each_mode_on_both_species_slots(n_max, data):
+    cfg = LatticeConfig(1.0, 1.0, n_max)
+    modes = data.draw(st.lists(st.integers(-n_max, n_max), unique=True))
+    slots = [SlotIndex(species, j).linear(n_max) for j in modes for species in (ELECTRON, POSITRON)]
+    assert _mask(modes, cfg) == sum(1 << s for s in slots)
+

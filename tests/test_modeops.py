@@ -69,9 +69,8 @@ from pointsplit.modeops import (
     total_charge,
     vev,
 )
-from pointsplit.trigpoly import TrigPoly
 
-from oracles import _kernel_distance
+from oracles import TrigPoly, _kernel_distance
 
 CFG1 = LatticeConfig(1.0, 1.0, 1)
 CFG2 = LatticeConfig(1.0, 1.0, 2)
@@ -730,6 +729,41 @@ def test_smeared_charge_harmonic_out_of_range():
     f = TrigPoly.from_harmonics(CFG2.box_length, [(5, 1.0, 0.0)])
     with pytest.raises(ValueError):
         smeared_charge(f, CFG2)
+
+
+@pytest.mark.parametrize(
+    "cfg, harmonics",
+    [
+        (LatticeConfig(1.0, 1.0, 32), [(1, 0.5, 0.0), (2, 0.3, 0.1)]),
+        (LatticeConfig(0.7, 1.3, 3), [(0, 0.4, 0.0), (1, 0.5, 0.2), (6, 0.3, -0.6)]),
+    ],
+)
+def test_smeared_charge_terms_follow_the_row_major_bilinear_contract(cfg, harmonics):
+    """F's terms, in order: its c-number when nonzero, then one monomial per
+    nonzero entry of the kernel K[a,b] = c_{j_a - j_b} u_a' u_b in row-major
+    order, b'_a b_b, b'_a d'_b, d_a b_b or -d'_b d_a by block.  The direct
+    anomaly route applies F's terms in this order, so it fixes its sums."""
+    f = TrigPoly.from_harmonics(cfg.box_length, harmonics)
+    j, slots = _mode_table(cfg).j, np.arange(n_slots_for(cfg.n_max))
+    kernel = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * _sandwich_at(
+        cfg, ID2, slots[:, None], slots
+    )
+    first_positron = _first_positron(cfg)
+    c_number, items = 0j, []
+    for a, b in zip(*(x.tolist() for x in np.nonzero(kernel))):
+        c = complex(kernel[a, b])
+        if a < first_positron:
+            items.append((((a,), (b,)) if b < first_positron else ((a, b), ()), c))
+        elif b < first_positron:
+            items.append((((), (a, b)), c))
+        else:
+            items.append((((b,), (a,)), -c))
+            if a == b:
+                c_number += c
+    if c_number:
+        items.insert(0, (((), ()), c_number))
+    assert (c_number != 0) == (harmonics[0][0] == 0)
+    assert repr(list(smeared_charge(f, cfg).terms.items())) == repr(items)
 
 
 def test_smeared_charge_couples_vacuum_only_to_pairs():
