@@ -63,7 +63,10 @@ def double_commutator_direct(f: TrigPoly, cfg: LatticeConfig) -> float:
     H = hamiltonian(cfg)
     vac = vacuum(cfg)
     w = _vacuum_part(F.terms.items(), apply_operator(H, apply_operator(F, vac)))
-    return _require_real(2.0 * inner(vac, w), "double commutator (direct route)")
+    value = 2.0 * inner(vac, w)
+    if not cmath.isfinite(value):
+        raise f.range_error("the direct route's <0|[F,[H,F]]|0>")
+    return _require_real(value, "double commutator (direct route)")
 
 
 def double_commutator_spectral(f: TrigPoly, cfg: LatticeConfig) -> float:
@@ -83,8 +86,13 @@ def double_commutator_spectral(f: TrigPoly, cfg: LatticeConfig) -> float:
     pairs = pairs[np.lexsort((rows[pairs], cols[pairs]))]
     energy = _mode_table(cfg).energy.tolist()
     total = 0.0
-    for p, e, k in zip(rows[pairs].tolist(), cols[pairs].tolist(), values[pairs].tolist()):
-        total += 2.0 * abs(k) ** 2 * (energy[e] + energy[p])
+    try:
+        for p, e, k in zip(rows[pairs].tolist(), cols[pairs].tolist(), values[pairs].tolist()):
+            total += 2.0 * abs(k) ** 2 * (energy[e] + energy[p])
+    except OverflowError:  # ** and a complex abs raise where float * gives inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise f.range_error("the spectral sum 2 sum_m |<0|F|m>|^2 E(m)")
     return total
 
 
@@ -95,6 +103,7 @@ def split_vev_kernel(g: float, cfg: LatticeConfig) -> complex:
     imaginary, odd in g.  The gamma-symmetrized split current therefore has
     vanishing vacuum value.
     """
+    cfg.check_phase(g)
     t = _mode_table(cfg)
     electrons = slice(_first_positron(cfg))
     total = 0j
@@ -135,13 +144,19 @@ def _shift_weight(f: TrigPoly, g: float) -> float:
     that product's symmetry checks.
     The product drops terms with an exactly zero factor (n = 0, g = +-0.0); each adds
     a signed zero to a sum started at +0.0, which stays +0.0, so no bit depends on it.
-    A sum that leaves the float range raises a ValueError, as the product's did.
+    A phase k_n g that leaves the float range raises a ValueError, as math.cos would, and a sum
+    that does raises f.range_error.
     """
+    n = f.max_harmonic
+    if math.isinf(f.wavenumber(n) * g):
+        raise ValueError(
+            f"the phase k_n * g leaves the float range at harmonic {n}, g={g!r}, delta_p={2.0 * math.pi / f.length:.6g}"
+        )
     total = 0j
     for n, c in f.coeffs.items():
         total += (c * cmath.exp(1j * f.wavenumber(n) * g) + -1.0 * c) * (1j * f.wavenumber(-n) * f.coeff(-n))
     if not cmath.isfinite(total):
-        raise ValueError(f"integral (f(z+g) - f(z)) f'(z) dz leaves the float range at g={g!r}")
+        raise f.range_error(f"integral (f(z+g) - f(z)) f'(z) dz at g={g!r}")
     return (f.length * total).real
 
 
@@ -321,8 +336,9 @@ def finite_difference_limit(f: TrigPoly, eps: float) -> tuple[float, float]:
 class AnomalyReport:
     """One run of the full juxtaposition, ready for serialization.
 
-    Validates its own defining invariants: the spectral value is nonnegative
-    and the two exact routes agree to 1e-10 relative.
+    Validates its own defining invariants: every number is finite, the
+    spectral value is nonnegative and the two exact routes agree to 1e-10
+    relative.
     """
 
     config: dict
@@ -335,6 +351,15 @@ class AnomalyReport:
     continuum: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
+        values = [("exact_direct", self.exact_direct), ("exact_spectral", self.exact_spectral)]
+        for table in ("pointsplit", "kernel", "continuum"):
+            values += [(f"{table} {key}", v) for row in getattr(self, table) for key, v in row.items()]
+        for name, value in values:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise OverflowError(
+                    f"the report's {name} = {value!r} leaves the float range at "
+                    f"delta_p={self.config.get('delta_p')}, n_max={self.config.get('n_max')}"
+                )
         if self.exact_spectral < -1e-12:
             raise RuntimeError(f"spectral sum came out negative: {self.exact_spectral}")
         scale = max(1.0, abs(self.exact_direct), abs(self.exact_spectral))

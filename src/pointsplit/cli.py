@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -129,7 +130,38 @@ def _parse_harmonic(text: str) -> tuple[int, float, float]:
         raise argparse.ArgumentTypeError(f"bad harmonic {text!r}: {exc}") from exc
 
 
-_FLOAT_FLAGS = ("--mass", "--delta-p", "--eps", "--eta", "--cutoff")
+class _Flag(NamedTuple):
+    dest: str
+    type: Callable
+    repeatable: bool = False
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+# the flags every subcommand shares, read by _read_plain_argv and declared to argparse by _build_parser
+_FLAGS = {
+    "--config": _Flag("config", str, help="JSON file with the same keys as the flags"),
+    "--mass": _Flag("mass", float),
+    "--delta-p": _Flag("delta_p", float),
+    "--n-max": _Flag("n_max", int),
+    "--eps": _Flag("eps", float, repeatable=True, help="repeatable"),
+    "--f-harmonic": _Flag(
+        "f_harmonics", _parse_harmonic, repeatable=True, help="smearing harmonic n:re:im (n >= 0, mirrored to -n); repeatable"
+    ),
+    "--eta": _Flag("eta", float),
+    "--cutoff": _Flag("cutoff", float),
+    "--format": _Flag("format", str, choices=("json", "csv")),
+    "--out": _Flag("out", str),
+}
+_COMMANDS = {
+    "verify": "run the identity suites (anticommutators, spinors, continuity, split continuity)",
+    "anomaly": "formal-vs-exact juxtaposition for a smearing function",
+    "vacuum": "split-Hamiltonian spectrum, negative set and redefined vacuum",
+    "kernel": "small-separation asymptotics of the split vacuum kernel",
+    "derive": "print the formal rewriting transcript",
+}
+_SIGN_HOOK = "--corrupt-sign-hook"  # verify's alone
+_FLOAT_FLAGS = tuple(name for name, flag in _FLAGS.items() if flag.type is float)
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -152,6 +184,44 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _read_plain_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace _build_parser() returns for a plain argv, read without building a parser:
+    a subcommand, then exact flag names each followed by a value that does not start with '-'
+    or written --flag=value, plus the sign hook on verify.  None for anything else (help, an
+    abbreviated or unknown flag, a missing value, one its type or choices reject), which is
+    left to argparse, so its messages stay its own."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values: dict = {flag.dest: None for flag in _FLAGS.values()}
+    if argv[0] == "verify":
+        values["corrupt_sign_hook"] = False
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg == _SIGN_HOOK and argv[0] == "verify":
+            values["corrupt_sign_hook"] = True
+            continue
+        name, eq, text = arg.partition("=")
+        flag = _FLAGS.get(name)
+        if flag is None:
+            return None
+        if not eq:
+            text = next(rest, "-")
+            if text.startswith("-"):
+                return None
+        elif text == "--":  # argparse drops it and stores an empty list
+            return None
+        try:
+            value = flag.type(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        if flag.repeatable:
+            value = (values[flag.dest] or []) + [value]
+        values[flag.dest] = value
+    return argparse.Namespace(command=argv[0], **values)
+
+
 class _Parser(argparse.ArgumentParser):
     """Turns a usage error into one ConfigError line instead of usage text."""
 
@@ -161,41 +231,27 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: a parse keeps its state in the Namespace it returns, not in the parser;
-    # the flags every subcommand shares are declared once, on a parent parser each subparser copies
+    # built for help and usage errors, once per process: a parse keeps its state in the Namespace it
+    # returns, not in the parser; the shared flags sit on a parent parser each subparser copies
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with the same keys as the flags")
-    common.add_argument("--mass", type=float, default=None)
-    common.add_argument("--delta-p", type=float, default=None, dest="delta_p")
-    common.add_argument("--n-max", type=int, default=None, dest="n_max")
-    common.add_argument("--eps", type=float, action="append", default=None, help="repeatable")
-    common.add_argument(
-        "--f-harmonic",
-        type=_parse_harmonic,
-        action="append",
-        default=None,
-        dest="f_harmonics",
-        help="smearing harmonic n:re:im (n >= 0, mirrored to -n); repeatable",
-    )
-    common.add_argument("--eta", type=float, default=None)
-    common.add_argument("--cutoff", type=float, default=None)
-    common.add_argument("--format", choices=["json", "csv"], default=None)
-    common.add_argument("--out", default=None)
+    for name, flag in _FLAGS.items():
+        common.add_argument(
+            name,
+            type=flag.type,
+            action="append" if flag.repeatable else "store",
+            dest=flag.dest,
+            help=flag.help,
+            choices=flag.choices,
+        )
     parser = _Parser(
         prog="pointsplit",
         description="Exact workbench for point-split commutators of a 1+1D fermion field.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("verify", "run the identity suites (anticommutators, spinors, continuity, split continuity)"),
-        ("anomaly", "formal-vs-exact juxtaposition for a smearing function"),
-        ("vacuum", "split-Hamiltonian spectrum, negative set and redefined vacuum"),
-        ("kernel", "small-separation asymptotics of the split vacuum kernel"),
-        ("derive", "print the formal rewriting transcript"),
-    ]:
+    for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, parents=[common])
         if name == "verify":
-            p.add_argument("--corrupt-sign-hook", action="store_true", help=argparse.SUPPRESS)
+            p.add_argument(_SIGN_HOOK, action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -315,7 +371,13 @@ def _csv_cell(value) -> str:
 def cmd_verify(config: RunConfig, corrupt_sign: bool = False) -> int:
     lattice = config.lattice()
     f = config.smearing(required=False) or TrigPoly.from_harmonics(lattice.box_length, [(1, 0.5, 0.0)])
-    results = run_verify_suite(lattice, config.eps, f=f, corrupt_sign=corrupt_sign)
+    try:
+        results = run_verify_suite(lattice, config.eps, f=f, corrupt_sign=corrupt_sign)
+    except FloatingPointError:  # numpy raises inside main
+        raise OverflowError(
+            f"the verify kernels leave the float range at mass={lattice.mass}, "
+            f"delta_p={lattice.delta_p}, n_max={lattice.n_max}"
+        ) from None
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         sys.stdout.write(f"{status} {res.name} max_residual={res.residual:.3e} tol={res.tolerance:.1e}\n")
@@ -456,7 +518,10 @@ def main(argv=None) -> int:
     kernel quadrature misses its tolerance."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            args = _build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+            argv = sys.argv[1:] if argv is None else argv
+            args = _read_plain_argv(argv)
+            if args is None:
+                args = _build_parser().parse_args(_attach_negative_values(argv))
             config = _load_config(args)
             if args.command == "verify":
                 return cmd_verify(config, corrupt_sign=args.corrupt_sign_hook)

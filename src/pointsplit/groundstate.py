@@ -135,6 +135,15 @@ def redefined_vacuum_energy(eps: float, cfg: LatticeConfig) -> float:
     return energy
 
 
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialized float64 array of this size that starts on a 64-byte boundary.  The
+    brute force's adds and argmins run 10-15% slower on chunks that malloc places 16 or 48
+    bytes past one (16.5 against 14.1-14.6 ms for three n_max 5 searches on an x86-64 VM)."""
+    raw = np.empty(size + 8)
+    start = -raw.__array_interface__["data"][0] % 64 // 8
+    return raw[start : start + size]
+
+
 def _chunks_depth_first(base: np.ndarray, w_high: np.ndarray):
     """Yield (high, energies of the states with that high bit pattern), for
     every pattern of the high slots, parents before children.
@@ -144,7 +153,7 @@ def _chunks_depth_first(base: np.ndarray, w_high: np.ndarray):
     one buffer per depth, overwritten by the next chunk at that depth, so
     the caller reads each chunk before asking for the next.
     """
-    return _visit(0, base, 0, 0, w_high, [np.empty_like(base) for _ in w_high])
+    return _visit(0, base, 0, 0, w_high, [_aligned_empty(len(base)) for _ in w_high])
 
 
 def _visit(high: int, chunk: np.ndarray, first: int, depth: int, w_high: np.ndarray, buffers: list):
@@ -170,7 +179,7 @@ def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
 
     The states are scored in chunks of 2^m, m = min(n, CHUNK_SLOTS), so the
     2^n energies are never held at once.  The base chunk, every pattern of
-    the low m slots, is built by doubling; the chunk of a high bit pattern
+    the low m slots, is built by doubling in place; the chunk of a high bit pattern
     is its parent's chunk (the pattern without its top set bit) plus that
     slot's energy, one add per chunk, and the chunks are visited depth
     first, so only one chunk per depth is alive.  The running minimum is
@@ -194,9 +203,10 @@ def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     m = min(n, CHUNK_SLOTS)
     try:
         with np.errstate(over="raise"):
-            base = np.zeros(1)
+            base = _aligned_empty(1 << m)
+            base[0] = 0.0
             for s in range(m):
-                base = np.concatenate((base, base + w[s]))
+                np.add(base[: 1 << s], w[s], out=base[1 << s : 2 << s])
             single = np.empty(n)  # single[s]: energy of the state holding slot s alone
             single[:m] = base[1 << np.arange(m)]
             for high, chunk in _chunks_depth_first(base, w[m:]):

@@ -67,6 +67,14 @@ class LatticeConfig:
         """Largest momentum on the grid, n_max * delta_p."""
         return self.n_max * self.delta_p
 
+    def check_phase(self, eps: float) -> None:
+        """ValueError, as math.cos would raise, unless every phase p_j * eps is finite; the largest
+        is cutoff * |eps|."""
+        if math.isinf(self.cutoff * eps):
+            raise ValueError(
+                f"the phase p * eps leaves the float range at eps={eps!r}, delta_p={self.delta_p}, n_max={self.n_max}"
+            )
+
     @property
     def n_modes(self) -> int:
         """Number of modes per species, 2*n_max + 1."""

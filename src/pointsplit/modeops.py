@@ -373,6 +373,7 @@ def hamiltonian(cfg: LatticeConfig) -> ModeOperator:
 
 def _split_energies(cfg: LatticeConfig, eps: float) -> list[float]:
     """E_j cos(p_j eps) for modes j = -n_max .. n_max, the energy of both of mode j's slots."""
+    cfg.check_phase(eps)
     t = _mode_table(cfg)
     electrons = slice(_first_positron(cfg))
     return [e * math.cos(p * eps) for e, p in zip(t.energy[electrons].tolist(), t.p[electrons].tolist())]

@@ -83,20 +83,24 @@ class TrigPoly:
             )
 
     def derivative_power(self) -> float:
-        """Exact integral of f'(z)^2 over one period (Parseval).  Where it leaves the float range,
-        an OverflowError names the harmonic with the largest |k_n c_n| and the spacing 2*pi/L."""
+        """Exact integral of f'(z)^2 over one period (Parseval); range_error where it leaves the float range."""
         try:
-            power = self.length * sum(self.wavenumber(n) ** 2 * abs(c) ** 2 for n, c in self.coeffs.items())
+            # the constant harmonic adds an exact +0.0, however large its coefficient
+            power = self.length * sum(self.wavenumber(n) ** 2 * abs(c) ** 2 for n, c in self.coeffs.items() if n)
         except OverflowError:  # ** and a complex abs raise where float * gives inf
             power = math.inf
         if not math.isfinite(power):
-            size = {n: abs(self.wavenumber(n)) * math.hypot(c.real, c.imag) for n, c in self.coeffs.items()}
-            n = max(size, key=size.get)
-            raise OverflowError(
-                f"the integral of f'(z)^2 leaves the float range at harmonic {n}, "
-                f"delta_p={2.0 * math.pi / self.length:.6g}"
-            )
+            raise self.range_error("the integral of f'(z)^2")
         return power
+
+    def range_error(self, what: str) -> OverflowError:
+        """An OverflowError saying that `what` leaves the float range, naming the harmonic with the
+        largest |k_n c_n| and the spacing 2*pi/L, the delta_p of the lattice f lives on."""
+        size = {n: abs(self.wavenumber(n)) * math.hypot(c.real, c.imag) for n, c in self.coeffs.items()}
+        n = max(size, key=size.get)
+        return OverflowError(
+            f"{what} leaves the float range at harmonic {n}, delta_p={2.0 * math.pi / self.length:.6g}"
+        )
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}: {c}" for n, c in sorted(self.coeffs.items()))

@@ -405,6 +405,23 @@ def test_shift_integral_past_the_float_range_raises():
         finite_difference_limit(f, 0.1)
 
 
+@pytest.mark.parametrize("route", [double_commutator_direct, double_commutator_spectral])
+def test_exact_routes_name_the_harmonic_where_they_leave_the_float_range(route):
+    # |c_1|^2 is past the float range: the direct route's sums reach nan, the spectral one's ** raises
+    cfg = LatticeConfig(1.0, 1.0, 8)
+    f = TrigPoly.from_harmonics(cfg.box_length, [(1, 1e300, 1e300), (2, 0.5, 0.0)])
+    with pytest.raises(OverflowError, match=r"leaves the float range at harmonic 1, delta_p=1$"):
+        route(f, cfg)
+
+
+@pytest.mark.parametrize("table, row", [("kernel", {"g": 0.3, "kernel_imag": math.inf}), ("continuum", {"abs_error": math.nan})])
+def test_the_anomaly_report_refuses_a_non_finite_number(table, row):
+    with pytest.raises(OverflowError, match=f"the report's {table} "):
+        anomaly.AnomalyReport({"delta_p": 1.0, "n_max": 2}, 1.0, 1.0, True, "0", **{table: [row]})
+    with pytest.raises(OverflowError, match="the report's exact_direct = inf leaves the float range at delta_p=1.0, n_max=2"):
+        anomaly.AnomalyReport({"delta_p": 1.0, "n_max": 2}, math.inf, math.inf, True, "0")
+
+
 def _trigpoly_shift_weight(f: TrigPoly, g: float) -> float:
     """integral (f(z+g) - f(z)) f'(z) dz through TrigPoly arithmetic."""
     return ((f.shifted(g) - f) * f.derivative()).integral()

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -183,6 +184,101 @@ def test_anomaly_edge_calls_match_a_fresh_interpreter_each(tmp_path, capsys):
         ["anomaly", "--n-max", "64", "--f-harmonic", "1:0.5:0", "--f-harmonic", "2:0.3:0.1", "--eps", "0.3", "--eps=-0.7"],
     ]
     _assert_each_call_matches_a_fresh_interpreter(argvs + argvs, tmp_path, capsys)
+
+
+_FLAG_NAMES = sorted(cli._FLAGS) + [cli._SIGN_HOOK]
+# values each flag's type takes, edge forms and the "--" that argparse drops from an '=' included,
+# then values some flag rejects
+_GOOD_VALUES = {
+    float: ["1", "0.5", "1e-3", "-1e-3", "nan", "-inf", "1_0", " 2 "],
+    int: ["1", "3", "1_0", " 2", "-1"],
+    str: ["a.json", "", "a b", "x=y", "json", "csv", "-x", "--"],
+    cli._parse_harmonic: ["1:0.5:0", "2:-0.3:1e-2", "0:1:0"],
+}
+_BAD_VALUES = ["x", "-", "-h", "--eps", "xml", "1:2", "1:x:0", "1.5"]
+
+
+@st.composite
+def _flag_tokens(draw, plain: bool):
+    """One flag with its value in the next token or after an '='; unless plain, the flag may be
+    abbreviated or unknown to the subcommand and the value missing, rejected or dash-led."""
+    name = draw(st.sampled_from(_FLAG_NAMES))
+    if name == cli._SIGN_HOOK and plain:
+        return [name]
+    flag = cli._FLAGS.get(name)
+    values = _GOOD_VALUES[flag.type] if flag else _BAD_VALUES
+    value = draw(st.sampled_from(values) if plain else st.sampled_from(values + _BAD_VALUES) | st.text(max_size=3))
+    forms = [[name, value], [f"{name}={value}"]]
+    if not plain:
+        forms.append([name])
+        if draw(st.booleans()):
+            name = name[: draw(st.integers(3, len(name) - 1))]
+            forms += [[name], [name, value], [f"{name}={value}"]]
+    return draw(st.sampled_from(forms))
+
+
+_JUNK_TOKENS = st.sampled_from(["-h", "--help", "--", "-", "verify", "--bogus", "--n-max=2=3"]) | st.text(max_size=3)
+
+
+@st.composite
+def _argvs(draw):
+    """Half the argvs are a subcommand and flags only, the rest mix in junk and malformed flags."""
+    plain = draw(st.booleans())
+    commands = list(cli._COMMANDS) + ([] if plain else ["", "verif", "--help", "--n-max"])
+    tokens = _flag_tokens(plain) if plain else _flag_tokens(plain) | _flag_tokens(True) | _JUNK_TOKENS.map(lambda t: [t])
+    return [draw(st.sampled_from(commands))] + [t for ts in draw(st.lists(tokens, max_size=6)) for t in ts]
+
+
+def _parsed(namespace) -> str:
+    return repr(sorted(vars(namespace).items()))  # repr, so that nan equals nan and -0.0 differs from 0.0
+
+
+@given(_argvs())
+@settings(max_examples=400, deadline=None)
+def test_the_plain_argv_reader_returns_what_argparse_returns(argv):
+    """Wherever the reader takes an argv, the parser takes it too and returns equal values."""
+    read = cli._read_plain_argv(argv)
+    if read is not None:
+        assert _parsed(read) == _parsed(cli._build_parser().parse_args(cli._attach_negative_values(argv)))
+
+
+def test_the_plain_argv_reader_takes_every_benchmark_call():
+    ladders = ("verify-ladder", "anomaly-ladder", "vacuum-kernel")
+    argvs = [argv + ["--out", "report.json"] for workload in ladders for argv in _benchmark_ladder(workload, 1)]
+    argvs += [["anomaly", "--eps=-0.3", "--f-harmonic=1:0.5:0", "--format=csv", "--out="], ["verify", "--corrupt-sign-hook"]]
+    for argv in argvs:
+        read = cli._read_plain_argv(argv)
+        assert read is not None, argv
+        assert _parsed(read) == _parsed(cli._build_parser().parse_args(argv)), argv
+
+
+def test_a_plain_call_builds_no_parser_and_loads_no_locale():
+    """argparse's first message lookup imports locale; a plain call of each subcommand in a
+    fresh interpreter never builds the parser, so neither happens."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import pointsplit.cli as cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(codes, 'locale' in sys.modules, cli._build_parser.cache_info().misses)\n"
+    )
+    argvs = [
+        ["verify", "--n-max", "1", "--eps", "0.3"],
+        ["anomaly", "--n-max", "2", "--f-harmonic", "1:0.5:0", "--eps=0.1"],
+        ["vacuum", "--n-max", "1", "--eps", "2", "--format", "csv"],
+        ["kernel", "--eps", "0.3"],
+        ["derive"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0, 0] False 0\n"
 
 
 def test_anomaly_evaluates_each_split_kernel_once_and_formats_one_transcript(tmp_path, monkeypatch):
@@ -656,12 +752,37 @@ def test_runconfig_echo_excludes_output_path(tmp_path):
             ["vacuum", "--delta-p", "1e307", "--n-max", "5"],
             "a state's energy leaves the float range at delta_p=1e+307, n_max=5",
         ),
+        (
+            ["verify", "--delta-p", "1e307", "--n-max", "2"],
+            "the verify kernels leave the float range at mass=1.0, delta_p=1e+307, n_max=2",
+        ),
+        (
+            ["anomaly", "--n-max", "8", "--f-harmonic", "1:1e300:1e300", "--f-harmonic", "2:0.5:0"],
+            "the direct route's <0|[F,[H,F]]|0> leaves the float range at harmonic 1, delta_p=1",
+        ),
+        (
+            ["anomaly", "--n-max", "2", "--f-harmonic", "1:1e154:0", "--eps", "0", "--format", "csv"],
+            "the direct route's <0|[F,[H,F]]|0> leaves the float range at harmonic 1, delta_p=1",
+        ),
+        (
+            ["vacuum", "--n-max", "1", "--delta-p", "1e308", "--eps", "2"],
+            "the phase p * eps leaves the float range at eps=2.0, delta_p=1e+308, n_max=1",
+        ),
+        (
+            ["anomaly", "--n-max", "1", "--delta-p", "1e308", "--f-harmonic", "1:0.5:0", "--eps", "2"],
+            "the phase k_n * g leaves the float range at harmonic 1, g=2.0, delta_p=1e+308",
+        ),
+        (
+            ["anomaly", "--n-max", "14", "--delta-p", "1e307", "--f-harmonic", "1:0.5:0", "--eps", "2"],
+            "the phase p * eps leaves the float range at eps=2.0, delta_p=1e+307, n_max=14",
+        ),
     ],
 )
 def test_a_sum_past_the_float_range_exits_2_naming_the_inputs(capsys, argv, err):
     """The cutoff fits the float range, but a sum the run forms does not: the
-    vacuum's additive energy, the brute force's positive energies, or the
-    smearing's integral of f'^2."""
+    vacuum's additive energy, the brute force's positive energies, the
+    smearing's integral of f'^2, a verify kernel, the direct anomaly route, or
+    a phase p * eps or k_n * g."""
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -728,3 +849,54 @@ def test_every_input_ends_in_a_report_or_one_error_line(run):
         assert out.exists() == (stderr == "")
         if out.exists():
             json.loads(out.read_text(), parse_constant=_no_constant)
+
+
+_INPUT_NAMES = ("delta_p", "n_max", "harmonic", "eps", "mass", "cutoff")
+# what numpy, math, cmath, float ** and the json encoder say on their own, without naming an input
+_BARE_MESSAGES = (
+    "encountered in",
+    "Numerical result out of range",
+    "math domain error",
+    "math range error",
+    "absolute value too large",
+    "too large to convert",
+    "JSON compliant",
+)
+
+
+def _powers_of_ten(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _runs_at_the_float_range(draw):
+    """A run whose spacing, lattice, smearing amplitudes and shifts reach the ends of the float range."""
+    command = draw(st.sampled_from(["verify", "anomaly", "vacuum", "kernel", "derive"]))
+    n_max = draw(st.integers(1, 16 if command == "verify" else 64))
+    delta_p = draw(_powers_of_ten(-3, 308) | st.sampled_from([1e306, 1e307, 1e308]))
+    amplitude = _powers_of_ten(-300, 300) | st.sampled_from([0.0, 0.5, 1e154, 1e300, -1e300])
+    harmonic = st.integers(0, 3).flatmap(lambda n: st.tuples(st.just(n), amplitude, amplitude if n else st.just(0.0)))
+    harmonics = draw(st.lists(harmonic, min_size=command == "anomaly", max_size=3))
+    eps = draw(st.lists(st.sampled_from([0.0, 0.01, 0.3, 2.0]) | _powers_of_ten(-300, 300), max_size=2))
+    argv = [command, f"--n-max={n_max}", f"--delta-p={delta_p!r}", f"--format={draw(st.sampled_from(['json', 'csv']))}"]
+    return argv + [f"--f-harmonic={n}:{re!r}:{im!r}" for n, re, im in harmonics] + [f"--eps={x!r}" for x in eps]
+
+
+@given(_runs_at_the_float_range())
+@settings(max_examples=500, deadline=None)
+def test_a_run_at_the_float_range_names_its_input_or_reports_finite_numbers(argv):
+    """An exit 2 names the input that drove the arithmetic out of range, never in numpy's, math's
+    or the JSON encoder's own words, and a report holds no inf or nan."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + [f"--out={out}"])
+        stderr = err.getvalue()
+        if code == 2:
+            assert any(name in stderr for name in _INPUT_NAMES), stderr
+            assert not any(bare in stderr for bare in _BARE_MESSAGES), stderr
+        elif out.exists():  # an internal invariant that fails writes no report
+            tokens = set(re.split(r"[\s,:\[\]{}]+", out.read_text()))
+            assert not tokens & {"inf", "-inf", "nan", "Infinity", "-Infinity", "NaN"}, tokens
+

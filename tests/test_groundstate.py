@@ -320,6 +320,23 @@ def test_bruteforce_frees_its_chunks_when_it_returns():
     assert left < 2**14
 
 
+@pytest.mark.parametrize("n_max", [1, 3, 5])
+def test_bruteforce_chunks_start_on_64_byte_boundaries(monkeypatch, n_max):
+    # numpy's adds and argmins over a chunk 16 or 48 bytes past a boundary run 10-15% slower,
+    # and where malloc places a chunk depends on what the process allocated before
+    walk, starts = groundstate._chunks_depth_first, []
+
+    def recorded(base, w_high):
+        for high, chunk in walk(base, w_high):
+            starts.append(chunk.__array_interface__["data"][0] % 64)
+            yield high, chunk
+
+    monkeypatch.setattr(groundstate, "_chunks_depth_first", recorded)
+    ground_state_bruteforce(2.0, LatticeConfig(1.0, 1.0, n_max))
+    n = n_slots_for(n_max)
+    assert starts == [0] * 2 ** (n - min(n, groundstate.CHUNK_SLOTS))
+
+
 def test_redefined_vacuum_energy_takes_linear_time():
     # one set lookup per mode: 40001 modes in well under the bound, where a set
     # rebuilt per mode takes tens of seconds
