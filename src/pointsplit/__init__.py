@@ -11,6 +11,7 @@ corrected current, and the redefined vacuum that restores a ground state.
 Modules
 -------
 lattice      momentum grid, dispersion, spinors, mode functions
+trigpoly     smearing functions as finite sums of box harmonics
 fock         occupation-bitstring Fock space with exact fermionic signs
 modeops      normal-ordered operator polynomials and all model operators
 symbolic     formal continuum rewriting (CAR commutator, delta integration)

@@ -6,7 +6,9 @@ object {config, checks, tables} or one flat CSV per table.  Identical
 configs produce byte-identical reports; there are no timestamps and all
 orderings are fixed.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage/config error.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage/config error or
+a run that left the float range, which main alone decides and reports by
+naming the run's inputs (all finite, as RunConfig checks them).
 """
 
 from __future__ import annotations
@@ -321,12 +323,11 @@ def _indented(value, indent: str) -> str:
 
 def _json_report(report: dict) -> str:
     """The report as json.dumps(report, sort_keys=True, indent=2, allow_nan=False) writes it, plus a newline;
-    strict JSON: a NaN or an infinity raises the reference encoder's ValueError, which main maps to exit 2."""
+    strict JSON: a nan or an infinity, which the encoder refuses with a ValueError, raises OverflowError."""
     try:
         return _indented(report, "") + "\n"
-    except ValueError:  # the C encoder's message leaves out the value; the reference encoder's names it
-        json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-        raise
+    except ValueError:
+        raise OverflowError from None
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -356,6 +357,8 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise OverflowError
         return repr(value)
     if value is None:
         return ""
@@ -371,13 +374,9 @@ def _csv_cell(value) -> str:
 def cmd_verify(config: RunConfig, corrupt_sign: bool = False) -> int:
     lattice = config.lattice()
     f = config.smearing(required=False) or TrigPoly.from_harmonics(lattice.box_length, [(1, 0.5, 0.0)])
-    try:
-        results = run_verify_suite(lattice, config.eps, f=f, corrupt_sign=corrupt_sign)
-    except FloatingPointError:  # numpy raises inside main
-        raise OverflowError(
-            f"the verify kernels leave the float range at mass={lattice.mass}, "
-            f"delta_p={lattice.delta_p}, n_max={lattice.n_max}"
-        ) from None
+    results = run_verify_suite(lattice, config.eps, f=f, corrupt_sign=corrupt_sign)
+    if not all(math.isfinite(res.residual) for res in results):
+        raise OverflowError
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         sys.stdout.write(f"{status} {res.name} max_residual={res.residual:.3e} tol={res.tolerance:.1e}\n")
@@ -510,10 +509,21 @@ def cmd_derive(config: RunConfig) -> int:
     return 0
 
 
+# the inputs each subcommand's arithmetic reads beyond mass, delta_p and n_max
+_READS = dict(verify=("eps", "f_harmonics"), anomaly=("eps", "f_harmonics"), vacuum=("eps",), kernel=("eps", "eta", "cutoff"))
+
+
+def _left_the_float_range(command: str, config: RunConfig) -> str:
+    """The one error line for a run whose arithmetic left the float range, naming its inputs."""
+    inputs = ", ".join(f"{key}={getattr(config, key)!r}" for key in ("mass", "delta_p", "n_max") + _READS.get(command, ()))
+    return f"the {command} run leaves the float range at {inputs}"
+
+
 def main(argv=None) -> int:
     """Run one subcommand; every failure ends in one `error:` line on stderr:
-    exit 2 for bad usage or config, input that drives the arithmetic out of
-    its domain (numpy warnings raise) or a lattice too large for memory,
+    exit 2 for bad usage or config, a lattice too large for memory, or a run
+    that left the float range (an ArithmeticError, numpy's warnings raising
+    as FloatingPointError, or a nan or an infinity bound for the report),
     exit 1 when an internal invariant fails, as a failed check does, or the
     kernel quadrature misses its tolerance."""
     try:
@@ -527,7 +537,9 @@ def main(argv=None) -> int:
                 return cmd_verify(config, corrupt_sign=args.corrupt_sign_hook)
             commands = {"anomaly": cmd_anomaly, "vacuum": cmd_vacuum, "kernel": cmd_kernel, "derive": cmd_derive}
             return commands[args.command](config)
-    except (ConfigError, ValueError, ArithmeticError, MemoryError) as exc:
+    except ArithmeticError:  # raised only past RunConfig, which makes every input finite: the arithmetic left the range
+        code, message = 2, _left_the_float_range(args.command, config)
+    except (ConfigError, ValueError, MemoryError) as exc:
         code, message = 2, str(exc)
     except RuntimeError as exc:
         code, message = 1, str(exc)

@@ -54,7 +54,11 @@ class LatticeConfig:
             raise ValueError(f"delta_p must be positive and finite, got {self.delta_p}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.cutoff == math.inf:
+        try:
+            cutoff = self.cutoff
+        except OverflowError:  # an integer n_max past the largest float
+            cutoff = math.inf
+        if cutoff == math.inf:
             raise ValueError(f"the cutoff n_max * delta_p overflows to inf at delta_p={self.delta_p}, n_max={self.n_max}")
 
     @property

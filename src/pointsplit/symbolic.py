@@ -300,13 +300,12 @@ def shift_variable(expr: SymExpr, var: str, amount: int) -> SymExpr:
 
 def formal_smeared_commutator(
     split: bool = False,
-    left_matrix=None,
     right_matrix=None,
     record: list | None = None,
 ) -> SymExpr:
     """Formally evaluate the double-smeared density/current commutator integrand.
 
-    Pipeline: build [psi'(z) ML psi(z), current at z'] with the CAR commutator
+    Pipeline: build [psi'(z) psi(z), current at z'] with the CAR commutator
     rule, attach the smearing tags f(z) f'(z') and the overall -i, integrate
     out z' against the deltas, then translate z so every surviving bilinear
     has unshifted right argument.  With coincident points (split=False) the
@@ -316,10 +315,9 @@ def formal_smeared_commutator(
 
     `record`, if given, collects (step label, formatted expression) pairs.
     """
-    ml = MAT_ID if left_matrix is None else matrix_key(left_matrix)
     mr = MAT_SX if right_matrix is None else matrix_key(right_matrix)
     z, zp = "z", "z'"
-    density = Bilinear(SymPoint(z), ml, SymPoint(z))
+    density = Bilinear(SymPoint(z), MAT_ID, SymPoint(z))
 
     def note(label: str, expr: SymExpr) -> None:
         if record is not None:

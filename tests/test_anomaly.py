@@ -406,20 +406,43 @@ def test_shift_integral_past_the_float_range_raises():
 
 
 @pytest.mark.parametrize("route", [double_commutator_direct, double_commutator_spectral])
-def test_exact_routes_name_the_harmonic_where_they_leave_the_float_range(route):
-    # |c_1|^2 is past the float range: the direct route's sums reach nan, the spectral one's ** raises
-    cfg = LatticeConfig(1.0, 1.0, 8)
-    f = TrigPoly.from_harmonics(cfg.box_length, [(1, 1e300, 1e300), (2, 0.5, 0.0)])
-    with pytest.raises(OverflowError, match=r"leaves the float range at harmonic 1, delta_p=1$"):
-        route(f, cfg)
+def test_exact_routes_name_the_harmonic_where_they_leave_the_float_range(monkeypatch, capsys, route):
+    # |c_1|^2 is past the float range; the other route is stubbed, so this one alone leaves it
+    for other in (double_commutator_direct, double_commutator_spectral):
+        if other is not route:
+            monkeypatch.setattr(cli, other.__name__, lambda f, cfg: 1.0)
+    argv = ["anomaly", "--n-max", "8", "--f-harmonic", "1:1e300:1e300", "--f-harmonic", "2:0.5:0"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the anomaly run leaves the float range at mass=1.0, delta_p=1.0, n_max=8, eps=[0.3], "
+        "f_harmonics=[(1, 1e+300, 1e+300), (2, 0.5, 0.0)]\n"
+    )
 
 
 @pytest.mark.parametrize("table, row", [("kernel", {"g": 0.3, "kernel_imag": math.inf}), ("continuum", {"abs_error": math.nan})])
-def test_the_anomaly_report_refuses_a_non_finite_number(table, row):
-    with pytest.raises(OverflowError, match=f"the report's {table} "):
-        anomaly.AnomalyReport({"delta_p": 1.0, "n_max": 2}, 1.0, 1.0, True, "0", **{table: [row]})
-    with pytest.raises(OverflowError, match="the report's exact_direct = inf leaves the float range at delta_p=1.0, n_max=2"):
-        anomaly.AnomalyReport({"delta_p": 1.0, "n_max": 2}, math.inf, math.inf, True, "0")
+def test_the_anomaly_report_refuses_a_non_finite_number(tmp_path, monkeypatch, capsys, table, row):
+    def with_row(**fields):
+        return anomaly.AnomalyReport(**{**fields, table: fields[table] + [row]})
+
+    def exact_inf(f, cfg):
+        return math.inf
+
+    argv = ["anomaly", "--f-harmonic", "1:0.5:0"]
+    err = "error: the anomaly run leaves the float range at mass=1.0, delta_p=1.0, n_max=2, eps=[0.3], "
+    err += "f_harmonics=[(1, 0.5, 0.0)]\n"
+    # a non-finite row in the table, then non-finite exact values in the summary
+    both_routes = {"double_commutator_direct": exact_inf, "double_commutator_spectral": exact_inf}
+    for patches in ({"AnomalyReport": with_row}, both_routes):
+        with monkeypatch.context() as m:
+            for name, stub in patches.items():
+                m.setattr(cli, name, stub)
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"anomaly.{fmt}"
+                assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 2
+                assert capsys.readouterr() == ("", err)
+                assert not out.exists()
 
 
 def _trigpoly_shift_weight(f: TrigPoly, g: float) -> float:

@@ -381,14 +381,18 @@ def test_report_writer_writes_what_the_reference_encoder_writes(tree):
 
 @pytest.mark.parametrize("value, name", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
 def test_a_non_finite_report_value_exits_2_naming_the_value(tmp_path, monkeypatch, capsys, value, name):
-    # the C encoder's error leaves the value out; the writer raises the reference encoder's message
+    # the JSON encoder and the CSV writer both refuse the value, and main names the run's inputs
     monkeypatch.setattr(cli, "_damped_and_extrapolated", lambda eps, eta, cutoff, m: (1.0, value))
-    out = tmp_path / "kernel.json"
-    assert run_cli(["kernel", "--eps", "0.1", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: Out of range float values are not JSON compliant: {name}\n"
-    assert not out.exists()
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"kernel-{name}.{fmt}"
+        assert run_cli(["kernel", "--eps", "0.1", "--format", fmt, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the kernel run leaves the float range at "
+            "mass=1.0, delta_p=1.0, n_max=2, eps=[0.1], eta=None, cutoff=None\n"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -736,33 +740,44 @@ def test_runconfig_echo_excludes_output_path(tmp_path):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (
+        # the id says what leaves the float range; the error line names the run's inputs
+        pytest.param(
             ["vacuum", "--delta-p", "1e306", "--n-max", "64"],
-            "the redefined vacuum energy leaves the float range at delta_p=1e+306, n_max=64",
+            "the vacuum run leaves the float range at mass=1.0, delta_p=1e+306, n_max=64, eps=[0.3]",
+            id="argv0-the redefined vacuum energy leaves the float range",
         ),
-        (
+        pytest.param(
             ["vacuum", "--delta-p", "1e307", "--n-max", "17"],
-            "the redefined vacuum energy leaves the float range at delta_p=1e+307, n_max=17",
+            "the vacuum run leaves the float range at mass=1.0, delta_p=1e+307, n_max=17, eps=[0.3]",
+            id="argv1-the redefined vacuum energy leaves the float range",
         ),
-        (
+        pytest.param(
             ["anomaly", "--delta-p", "1e307", "--n-max", "8", "--f-harmonic", "1:0.5:0"],
-            "the integral of f'(z)^2 leaves the float range at harmonic 1, delta_p=1e+307",
+            "the anomaly run leaves the float range at "
+            "mass=1.0, delta_p=1e+307, n_max=8, eps=[0.3], f_harmonics=[(1, 0.5, 0.0)]",
+            id="argv2-the integral of f'(z)^2 leaves the float range",
         ),
-        (
+        pytest.param(
             ["vacuum", "--delta-p", "1e307", "--n-max", "5"],
-            "a state's energy leaves the float range at delta_p=1e+307, n_max=5",
+            "the vacuum run leaves the float range at mass=1.0, delta_p=1e+307, n_max=5, eps=[0.3]",
+            id="argv3-a state's energy leaves the float range",
         ),
-        (
+        pytest.param(
             ["verify", "--delta-p", "1e307", "--n-max", "2"],
-            "the verify kernels leave the float range at mass=1.0, delta_p=1e+307, n_max=2",
+            "the verify run leaves the float range at mass=1.0, delta_p=1e+307, n_max=2, eps=[0.3], f_harmonics=[]",
+            id="argv4-the verify kernels leave the float range",
         ),
-        (
+        pytest.param(
             ["anomaly", "--n-max", "8", "--f-harmonic", "1:1e300:1e300", "--f-harmonic", "2:0.5:0"],
-            "the direct route's <0|[F,[H,F]]|0> leaves the float range at harmonic 1, delta_p=1",
+            "the anomaly run leaves the float range at "
+            "mass=1.0, delta_p=1.0, n_max=8, eps=[0.3], f_harmonics=[(1, 1e+300, 1e+300), (2, 0.5, 0.0)]",
+            id="argv5-the direct route's <0|[F,[H,F]]|0> leaves the float range",
         ),
-        (
+        pytest.param(
             ["anomaly", "--n-max", "2", "--f-harmonic", "1:1e154:0", "--eps", "0", "--format", "csv"],
-            "the direct route's <0|[F,[H,F]]|0> leaves the float range at harmonic 1, delta_p=1",
+            "the anomaly run leaves the float range at "
+            "mass=1.0, delta_p=1.0, n_max=2, eps=[0.0], f_harmonics=[(1, 1e+154, 0.0)]",
+            id="argv6-the direct route's <0|[F,[H,F]]|0> leaves the float range",
         ),
         (
             ["vacuum", "--n-max", "1", "--delta-p", "1e308", "--eps", "2"],
@@ -776,17 +791,36 @@ def test_runconfig_echo_excludes_output_path(tmp_path):
             ["anomaly", "--n-max", "14", "--delta-p", "1e307", "--f-harmonic", "1:0.5:0", "--eps", "2"],
             "the phase p * eps leaves the float range at eps=2.0, delta_p=1e+307, n_max=14",
         ),
+        (
+            ["vacuum", "--mass", "1e308", "--n-max", "1", "--eps", "2"],
+            "the vacuum run leaves the float range at mass=1e+308, delta_p=1.0, n_max=1, eps=[2.0]",
+        ),
+        (
+            ["anomaly", "--mass", "1e308", "--n-max", "2", "--f-harmonic", "1:0.5:0"],
+            "the anomaly run leaves the float range at "
+            "mass=1e+308, delta_p=1.0, n_max=2, eps=[0.3], f_harmonics=[(1, 0.5, 0.0)]",
+        ),
+    ]
+    + [
+        (
+            ["verify", "--mass", "1e308", "--n-max", "1", *out],
+            "the verify run leaves the float range at mass=1e+308, delta_p=1.0, n_max=1, eps=[0.3], f_harmonics=[]",
+        )
+        for out in ([], ["--out=report.json"], ["--format=csv", "--out=report.csv"])
     ],
 )
-def test_a_sum_past_the_float_range_exits_2_naming_the_inputs(capsys, argv, err):
+def test_a_sum_past_the_float_range_exits_2_naming_the_inputs(tmp_path, monkeypatch, capsys, argv, err):
     """The cutoff fits the float range, but a sum the run forms does not: the
     vacuum's additive energy, the brute force's positive energies, the
-    smearing's integral of f'^2, a verify kernel, the direct anomaly route, or
-    a phase p * eps or k_n * g."""
+    smearing's integral of f'^2, a verify kernel or residual, the direct
+    anomaly route, or a phase p * eps or k_n * g.  A phase is an input check
+    with its own message; everything else is main's one line."""
+    monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _no_constant(name):
@@ -870,15 +904,17 @@ def _powers_of_ten(low, high):
 
 @st.composite
 def _runs_at_the_float_range(draw):
-    """A run whose spacing, lattice, smearing amplitudes and shifts reach the ends of the float range."""
+    """A run whose mass, spacing, lattice, smearing amplitudes and shifts reach the ends of the float range."""
     command = draw(st.sampled_from(["verify", "anomaly", "vacuum", "kernel", "derive"]))
     n_max = draw(st.integers(1, 16 if command == "verify" else 64))
-    delta_p = draw(_powers_of_ten(-3, 308) | st.sampled_from([1e306, 1e307, 1e308]))
+    scale = _powers_of_ten(-3, 308) | st.sampled_from([1e306, 1e307, 1e308])
+    mass, delta_p = draw(scale), draw(scale)
     amplitude = _powers_of_ten(-300, 300) | st.sampled_from([0.0, 0.5, 1e154, 1e300, -1e300])
     harmonic = st.integers(0, 3).flatmap(lambda n: st.tuples(st.just(n), amplitude, amplitude if n else st.just(0.0)))
     harmonics = draw(st.lists(harmonic, min_size=command == "anomaly", max_size=3))
     eps = draw(st.lists(st.sampled_from([0.0, 0.01, 0.3, 2.0]) | _powers_of_ten(-300, 300), max_size=2))
-    argv = [command, f"--n-max={n_max}", f"--delta-p={delta_p!r}", f"--format={draw(st.sampled_from(['json', 'csv']))}"]
+    argv = [command, f"--n-max={n_max}", f"--mass={mass!r}", f"--delta-p={delta_p!r}"]
+    argv.append(f"--format={draw(st.sampled_from(['json', 'csv']))}")
     return argv + [f"--f-harmonic={n}:{re!r}:{im!r}" for n, re, im in harmonics] + [f"--eps={x!r}" for x in eps]
 
 
@@ -886,7 +922,8 @@ def _runs_at_the_float_range(draw):
 @settings(max_examples=500, deadline=None)
 def test_a_run_at_the_float_range_names_its_input_or_reports_finite_numbers(argv):
     """An exit 2 names the input that drove the arithmetic out of range, never in numpy's, math's
-    or the JSON encoder's own words, and a report holds no inf or nan."""
+    or the JSON encoder's own words, a float-range line names mass, delta_p and n_max, and a
+    report holds no inf or nan."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report"
         err = io.StringIO()
@@ -896,6 +933,9 @@ def test_a_run_at_the_float_range_names_its_input_or_reports_finite_numbers(argv
         if code == 2:
             assert any(name in stderr for name in _INPUT_NAMES), stderr
             assert not any(bare in stderr for bare in _BARE_MESSAGES), stderr
+            # past the input checks that reject a phase or a quadrature input, main's line names the lattice
+            if "float range" in stderr and not re.match(r"error: the (phase|kernel quadrature) ", stderr):
+                assert all(f"{name}=" in stderr for name in ("mass", "delta_p", "n_max")), stderr
         elif out.exists():  # an internal invariant that fails writes no report
             tokens = set(re.split(r"[\s,:\[\]{}]+", out.read_text()))
             assert not tokens & {"inf", "-inf", "nan", "Infinity", "-Infinity", "NaN"}, tokens

@@ -33,6 +33,9 @@ def test_config_validation():
 def test_config_rejects_a_cutoff_past_the_float_range():
     with pytest.raises(ValueError, match=r"n_max \* delta_p overflows to inf at delta_p=1e\+307, n_max=64"):
         LatticeConfig(mass=1.0, delta_p=1e307, n_max=64)
+    # an integer n_max past the largest float, which n_max * delta_p cannot convert
+    with pytest.raises(ValueError, match=r"n_max \* delta_p overflows to inf at delta_p=1e-300, n_max=1000"):
+        LatticeConfig(mass=1.0, delta_p=1e-300, n_max=10**400)
     assert LatticeConfig(mass=1.0, delta_p=1e307, n_max=17).cutoff == 1.7e308
 
 
