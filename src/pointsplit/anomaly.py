@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -180,23 +181,14 @@ _GAUSS_LEGENDRE = {
 }
 
 
-def _graded_edges(length: float, rate: float) -> np.ndarray:
+def _graded_edges(length: float, rate: float) -> list[float]:
     """Panel edges on [0, length] for an integrand below exp(-2 rate u / pi): the first panel
     is 1/rate wide, each next one twice as wide, and none reaches past 2048/rate, where that
     bound has underflowed."""
     if rate * length <= 1:
-        return np.array([0.0, length])
+        return [0.0, length]
     doublings = min(11, math.ceil(math.log2(rate) + math.log2(length)))
-    inner = np.ldexp(1.0, np.arange(doublings)) / rate
-    return np.concatenate(([0.0], inner, [min(length, 2.0**doublings / rate)]))
-
-
-def _leg(start: complex, direction: complex, edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t = start + direction*u and weights dt of the n-point rule on every panel of edges in u."""
-    x, w = _GAUSS_LEGENDRE[n]
-    half = 0.5 * np.diff(edges)[:, None]
-    u = edges[:-1, None] + half * (1.0 + x)
-    return start + direction * u.ravel(), direction * (half * w).ravel()
+    return [0.0, *(math.ldexp(1.0, k) / rate for k in range(doublings)), min(length, 2.0**doublings / rate)]
 
 
 def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> float:
@@ -238,18 +230,26 @@ def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> f
     # |c| m sinh(Re t) reaches 745 here, or Re t reaches about 698 when |c| m is below 1e-300
     x_end = min(T, math.asinh(745.0 / max(rate, 1e-300)) - z1.real)
     if x_end > 0:
-        legs.append((z1, 1.0, np.linspace(0.0, x_end, math.ceil(x_end) + 1), 1.0))
+        legs.append((z1, 1.0, np.linspace(0.0, x_end, math.ceil(x_end) + 1).tolist(), 1.0))
     # the last leg lies below exp(-T - eta*cutoff) and falls at rate_T: past these bounds it adds
     # nothing, and short of them sinh(t) stays finite on it
     rate_T = abs_c * math.hypot(m, cutoff)
     if T + eta * cutoff < 700.0 and rate_T < math.inf:
         legs.append((complex(T), d, _graded_edges(abs(z1), rate_T), -1.0))
+    # every panel of every leg as one row: its left edge and half width in u, and its leg's start
+    # and direction, so that t = start + direction*u
+    rows = [(a, 0.5 * (b - a), start, direction) for start, direction, edges, _ in legs for a, b in pairwise(edges)]
+    left, half, start, direction = (np.array(column)[:, None] for column in zip(*rows))
     values = []
     for n in (_PANEL_NODES, _CHECK_NODES):
-        integral = 0j
-        for start, direction, edges, sign in legs:
-            t, dt = _leg(start, direction, edges, n)
-            integral += sign * complex(np.sum(dt * np.exp(c * m * np.sinh(t) - t)))
+        x, w = _GAUSS_LEGENDRE[n]
+        t = (start + direction * (left + half * (1.0 + x))).ravel()
+        f = (direction * (half * w)).ravel() * np.exp(c * m * np.sinh(t) - t)
+        integral, a = 0j, 0
+        for _, _, edges, sign in legs:  # each leg's rows summed on their own, in leg order
+            b = a + n * (len(edges) - 1)
+            integral += sign * complex(f[a:b].sum())
+            a = b
         values.append(elementary - m * integral.imag)
     value, check = values
     err = abs(value - check)

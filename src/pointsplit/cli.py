@@ -370,10 +370,13 @@ def _csv_cell(value) -> str:
 
 # -- subcommands --------------------------------------------------------------
 
+# verify's smearing when no --f-harmonic is given (anomaly requires one): cos(2*pi*z/L)
+VERIFY_HARMONICS = [(1, 0.5, 0.0)]
+
 
 def cmd_verify(config: RunConfig, corrupt_sign: bool = False) -> int:
     lattice = config.lattice()
-    f = config.smearing(required=False) or TrigPoly.from_harmonics(lattice.box_length, [(1, 0.5, 0.0)])
+    f = TrigPoly.from_harmonics(lattice.box_length, config.f_harmonics or VERIFY_HARMONICS)
     results = run_verify_suite(lattice, config.eps, f=f, corrupt_sign=corrupt_sign)
     if not all(math.isfinite(res.residual) for res in results):
         raise OverflowError
@@ -515,7 +518,8 @@ _READS = dict(verify=("eps", "f_harmonics"), anomaly=("eps", "f_harmonics"), vac
 
 def _left_the_float_range(command: str, config: RunConfig) -> str:
     """The one error line for a run whose arithmetic left the float range, naming its inputs."""
-    inputs = ", ".join(f"{key}={getattr(config, key)!r}" for key in ("mass", "delta_p", "n_max") + _READS.get(command, ()))
+    used = dict(vars(config), f_harmonics=config.f_harmonics or VERIFY_HARMONICS)
+    inputs = ", ".join(f"{key}={used[key]!r}" for key in ("mass", "delta_p", "n_max") + _READS.get(command, ()))
     return f"the {command} run leaves the float range at {inputs}"
 
 

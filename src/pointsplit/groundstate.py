@@ -24,8 +24,9 @@ ENUMERATION_MAX_SLOTS = 24
 # ground_state_bruteforce scores the states in chunks of 2^CHUNK_SLOTS
 # float64s, 64 KiB, and holds one chunk per depth of its walk.  Each chunk
 # costs two numpy calls, so narrower chunks are slower (width 11 took twice
-# as long at n_max 5); wider ones were at most 15% faster there and hold
-# twice the memory per step.
+# as long at n_max 5); widths 14 and 15 raised the vacuum-kernel benchmark's
+# peak_rss_mb by about 0.3 and 1.2 MiB and gained no wall time (three runs
+# of width 14 and one of 15).
 CHUNK_SLOTS = 13
 
 # The one rule for "zero": a split energy E_j cos(p_j eps) counts as zero
@@ -135,27 +136,6 @@ def _aligned_empty(size: int) -> np.ndarray:
     return raw[start : start + size]
 
 
-def _chunks_depth_first(base: np.ndarray, w_high: np.ndarray):
-    """Yield (high, energies of the states with that high bit pattern), for
-    every pattern of the high slots, parents before children.
-
-    A child pattern sets one slot t above its parent's top set bit, and its
-    chunk is the parent's plus w_high[t].  Every chunk but the base lives in
-    one buffer per depth, overwritten by the next chunk at that depth, so
-    the caller reads each chunk before asking for the next.
-    """
-    return _visit(0, base, 0, 0, w_high, [_aligned_empty(len(base)) for _ in w_high])
-
-
-def _visit(high: int, chunk: np.ndarray, first: int, depth: int, w_high: np.ndarray, buffers: list):
-    """_chunks_depth_first's recursion; at module level, so that no closure refers to itself and the
-    buffers are freed when the search drops them, not at the next garbage collection."""
-    yield high, chunk
-    for t in range(first, len(w_high)):
-        child = np.add(chunk, w_high[t], out=buffers[depth])
-        yield from _visit(high | (1 << t), child, t + 1, depth + 1, w_high, buffers)
-
-
 def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     """Enumerate all occupation states and locate the energy minimum.
 
@@ -172,8 +152,10 @@ def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     2^n energies are never held at once.  The base chunk, every pattern of
     the low m slots, is built by doubling in place; the chunk of a high bit pattern
     is its parent's chunk (the pattern without its top set bit) plus that
-    slot's energy, one add per chunk, and the chunks are visited depth
-    first, so only one chunk per depth is alive.  The running minimum is
+    slot's energy, one add per chunk into the buffer of its depth.  The walk
+    goes depth first: from a pattern to its first child (the slot above its
+    top one), or past the last slot to its parent's next sibling, so every
+    parent's chunk is alive while its children are added.  The running minimum is
     replaced on a strictly lower energy, or on an equal one at a smaller
     state index, which keeps the first minimizer in state order, as argmin
     over all 2^n states would.
@@ -199,13 +181,27 @@ def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
             np.add(base[: 1 << s], w[s], out=base[1 << s : 2 << s])
         single = np.empty(n)  # single[s]: energy of the state holding slot s alone
         single[:m] = base[1 << np.arange(m)]
-        for high, chunk in _chunks_depth_first(base, w[m:]):
-            if high.bit_count() == 1:
-                single[m + high.bit_length() - 1] = chunk[0]
+        w_high, buffers = w[m:], [base] + [_aligned_empty(1 << m) for _ in range(n - m)]
+        high, top, depth = 0, -1, 0  # high bit pattern, its top set slot, its number of set slots
+        while True:
+            chunk = buffers[depth]
+            if depth == 1:
+                single[m + top] = chunk[0]
             i = int(chunk.argmin())
             e, state = float(chunk[i]), (high << m) | i
             if high == 0 or e < emin or (e == emin and state < ground):
                 emin, ground = e, state
+            if top + 1 < len(w_high):  # first child: set the slot above the top one
+                top, depth = top + 1, depth + 1
+            elif depth <= 1:  # the last slot alone, or no high slots: every pattern is scored
+                break
+            else:  # next sibling of the parent: drop the top slot, move the new top one up
+                high ^= 1 << top
+                top = high.bit_length() - 1
+                high ^= 1 << top
+                top, depth = top + 1, depth - 1
+            high |= 1 << top
+            np.add(buffers[depth - 1], w_high[top], out=buffers[depth])
     flips = 1 << np.arange(n)
     free = flips[_is_zero_energy(single, unsplit)]
     free_mask = int(free.sum())

@@ -9,13 +9,18 @@ TrigPoly is pointsplit's smearing function plus the evaluation and the
 arithmetic (f(z), f', translates, sums, products, the box integral) that
 the package itself never needs: the tests form the anomaly's integrals
 through them and hold the package's closed forms to the results.
+
+damped_kernel_integral is the kernel quadrature leg by leg, one evaluation
+per (leg, rule): test_anomaly holds the package's one evaluation per rule
+to it by float.hex, errors included.
 """
 
 import cmath
+import math
 
 import numpy as np
 
-from pointsplit import trigpoly
+from pointsplit import anomaly, trigpoly
 from pointsplit.lattice import LatticeConfig
 from pointsplit.modeops import _kernel_vev, _worst
 
@@ -77,3 +82,58 @@ class TrigPoly(trigpoly.TrigPoly):
     def _check_box(self, other: trigpoly.TrigPoly) -> None:
         if abs(self.length - other.length) > 1e-12 * max(self.length, other.length):
             raise ValueError(f"box length mismatch: {self.length} vs {other.length}")
+
+
+def _graded_edges(length: float, rate: float) -> np.ndarray:
+    """pointsplit.anomaly._graded_edges in numpy arithmetic: the same edges, as an array."""
+    if rate * length <= 1:
+        return np.array([0.0, length])
+    doublings = min(11, math.ceil(math.log2(rate) + math.log2(length)))
+    inner = np.ldexp(1.0, np.arange(doublings)) / rate
+    return np.concatenate(([0.0], inner, [min(length, 2.0**doublings / rate)]))
+
+
+def _leg(start: complex, direction: complex, edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t = start + direction*u and weights dt of the n-point rule on every panel of edges in u."""
+    x, w = anomaly._GAUSS_LEGENDRE[n]
+    half = 0.5 * np.diff(edges)[:, None]
+    u = edges[:-1, None] + half * (1.0 + x)
+    return start + direction * u.ravel(), direction * (half * w).ravel()
+
+
+def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> float:
+    """pointsplit.anomaly.damped_kernel_integral with the same legs, panels and checks, each leg's
+    nodes built and evaluated on their own."""
+    if eps <= 0 or eta <= 0 or cutoff <= 0:
+        raise ValueError("eps, eta and cutoff must all be positive")
+    m = abs(m)
+    elementary = (1.0 / complex(eta, -eps)).imag
+    c, abs_c = complex(-eta, eps), math.hypot(eta, eps)
+    rate = abs_c * m
+    if not (math.isfinite(elementary) and math.isfinite(rate)):
+        raise ValueError(f"the kernel quadrature leaves the float range at eps={eps!r}, eta={eta!r}, m={m!r}")
+    if m == 0:
+        return elementary
+    theta = math.atan2(eps, eta)
+    d = cmath.exp(1j * theta)
+    z1 = (theta / math.sin(theta) if theta else 1.0) * d
+    T = math.asinh(cutoff / m)
+    legs = [(0j, d, _graded_edges(abs(z1), rate), 1.0)]
+    x_end = min(T, math.asinh(745.0 / max(rate, 1e-300)) - z1.real)
+    if x_end > 0:
+        legs.append((z1, 1.0, np.linspace(0.0, x_end, math.ceil(x_end) + 1), 1.0))
+    rate_T = abs_c * math.hypot(m, cutoff)
+    if T + eta * cutoff < 700.0 and rate_T < math.inf:
+        legs.append((complex(T), d, _graded_edges(abs(z1), rate_T), -1.0))
+    values = []
+    for n in (anomaly._PANEL_NODES, anomaly._CHECK_NODES):
+        integral = 0j
+        for start, direction, edges, sign in legs:
+            t, dt = _leg(start, direction, edges, n)
+            integral += sign * complex(np.sum(dt * np.exp(c * m * np.sinh(t) - t)))
+        values.append(elementary - m * integral.imag)
+    value, check = values
+    err = abs(value - check)
+    if not err <= 1e-6 * max(1.0, abs(value)):
+        raise RuntimeError(f"quadrature tolerance not met: achieved error estimate {err}")
+    return value

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pointsplit import anomaly, cli, fock
 from pointsplit.anomaly import (
@@ -23,6 +23,7 @@ from pointsplit.lattice import ID2, LatticeConfig, dispersion, spinor
 from pointsplit.modeops import _mode_table, _sandwich_at, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
 from pointsplit.symbolic import formal_smeared_commutator
 
+import oracles
 from oracles import TrigPoly
 
 CFG2 = LatticeConfig(1.0, 1.0, 2)
@@ -581,6 +582,75 @@ def test_damped_integral_raises_when_its_error_estimate_misses_the_tolerance(mon
     monkeypatch.setattr(anomaly, "_CHECK_NODES", 2)
     with pytest.raises(RuntimeError, match="quadrature tolerance not met: achieved error estimate"):
         damped_kernel_integral(0.7, 0.49, 1e4, 1.0)
+
+
+def _outcome(integral, *args):
+    """The float.hex of integral(*args), or the type and message of the error it raises."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # as cli.main runs it
+            return integral(*args).hex()
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# (eps, eta, cutoff, m) and the legs of the contour each one takes
+_KERNEL_CASES = [
+    ((0.05, 0.0025, 1e4, 0.0), set()),  # m = 0: the elementary part alone
+    ((0.05, 0.0025, 1e4, 1.0), {"first", "horizontal", "last"}),
+    ((1.0, 1e-3, 1e4, 1e7), {"first", "last"}),  # x_end <= 0: no horizontal leg
+    ((0.05, 0.1, 1e4, 1.0), {"first", "horizontal"}),  # T + eta*cutoff >= 700: no last leg
+    ((1.0, 1.0, 1e4, 1e4), {"first"}),
+    ((1e-3, 1e-300, 1e300, 1.0), {"first", "horizontal", "last"}),
+]
+
+
+@pytest.mark.parametrize("args, legs", _KERNEL_CASES)
+def test_damped_integral_is_the_leg_by_leg_quadrature_on_every_set_of_legs(monkeypatch, args, legs):
+    taken, leg = set(), oracles._leg
+
+    def recorded(start, direction, edges, n):
+        taken.add("first" if start == 0 else "horizontal" if type(direction) is float else "last")
+        return leg(start, direction, edges, n)
+
+    monkeypatch.setattr(oracles, "_leg", recorded)
+    expected = _outcome(oracles.damped_kernel_integral, *args)
+    assert taken == legs
+    assert _outcome(damped_kernel_integral, *args) == expected
+
+
+def _log_uniform(low: int, high: int):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@given(
+    eps=st.one_of(_log_uniform(-8, 4), st.sampled_from([0.0, -1.0, 1e-320, 1e308])),
+    eta=st.one_of(_log_uniform(-12, 4), st.sampled_from([-1.0, 1e-320, 1e-300, 1e308])),
+    cutoff=st.one_of(_log_uniform(-4, 14), st.sampled_from([0.0, 1e300])),
+    m=st.one_of(st.just(0.0), _log_uniform(-6, 8), _log_uniform(-6, 8).map(lambda x: -x), st.just(1e308)),
+)
+@settings(max_examples=400, deadline=None)
+@example(eps=1e308, eta=1e308, cutoff=1.0, m=10.0)  # |c| m overflows
+@example(eps=1e-320, eta=1e-320, cutoff=1.0, m=1.0)  # eps/(eps^2 + eta^2) overflows
+@example(eps=-0.1, eta=0.01, cutoff=1e4, m=1.0)
+def test_damped_integral_is_the_leg_by_leg_quadrature_to_the_last_bit(eps, eta, cutoff, m):
+    # one node array per rule, each leg's rows summed on their own, gives the floats of one
+    # evaluation per (leg, rule), and every error with the same message
+    expected = _outcome(oracles.damped_kernel_integral, eps, eta, cutoff, m)
+    assert _outcome(damped_kernel_integral, eps, eta, cutoff, m) == expected
+
+
+@pytest.mark.parametrize("args, legs", _KERNEL_CASES)
+def test_damped_integral_misses_its_tolerance_as_the_leg_by_leg_quadrature_does(monkeypatch, args, legs):
+    from numpy.polynomial.legendre import leggauss
+
+    # with a 2-node check rule the error estimate misses 1e-6 wherever a leg is integrated
+    monkeypatch.setitem(anomaly._GAUSS_LEGENDRE, 2, leggauss(2))
+    monkeypatch.setattr(anomaly, "_CHECK_NODES", 2)
+    expected = _outcome(oracles.damped_kernel_integral, *args)
+    assert _outcome(damped_kernel_integral, *args) == expected
+    assert (expected[0] == "RuntimeError") == bool(legs)
+    if legs:
+        assert expected[1].startswith("quadrature tolerance not met: achieved error estimate ")
 
 
 @pytest.mark.parametrize("n", [anomaly._PANEL_NODES, anomaly._CHECK_NODES])

@@ -604,10 +604,14 @@ def test_importing_the_cli_does_not_load_scipy():
 
 
 # one config per subcommand whose report reads spinor sandwiches or a quadrature sum
+# vacuum just past eps = pi/2 walks all 2^22 states of n_max 5 through exact ties, and kernel at
+# eps 0.001 and 0.05 integrates along all three legs on graded panels
 CROSS_KERNEL_RUNS = [
     ["anomaly", "--n-max", "16", "--f-harmonic", "1:0.5:0"],
     ["kernel", "--eps", "0.3", "--eps", "0.9"],
     ["verify", "--n-max", "16", "--eps", "0.3", "--f-harmonic", "1:0.5:0"],
+    ["vacuum", "--n-max", "5", "--eps", "1.5708"],
+    ["kernel", "--eps", "0.001", "--eps", "0.05"],
 ]
 
 
@@ -764,7 +768,8 @@ def test_runconfig_echo_excludes_output_path(tmp_path):
         ),
         pytest.param(
             ["verify", "--delta-p", "1e307", "--n-max", "2"],
-            "the verify run leaves the float range at mass=1.0, delta_p=1e+307, n_max=2, eps=[0.3], f_harmonics=[]",
+            "the verify run leaves the float range at "
+            "mass=1.0, delta_p=1e+307, n_max=2, eps=[0.3], f_harmonics=[(1, 0.5, 0.0)]",
             id="argv4-the verify kernels leave the float range",
         ),
         pytest.param(
@@ -804,7 +809,8 @@ def test_runconfig_echo_excludes_output_path(tmp_path):
     + [
         (
             ["verify", "--mass", "1e308", "--n-max", "1", *out],
-            "the verify run leaves the float range at mass=1e+308, delta_p=1.0, n_max=1, eps=[0.3], f_harmonics=[]",
+            "the verify run leaves the float range at "
+            "mass=1e+308, delta_p=1.0, n_max=1, eps=[0.3], f_harmonics=[(1, 0.5, 0.0)]",
         )
         for out in ([], ["--out=report.json"], ["--format=csv", "--out=report.csv"])
     ],

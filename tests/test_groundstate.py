@@ -324,14 +324,16 @@ def test_bruteforce_frees_its_chunks_when_it_returns():
 def test_bruteforce_chunks_start_on_64_byte_boundaries(monkeypatch, n_max):
     # numpy's adds and argmins over a chunk 16 or 48 bytes past a boundary run 10-15% slower,
     # and where malloc places a chunk depends on what the process allocated before
-    walk, starts = groundstate._chunks_depth_first, []
+    # the walk scores each chunk with one argmin, so a buffer whose argmin records its start
+    # sees every chunk scored
+    aligned, starts = groundstate._aligned_empty, []
 
-    def recorded(base, w_high):
-        for high, chunk in walk(base, w_high):
-            starts.append(chunk.__array_interface__["data"][0] % 64)
-            yield high, chunk
+    class Recorded(np.ndarray):
+        def argmin(self, *args, **kwargs):
+            starts.append(self.__array_interface__["data"][0] % 64)
+            return super().argmin(*args, **kwargs)
 
-    monkeypatch.setattr(groundstate, "_chunks_depth_first", recorded)
+    monkeypatch.setattr(groundstate, "_aligned_empty", lambda size: aligned(size).view(Recorded))
     ground_state_bruteforce(2.0, LatticeConfig(1.0, 1.0, n_max))
     n = n_slots_for(n_max)
     assert starts == [0] * 2 ** (n - min(n, groundstate.CHUNK_SLOTS))
