@@ -12,8 +12,11 @@ Every operator checked here is a fermion bilinear A'KA, so the checks stay on th
 diagonal, carried as the vector h of their diagonal, so every continuity identity takes one
 elementwise commutator [diag(h), K] = (h_a - h_b) K[a,b] (_commute_diagonal), and its two kernels
 are compared entry by entry, one block of rows at a time (_largest_difference): no N x N array is
-held.  The renormalization check builds operators, as it tests the normal-ordering engine itself,
-and the hermiticity check builds F, the one operator whose hermiticity can fail.
+held.  Those kernels carry no shift, so they are real: rho and the current are u_a' M u_b / L, the
+corrected current and the gradient form are real by their gamma average, and i d/dz of a real
+kernel is (p_a - p_b) K[a,b] (_i_d_dz); each identity is read in float64.  The renormalization
+check builds operators, as it tests the normal-ordering engine itself, and the hermiticity check
+builds F, the one operator whose hermiticity can fail.
 tests/test_checks.py holds every check that reads less than whole kernels to a dense route.
 
 Every kernel is z-free: only the public builders in modeops place one at z, by a unimodular phase
@@ -26,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -35,8 +37,6 @@ from .fock import n_slots_for
 from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, dispersion, spinor
 from .modeops import (
     _boulware_kernel,
-    _d_dz,
-    _field_kernel,
     _first_positron,
     _gradient_kernel,
     _kernel_vev,
@@ -122,18 +122,22 @@ def check_spinors(cfg: LatticeConfig) -> CheckResult:
 def _factor_table(n: int, apply_word):
     """Every single factor a_0..a_{n-1}, a'_0..a'_{n-1} on every bitstring,
     one apply_word call each (fock's one sign rule): the target bitstrings
-    (int32) and the signs (int8) as (2n, 2^n) arrays, sign 0 where the
-    factor meets its slot in the wrong state (the target then stays put)."""
+    and the signs (int8) as (2n, 2^n) arrays, sign 0 where the factor meets
+    its slot in the wrong state (the target then stays put).  A row reads
+    each hit as the one integer 2*bits + odd, -1 for a miss; the targets are
+    intp, numpy's index type, so the sweep gathers by them unconverted."""
     dim = 1 << n
-    target = np.tile(np.arange(dim, dtype=np.int32), (2 * n, 1))
-    sign = np.zeros((2 * n, dim), dtype=np.int8)
+    states = range(dim)
+    code = np.empty((2 * n, dim), dtype=np.intp)
     words = [((), (s,)) for s in range(n)] + [((s,), ()) for s in range(n)]
     for row, (cre, ann) in enumerate(words):
-        hits = list(map(apply_word, repeat(cre, dim), repeat(ann, dim), range(dim)))
-        acts = np.fromiter(map(bool, hits), dtype=bool, count=dim)
-        flat = np.fromiter(chain.from_iterable(filter(None, hits)), dtype=np.intp)
-        target[row, acts] = flat[0::2]
-        sign[row, acts] = 1 - 2 * (flat[1::2] & 1)
+        hits = [apply_word(cre, ann, bits) for bits in states]
+        code[row] = np.fromiter([-1 if hit is None else 2 * hit[0] + hit[1] for hit in hits], np.intp, dim)
+    miss = code < 0
+    sign = 1 - 2 * (code & 1).astype(np.int8)
+    sign[miss] = 0
+    target = np.right_shift(code, 1, out=code)  # in place: no second (2n, 2^n) intp array
+    np.copyto(target, np.arange(dim), where=miss)
     return target, sign
 
 
@@ -189,22 +193,28 @@ def _commute_diagonal(h: np.ndarray, k: np.ndarray, rows: _Rows) -> np.ndarray:
     return h[rows.slots, None] * k - k * h[None, :]
 
 
-BLOCK_BYTES = 2**20  # the continuity identities' kernels are read in blocks of rows of about this many bytes
+def _i_d_dz(kernel: np.ndarray, rows: _Rows) -> np.ndarray:
+    """i d/dz of a z-free kernel on these rows: modeops' one d/dz rule times i, (p_a - p_b) K[a,b], real
+    where K is."""
+    p = _mode_table(rows.cfg).p
+    return (p[rows.slots, None] - p[None, :]) * kernel
+
+
+BLOCK_BYTES = 2**20  # the kernel identities are read in blocks of rows of about BLOCK_BYTES / 16 entries
 
 
 def _largest_difference(cfg: LatticeConfig, identities) -> float:
-    """Largest np.hypot of K - G, NaN if any is NaN, over the pairs (K, G) identities(rows) gives per block
-    of rows: the bilinears' exact distance, as both sides have zero diagonals and so equal vacuum values."""
+    """Largest |K - G|, NaN if any is NaN, over the pairs (K, G) identities(rows) gives per block of
+    rows: the bilinears' exact distance, as both sides have zero diagonals and so equal vacuum values."""
     n = n_slots_for(cfg.n_max)
     height = max(1, BLOCK_BYTES // (16 * n))
     blocks = (_Rows(cfg, start, start + height) for start in range(0, n, height))
-    return _worst(np.hypot(d.real, d.imag).max() for rows in blocks for k, g in identities(rows) for d in [k - g])
+    return _worst(np.abs(k - g).max() for rows in blocks for k, g in identities(rows))
 
 
 def _pairwise(h: np.ndarray, rows: _Rows):
     """The pairwise continuity identity below on these rows, as a pair of kernels to subtract."""
-    p = _mode_table(rows.cfg).p
-    return _commute_diagonal(h, rows.sandwich(ID2), rows), (p[rows.slots, None] - p[None, :]) * rows.sandwich(SIGMA_X)
+    return _commute_diagonal(h, rows.sandwich(ID2), rows), _i_d_dz(rows.sandwich(SIGMA_X), rows)
 
 
 def continuity_pairwise_residual(cfg: LatticeConfig) -> float:
@@ -232,8 +242,8 @@ def check_continuity(cfg: LatticeConfig, corrupt_sign: bool = False) -> CheckRes
     def identities(rows):
         if not corrupt_sign:
             yield _pairwise(h, rows)
-        current = _field_kernel(0.0, SIGMA_X, rows)
-        yield _commute_diagonal(h, _field_kernel(0.0, ID2, rows), rows), 1j * _d_dz(current, rows)
+        rho, current = rows.sandwich(ID2) / cfg.box_length, rows.sandwich(SIGMA_X) / cfg.box_length
+        yield _commute_diagonal(h, rho, rows), _i_d_dz(current, rows)
 
     return _result("continuity", _largest_difference(cfg, identities), TOL["continuity"])
 
@@ -243,7 +253,7 @@ def _split_residual(cfg: LatticeConfig, eps_values, other_side) -> float:
     hamiltonians = [(eps, _split_hamiltonian_diagonal(cfg, eps)) for eps in eps_values]
 
     def identities(rows):
-        rho = _field_kernel(0.0, ID2, rows)
+        rho = rows.sandwich(ID2) / cfg.box_length
         return ((_commute_diagonal(h, rho, rows), other_side(eps, rows)) for eps, h in hamiltonians)
 
     return _largest_difference(cfg, identities)
@@ -255,7 +265,7 @@ def check_split_continuity(cfg: LatticeConfig, eps_values) -> CheckResult:
         [H_split(eps), rho(z)] = i d/dz J_corrected(z; eps)
 
     checked monomial by monomial for every eps, on the z-free kernels."""
-    residual = _split_residual(cfg, eps_values, lambda eps, rows: 1j * _d_dz(_boulware_kernel(eps, rows), rows))
+    residual = _split_residual(cfg, eps_values, lambda eps, rows: _i_d_dz(_boulware_kernel(eps, rows), rows))
     return _result("split_continuity_defining_relation", residual, TOL["split_continuity_defining_relation"])
 
 

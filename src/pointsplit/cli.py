@@ -512,24 +512,31 @@ def cmd_derive(config: RunConfig) -> int:
     return 0
 
 
-# the inputs each subcommand's arithmetic reads beyond mass, delta_p and n_max
-_READS = dict(verify=("eps", "f_harmonics"), anomaly=("eps", "f_harmonics"), vacuum=("eps",), kernel=("eps", "eta", "cutoff"))
+# the inputs each subcommand's arithmetic reads: the ones its error lines name
+_READS = dict(
+    verify=("mass", "delta_p", "n_max", "eps", "f_harmonics"),
+    anomaly=("mass", "delta_p", "n_max", "eps", "f_harmonics"),
+    vacuum=("mass", "delta_p", "n_max", "eps"),
+    kernel=("mass", "eps", "eta", "cutoff"),
+    derive=(),
+)
 
 
-def _left_the_float_range(command: str, config: RunConfig) -> str:
-    """The one error line for a run whose arithmetic left the float range, naming its inputs."""
+def _failure_line(failure: str, command: str, config: RunConfig) -> str:
+    """The one error line for a run that failed past RunConfig, naming the inputs its command reads."""
     used = dict(vars(config), f_harmonics=config.f_harmonics or VERIFY_HARMONICS)
-    inputs = ", ".join(f"{key}={used[key]!r}" for key in ("mass", "delta_p", "n_max") + _READS.get(command, ()))
-    return f"the {command} run leaves the float range at {inputs}"
+    inputs = ", ".join(f"{key}={used[key]!r}" for key in _READS[command])
+    return f"the {command} run {failure}" + (f" at {inputs}" if inputs else "")
 
 
 def main(argv=None) -> int:
     """Run one subcommand; every failure ends in one `error:` line on stderr:
-    exit 2 for bad usage or config, a lattice too large for memory, or a run
+    exit 2 for bad usage or config, a run too large for memory, or a run
     that left the float range (an ArithmeticError, numpy's warnings raising
     as FloatingPointError, or a nan or an infinity bound for the report),
     exit 1 when an internal invariant fails, as a failed check does, or the
     kernel quadrature misses its tolerance."""
+    config = None
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             argv = sys.argv[1:] if argv is None else argv
@@ -542,8 +549,12 @@ def main(argv=None) -> int:
             commands = {"anomaly": cmd_anomaly, "vacuum": cmd_vacuum, "kernel": cmd_kernel, "derive": cmd_derive}
             return commands[args.command](config)
     except ArithmeticError:  # raised only past RunConfig, which makes every input finite: the arithmetic left the range
-        code, message = 2, _left_the_float_range(args.command, config)
-    except (ConfigError, ValueError, MemoryError) as exc:
+        code, message = 2, _failure_line("leaves the float range", args.command, config)
+    except MemoryError:  # numpy's text, if any, names an array shape, not the inputs behind it
+        code, message = 2, "out of memory reading the arguments"
+        if config is not None:
+            message = _failure_line("runs out of memory", args.command, config)
+    except (ConfigError, ValueError) as exc:
         code, message = 2, str(exc)
     except RuntimeError as exc:
         code, message = 1, str(exc)

@@ -43,9 +43,12 @@ Position enters only through the per-slot factor e(x)_a = exp(i p_a x) (_plane_w
 The private kernels are z-free, with a shift g as the factor conj(e(g))_a of psi'(z + g);
 only the public builders place a kernel at z, by the unimodular phase conj(e(z))_a e(z)_b
 (_phased), so the checks read each identity once, on its z-free kernels.  One d/dz rule,
-K[a,b] -> i(p_b - p_a) K[a,b] (_d_dz), serves every dz=True flag.  The checks multiply no
-two complex numbers that both have real and imaginary parts, a product numpy's SIMD
-kernels may round differently, so the CPU's dispatch sets no bit of a report.
+K[a,b] -> i(p_b - p_a) K[a,b] (_d_dz), serves every dz=True flag.  The checks' kernel
+identities are read in float64, as every kernel they compare carries no shift and is real:
+rho and the current are _Rows.sandwich / L (_field_kernel's conj(e(0)) is 1), and
+_boulware_kernel and _gradient_kernel return float64.  The checks multiply no two complex
+numbers that both have real and imaginary parts, a product numpy's SIMD kernels may round
+differently, so the CPU's dispatch sets no bit of a verify report.
 """
 
 from __future__ import annotations

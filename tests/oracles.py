@@ -13,10 +13,15 @@ through them and hold the package's closed forms to the results.
 damped_kernel_integral is the kernel quadrature leg by leg, one evaluation
 per (leg, rule): test_anomaly holds the package's one evaluation per rule
 to it by float.hex, errors included.
+
+factor_table is the CAR sweep's table of single factors built row by row
+through map, filter and a boolean scatter: test_fock holds the package's
+one-integer-per-hit table to it entry by entry, under corrupted sign rules.
 """
 
 import cmath
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -33,6 +38,22 @@ def _kernel_distance(k: np.ndarray, g: np.ndarray, cfg: LatticeConfig) -> float:
     d = k - g
     vev_k, vev_g = (_kernel_vev(np.diagonal(x), cfg) for x in (k, g))
     return _worst([np.hypot(d.real, d.imag).max(), abs(vev_k - vev_g)])
+
+
+def factor_table(n: int, apply_word):
+    """pointsplit.checks._factor_table as the map over each row's bitstrings, its hits
+    filtered and scattered onto an int32 table that starts at the identity targets."""
+    dim = 1 << n
+    target = np.tile(np.arange(dim, dtype=np.int32), (2 * n, 1))
+    sign = np.zeros((2 * n, dim), dtype=np.int8)
+    words = [((), (s,)) for s in range(n)] + [((s,), ()) for s in range(n)]
+    for row, (cre, ann) in enumerate(words):
+        hits = list(map(apply_word, repeat(cre, dim), repeat(ann, dim), range(dim)))
+        acts = np.fromiter(map(bool, hits), dtype=bool, count=dim)
+        flat = np.fromiter(chain.from_iterable(filter(None, hits)), dtype=np.intp)
+        target[row, acts] = flat[0::2]
+        sign[row, acts] = 1 - 2 * (flat[1::2] & 1)
+    return target, sign
 
 
 class TrigPoly(trigpoly.TrigPoly):

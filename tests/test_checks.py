@@ -214,12 +214,15 @@ def _bits(result):
 @example(LatticeConfig(0.7, 1.3, 2), [0.3, 0.9], 3, False)  # N = 10: blocks of 3, 3, 3 and 1 rows
 @example(LatticeConfig(1.0, 16.0, 8), [0.3, 0.9], 3, True)  # N = 34: the last block holds 1 row
 @example(LatticeConfig(1e10, 1.0, 3), [0.3], 3, False)  # N = 14: the last block holds 2 rows
+@example(LatticeConfig(1.0, 1000.0, 2), [0.3], 3, False)  # verify --delta-p 1000: round-off of E_max/L
+@example(LatticeConfig(1e10, 1.0, 2), [0.3], 2, True)  # verify --mass 1e10
+@example(LatticeConfig(1.0, 32.0, 32), [0.3], 3, False)  # verify --n-max 32 --delta-p 32: N = 130
 @settings(max_examples=150, deadline=None)
 def test_kernel_checks_in_row_blocks_equal_the_dense_routes_bit_for_bit(cfg, eps_values, height, corrupt_sign):
-    """With a byte budget just short of `height` + 1 complex rows, the kernel checks
-    read their kernels in blocks of `height` rows, 1 to 3, the last one ragged
-    wherever `height` does not divide N, and each result equals the dense route's
-    to the bit."""
+    """With a byte budget just short of `height` + 1 rows at 16 bytes an entry, the
+    kernel checks read their kernels in blocks of `height` rows, 1 to 3, the last
+    one ragged wherever `height` does not divide N, and each result, read in float64,
+    equals the complex dense route's to the bit."""
     n = n_slots_for(cfg.n_max)
     blocks = []
 

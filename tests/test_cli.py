@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointsplit import anomaly, checks, cli, symbolic
+from pointsplit import anomaly, cli, modeops, symbolic
 from pointsplit.cli import RunConfig, main
 
 
@@ -389,27 +389,43 @@ def test_a_non_finite_report_value_exits_2_naming_the_value(tmp_path, monkeypatc
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: the kernel run leaves the float range at "
-            "mass=1.0, delta_p=1.0, n_max=2, eps=[0.1], eta=None, cutoff=None\n"
+            "error: the kernel run leaves the float range at mass=1.0, eps=[0.1], eta=None, cutoff=None\n"
         )
         assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "module, builder, argv",
-    [(checks, "_field_kernel", ["verify"]), (anomaly, "_smeared_kernel", ["anomaly", "--f-harmonic", "1:0.5:0"])],
+    [(modeops, "_sandwich_at", ["verify"]), (anomaly, "_smeared_kernel", ["anomaly", "--f-harmonic", "1:0.5:0"])],
 )
 def test_kernel_out_of_memory_exits_2_with_one_error_line(monkeypatch, capsys, module, builder, argv):
     # an allocation the OS refuses: verify streams its kernels in row blocks and
     # anomaly builds F's band alone, so even --n-max 30000 runs its O(N^2) work
-    # rather than failing here, and the builder is patched to raise as numpy does
+    # rather than failing here, and the builder is patched to raise as numpy does;
+    # the line names the run's inputs, not numpy's array shape
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 13.4 GiB for an array with shape (60002, 60002)")
 
     monkeypatch.setattr(module, builder, refuse)
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
-    assert err == "error: Unable to allocate 13.4 GiB for an array with shape (60002, 60002)\n"
+    inputs = "mass=1.0, delta_p=1.0, n_max=2, eps=[0.3], f_harmonics=[(1, 0.5, 0.0)]"
+    assert err == f"error: the {argv[0]} run runs out of memory at {inputs}\n"
+
+
+def test_an_empty_memory_error_still_names_the_inputs(monkeypatch, capsys):
+    # a MemoryError raised by Python itself carries no text at all; before the
+    # config is read, as on a config file too large to load, there are no inputs to name
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_damped_and_extrapolated", refuse)
+    assert run_cli(["kernel", "--eps", "0.1", "--eta", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the kernel run runs out of memory at mass=1.0, eps=[0.1], eta=0.01, cutoff=None\n"
+    monkeypatch.setattr(cli, "_load_config", refuse)
+    assert run_cli(["kernel", "--eps", "0.1"]) == 2
+    assert capsys.readouterr().err == "error: out of memory reading the arguments\n"
 
 
 @pytest.mark.parametrize("n_max", [2.5, "3", True])
@@ -928,8 +944,8 @@ def _runs_at_the_float_range(draw):
 @settings(max_examples=500, deadline=None)
 def test_a_run_at_the_float_range_names_its_input_or_reports_finite_numbers(argv):
     """An exit 2 names the input that drove the arithmetic out of range, never in numpy's, math's
-    or the JSON encoder's own words, a float-range line names mass, delta_p and n_max, and a
-    report holds no inf or nan."""
+    or the JSON encoder's own words, a float-range line names every input its command reads, and
+    a report holds no inf or nan."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report"
         err = io.StringIO()
@@ -939,9 +955,9 @@ def test_a_run_at_the_float_range_names_its_input_or_reports_finite_numbers(argv
         if code == 2:
             assert any(name in stderr for name in _INPUT_NAMES), stderr
             assert not any(bare in stderr for bare in _BARE_MESSAGES), stderr
-            # past the input checks that reject a phase or a quadrature input, main's line names the lattice
+            # past the input checks that reject a phase or a quadrature input, main's line names the inputs
             if "float range" in stderr and not re.match(r"error: the (phase|kernel quadrature) ", stderr):
-                assert all(f"{name}=" in stderr for name in ("mass", "delta_p", "n_max")), stderr
+                assert all(f"{name}=" in stderr for name in cli._READS[argv[0]]), stderr
         elif out.exists():  # an internal invariant that fails writes no report
             tokens = set(re.split(r"[\s,:\[\]{}]+", out.read_text()))
             assert not tokens & {"inf", "-inf", "nan", "Infinity", "-Infinity", "NaN"}, tokens

@@ -33,6 +33,8 @@ from pointsplit.modeops import (
 )
 from pointsplit.trigpoly import TrigPoly
 
+from oracles import factor_table
+
 CFG1 = LatticeConfig(1.0, 1.0, 1)  # 6 slots, dim 64
 N1 = n_slots_for(1)
 
@@ -374,16 +376,15 @@ def _car_residual_per_pair(n: int) -> float:
     return max(residuals())
 
 
-_BITS1 = st.integers(0, (1 << N1) - 1)
-_FAULT = st.tuples(st.integers(0, N1 - 1), _BITS1, st.sampled_from(("drop_sign", "redirect", "vanish")), _BITS1)
+def _faults(n: int):
+    """One corruption of one acting (factor, bitstring) of n slots: drop its sign,
+    send its target to another bitstring or make it vanish."""
+    bits = st.integers(0, (1 << n) - 1)
+    return st.tuples(st.integers(0, n - 1), bits, st.sampled_from(("drop_sign", "redirect", "vanish")), bits)
 
 
-@given(st.lists(_FAULT, min_size=1, max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_car_residual_equals_the_per_pair_oracle_under_corruption(faults):
-    """Per acting (factor, bitstring): drop its sign, send its target to
-    another bitstring or make it vanish.  The stacked table's per-factor
-    composition reads the same float as the per-pair one."""
+def _corrupted(faults):
+    """fock._apply_word with each fault applied where its factor acts on its bitstring."""
     signed = fock._apply_word
     corrupt = {}
     for slot, bits, kind, elsewhere in faults:
@@ -395,8 +396,32 @@ def test_car_residual_equals_the_per_pair_oracle_under_corruption(faults):
         key = (creators, annihilators, b)
         return corrupt[key] if key in corrupt else signed(creators, annihilators, b)
 
-    with mock.patch.object(fock, "_apply_word", corrupted):
+    return corrupted
+
+
+@given(st.lists(_faults(N1), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_car_residual_equals_the_per_pair_oracle_under_corruption(faults):
+    """The stacked table's per-factor composition reads the same float as the
+    per-pair one under every kind of fault."""
+    with mock.patch.object(fock, "_apply_word", _corrupted(faults)):
         assert check_car(CFG1).residual == _car_residual_per_pair(N1)
+
+
+@given(st.sampled_from([N1, 10]).flatmap(lambda n: st.tuples(st.just(n), st.lists(_faults(n), max_size=3))))
+@example((10, []))
+@settings(max_examples=60, deadline=None)
+def test_factor_table_equals_the_per_row_scatter_entry_by_entry(case):
+    """At the 6 and 10 slots verify sweeps, clean or corrupted: every sign, and
+    every target where the factor acts, equals the map-and-scatter table's."""
+    n, faults = case
+    rule = _corrupted(faults)
+    target, sign = checks._factor_table(n, rule)
+    old_target, old_sign = factor_table(n, rule)
+    assert target.dtype == np.intp and target.shape == sign.shape == (2 * n, 1 << n)
+    assert np.array_equal(sign, old_sign)
+    acts = sign != 0
+    assert np.array_equal(target[acts], old_target[acts])
 
 
 @pytest.mark.parametrize("word", [((), (s,)) for s in range(N1)] + [((s,), ()) for s in range(N1)])
