@@ -37,10 +37,10 @@ for q in (0, 1, 2, 3):
     print(f"  q={q}: {excitation_energy(q, ELECTRON, eps, cfg):+.6f}")
 
 print("\nRedefined vacuum: occupy every negative mode with an electron AND a positron.")
-state = redefined_vacuum(eps, cfg)
+state = redefined_vacuum(spec)
 (bits,) = state.amp
 print(f"  occupation bits: {bits:014b} (slot 0 rightmost)")
-additive = redefined_vacuum_energy(eps, cfg)
+additive = redefined_vacuum_energy(spec)
 closed = 4.0 * (math.sqrt(2.0) * math.cos(2.0) + math.sqrt(5.0) * math.cos(4.0))
 print(f"  additive energy: {additive}")
 print(f"  closed form 4(sqrt2 cos2 + sqrt5 cos4): {closed}")

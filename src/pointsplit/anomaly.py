@@ -191,6 +191,15 @@ def _graded_edges(length: float, rate: float) -> list[float]:
     return [0.0, *(math.ldexp(1.0, k) / rate for k in range(doublings)), min(length, 2.0**doublings / rate)]
 
 
+def _times(re, im, z: np.ndarray) -> np.ndarray:
+    """(re + i im) * z, written out in float64 from real and imaginary parts: numpy's SIMD
+    kernels for a complex product may round differently from one CPU to the next."""
+    out = np.empty(z.shape, complex)
+    out.real = re * z.real - im * z.imag
+    out.imag = re * z.imag + im * z.real
+    return out
+
+
 def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> float:
     """integral_0^inf (p/E_p) sin(p*eps) exp(-eta*p) dp, with p/E_p replaced by 1 beyond the cutoff
     (an error below m^2/(2*cutoff)).
@@ -244,7 +253,9 @@ def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> f
     for n in (_PANEL_NODES, _CHECK_NODES):
         x, w = _GAUSS_LEGENDRE[n]
         t = (start + direction * (left + half * (1.0 + x))).ravel()
-        f = (direction * (half * w)).ravel() * np.exp(c * m * np.sinh(t) - t)
+        dt = half * w
+        exponent = _times(c.real * m, c.imag * m, np.sinh(t)) - t
+        f = _times((direction.real * dt).ravel(), (direction.imag * dt).ravel(), np.exp(exponent))
         integral, a = 0j, 0
         for _, _, edges, sign in legs:  # each leg's rows summed on their own, in leg order
             b = a + n * (len(edges) - 1)

@@ -337,9 +337,7 @@ def _emit(report: dict, config: RunConfig) -> None:
         lines: list[str] = []
         for name in sorted(report.get("tables", {})):
             rows = report["tables"][name]
-            cols = _COLUMNS.get(name)
-            if cols is None:
-                cols = sorted(rows[0]) if rows else []
+            cols = _COLUMNS[name]
             lines.append(f"# table: {name}")
             lines.append(",".join(cols))
             for row in rows:
@@ -450,12 +448,14 @@ def cmd_vacuum(config: RunConfig) -> int:
                     "zero": j in zero_set,
                 }
             )
-        additive = redefined_vacuum_energy(eps, lattice)
-        state = redefined_vacuum(eps, lattice)
+        additive = redefined_vacuum_energy(spec)
+        state = redefined_vacuum(spec)
         h = split_hamiltonian(lattice, eps)
         via_ops = inner(state, apply_operator(h, state)).real
         ground_rows.append({"quantity": f"redefined_vacuum_energy[eps={eps!r}]", "value": additive})
         ground_rows.append({"quantity": f"redefined_vacuum_energy_operator[eps={eps!r}]", "value": via_ops})
+        if not _energies_agree(via_ops, additive):
+            failed = True
         if n_slots_for(lattice.n_max) <= ENUMERATION_MAX_SLOTS:
             rep = ground_state_bruteforce(eps, lattice)
             ground_rows.append({"quantity": f"bruteforce_minimum[eps={eps!r}]", "value": rep.energy})

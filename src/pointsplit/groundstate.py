@@ -31,9 +31,9 @@ CHUNK_SLOTS = 13
 
 # The one rule for "zero": a split energy E_j cos(p_j eps) counts as zero
 # when it is at most ZERO_TOL of the unsplit energy E_j.  split_spectrum
-# applies it to each mode, ground_state_bruteforce to the enumerated
-# one-particle energies, which are the same floats, so both name the same
-# zero set.
+# applies it to each mode, ground_state_bruteforce to the one-particle
+# energies it enumerates from that spectrum's own energy and split_energy
+# columns, so both name the same zero set by construction.
 ZERO_TOL = 1e-12
 
 
@@ -61,7 +61,6 @@ class SplitSpectrum:
 class EnergyReport:
     """Outcome of the brute-force ground-state search."""
 
-    label: str
     energy: float
     degeneracy: int
     state_bits: int
@@ -101,28 +100,28 @@ def split_spectrum(eps: float, cfg: LatticeConfig) -> SplitSpectrum:
     return SplitSpectrum(eps=eps, entries=entries, negative_modes=negative, zero_modes=zero)
 
 
-def _mask(modes, cfg: LatticeConfig) -> int:
-    """Bitmask of the electron and positron slots of the given modes: mode j's electron slot is
-    j + n_max, and its positron slot lies _first_positron(cfg) above that."""
-    electrons = sum(1 << (j + cfg.n_max) for j in set(modes))
-    return electrons | electrons << _first_positron(cfg)
+def _mask(modes, n_max: int) -> int:
+    """Bitmask of the electron and positron slots of the given modes at this n_max: mode j's
+    electron slot is j + n_max, and its positron slot lies half the slots above that."""
+    electrons = sum(1 << (j + n_max) for j in set(modes))
+    return electrons | electrons << (n_slots_for(n_max) // 2)
 
 
-def redefined_vacuum(eps: float, cfg: LatticeConfig) -> FockVector:
-    """The state with every negative-split-energy mode doubly occupied.
+def redefined_vacuum(spectrum: SplitSpectrum) -> FockVector:
+    """The state with every negative-split-energy mode of the spectrum doubly occupied.
 
+    The spectrum's entries run over j = -n_max..n_max, which sets the lattice.
     Its canonical creator string (electron then positron creators in
     ascending mode order, the slot order) fixes the global sign: acting on
     the empty state it leaves amplitude +1 on the negative-set bitstring,
     which is the state returned.
     """
-    mask = _mask(split_spectrum(eps, cfg).negative_modes, cfg)
-    return FockVector.basis_state(mask, n_slots_for(cfg.n_max))
+    n_max = len(spectrum.entries) // 2
+    return FockVector.basis_state(_mask(spectrum.negative_modes, n_max), n_slots_for(n_max))
 
 
-def redefined_vacuum_energy(eps: float, cfg: LatticeConfig) -> float:
+def redefined_vacuum_energy(spectrum: SplitSpectrum) -> float:
     """Additive energy of the redefined vacuum: sum over S of 2 E_q cos(p_q eps) <= 0."""
-    spectrum = split_spectrum(eps, cfg)
     negative = set(spectrum.negative_modes)
     return sum(2.0 * row[3] for row in spectrum.entries if row[0] in negative)
 
@@ -172,7 +171,8 @@ def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     if n > ENUMERATION_MAX_SLOTS:
         raise ValueError(f"enumeration bound exceeded: {n} slots > {ENUMERATION_MAX_SLOTS}")
     spectrum = split_spectrum(eps, cfg)
-    unsplit, w = _mode_table(cfg).energy, np.tile(_split_energies(cfg, eps), 2)  # per linear slot
+    _, _, energy, split = zip(*spectrum.entries)
+    unsplit, w = np.tile(energy, 2), np.tile(split, 2)  # per linear slot
     m = min(n, CHUNK_SLOTS)
     with np.errstate(over="raise"):  # a state's energy past the float range raises FloatingPointError
         base = _aligned_empty(1 << m)
@@ -206,15 +206,14 @@ def ground_state_bruteforce(eps: float, cfg: LatticeConfig) -> EnergyReport:
     free = flips[_is_zero_energy(single, unsplit)]
     free_mask = int(free.sum())
 
-    neg_mask = _mask(spectrum.negative_modes, cfg)
-    zero_mask = _mask(spectrum.zero_modes, cfg)
+    neg_mask = _mask(spectrum.negative_modes, cfg.n_max)
+    zero_mask = _mask(spectrum.zero_modes, cfg.n_max)
     if free_mask != zero_mask or (ground & ~zero_mask) != neg_mask:
         raise RuntimeError(
             f"brute-force minimizer {ground:0{n}b} with free slots {free_mask:0{n}b} does not match "
             f"the split spectrum's negative set {neg_mask:0{n}b} and zero set {zero_mask:0{n}b}"
         )
     return EnergyReport(
-        label=f"occupation {neg_mask:0{n}b} (slot 0 rightmost)",
         energy=emin,
         degeneracy=1 << len(free),
         state_bits=neg_mask,

@@ -168,10 +168,6 @@ class SymExpr:
                     self.terms[k] = complex(c)
 
     @classmethod
-    def zero(cls) -> "SymExpr":
-        return cls()
-
-    @classmethod
     def single(cls, coeff: complex, deltas=(), smears=(), bilinear: Bilinear | None = None) -> "SymExpr":
         return cls({_term_key(deltas, smears, bilinear): coeff})
 

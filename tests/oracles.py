@@ -114,12 +114,20 @@ def _graded_edges(length: float, rate: float) -> np.ndarray:
     return np.concatenate(([0.0], inner, [min(length, 2.0**doublings / rate)]))
 
 
-def _leg(start: complex, direction: complex, edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t = start + direction*u and weights dt of the n-point rule on every panel of edges in u."""
+def _leg(start: complex, direction: complex, edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t = start + direction*u of the n-point rule on every panel of edges in u, and the real
+    and imaginary parts of their weights dt."""
     x, w = anomaly._GAUSS_LEGENDRE[n]
     half = 0.5 * np.diff(edges)[:, None]
     u = edges[:-1, None] + half * (1.0 + x)
-    return start + direction * u.ravel(), direction * (half * w).ravel()
+    weights = (half * w).ravel()
+    return start + direction * u.ravel(), direction.real * weights, direction.imag * weights
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> float:
@@ -146,12 +154,17 @@ def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> f
     rate_T = abs_c * math.hypot(m, cutoff)
     if T + eta * cutoff < 700.0 and rate_T < math.inf:
         legs.append((complex(T), d, _graded_edges(abs(z1), rate_T), -1.0))
+    cm = c * m
     values = []
     for n in (anomaly._PANEL_NODES, anomaly._CHECK_NODES):
         integral = 0j
         for start, direction, edges, sign in legs:
-            t, dt = _leg(start, direction, edges, n)
-            integral += sign * complex(np.sum(dt * np.exp(c * m * np.sinh(t) - t)))
+            t, dt_re, dt_im = _leg(start, direction, edges, n)
+            # both complex products from real and imaginary parts, as a scalar complex multiply does them
+            s = np.sinh(t)
+            e = np.exp(_complex(cm.real * s.real - cm.imag * s.imag, cm.real * s.imag + cm.imag * s.real) - t)
+            f = _complex(dt_re * e.real - dt_im * e.imag, dt_re * e.imag + dt_im * e.real)
+            integral += sign * complex(np.sum(f))
         values.append(elementary - m * integral.imag)
     value, check = values
     err = abs(value - check)

@@ -25,6 +25,7 @@ from pointsplit.groundstate import (
     ground_state_bruteforce,
     redefined_vacuum,
     redefined_vacuum_energy,
+    split_spectrum,
 )
 from pointsplit.lattice import LatticeConfig, dispersion
 from pointsplit.modeops import (
@@ -171,10 +172,11 @@ def test_criterion_10_redefined_vacuum():
     rep = ground_state_bruteforce(2.0, cfg)
     elapsed = time.perf_counter() - start
     expected = 4.0 * (math.sqrt(2.0) * math.cos(2.0) + math.sqrt(5.0) * math.cos(4.0))
-    (bits,) = redefined_vacuum(2.0, cfg).amp
+    spectrum = split_spectrum(2.0, cfg)
+    (bits,) = redefined_vacuum(spectrum).amp
     ok = (
         abs(rep.energy - expected) < 1e-10
-        and abs(rep.energy - redefined_vacuum_energy(2.0, cfg)) < 1e-10
+        and abs(rep.energy - redefined_vacuum_energy(spectrum)) < 1e-10
         and rep.degeneracy == 1
         and rep.state_bits == bits
         and rep.energy < 0.0

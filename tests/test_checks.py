@@ -15,6 +15,9 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -301,6 +304,45 @@ def test_every_per_layer_metric_name_resolves_under_the_tracer():
         if name not in HARNESS_METRICS and name not in spans.COUNTER_KEYS and name.rsplit(".", 1)[0] not in traced
     ]
     assert unresolved == []
+
+
+TRACED_RUNS = [
+    ["vacuum", "--n-max", "3", "--eps", "2"],
+    ["verify", "--n-max", "1", "--eps", "0.7"],
+    ["anomaly", "--n-max", "4", "--f-harmonic", "1:0.5:0", "--eps", "0.05"],
+    ["kernel", "--eps", "0.05"],
+    ["derive"],
+]
+
+
+def test_the_benchmark_tracer_runs_every_subcommand(tmp_path):
+    """perfbench/run.py --trace 1 installs spans.Tracer in a fresh interpreter and reads its
+    counters off each wrapped call's arguments, so a signature change that breaks a counter
+    fails here, not only in the benchmark."""
+    code = (
+        "import contextlib, importlib.util, io, json, sys\n"
+        "import pointsplit.cli as cli\n"
+        "spec = importlib.util.spec_from_file_location('spans', sys.argv[1])\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "codes = []\n"
+        "for i, argv in enumerate(json.loads(sys.argv[2])):\n"
+        "    tracer.invocation = i\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv + ['--out', f'{sys.argv[3]}/{i}.json']))\n"
+        "print(json.dumps({'codes': codes, 'spans': [(s[0], s[5]) for s in tracer.spans]}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", code, str(ROOT / "perfbench" / "spans.py"), json.dumps(TRACED_RUNS), str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(TRACED_RUNS)
+    counts = [counts for name, counts in result["spans"] if name == "groundstate.ground_state_bruteforce"]
+    assert counts == [{"groundstate.enumerated_states": 2**14}]
 
 
 def test_each_check_row_is_its_fields_in_order_and_serves_both_tables(tmp_path):

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointsplit import anomaly, cli, modeops, symbolic
+from pointsplit import anomaly, cli, groundstate, modeops, symbolic
 from pointsplit.cli import RunConfig, main
 
 
@@ -560,6 +560,33 @@ def test_vacuum_report(tmp_path):
     assert sorted(negatives) == [-2, -1, 1, 2]
 
 
+@pytest.mark.parametrize("n_max, per_eps", [(5, 2), (16, 1)])
+def test_vacuum_builds_one_split_spectrum_per_eps_and_one_for_the_brute_force(monkeypatch, n_max, per_eps):
+    # both views read the spectrum cmd_vacuum builds; the brute force, run up to 24 slots
+    # (22 at n_max 5, 66 at n_max 16), builds its own as the independent check
+    builds, build = [], groundstate.split_spectrum
+    counted = lambda eps, cfg: builds.append(eps) or build(eps, cfg)
+    monkeypatch.setattr(cli, "split_spectrum", counted)
+    monkeypatch.setattr(groundstate, "split_spectrum", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["vacuum", "--n-max", str(n_max), "--eps", "0.7", "--eps", "2", "--eps=-1.3"]) == 0
+    assert sorted(builds) == sorted([-1.3, 0.7, 2.0] * per_eps)
+
+
+def test_vacuum_fails_when_the_operator_route_disagrees(monkeypatch, tmp_path):
+    # above 24 slots the brute force is skipped, and <state|H_eps|state> is the one cross-check
+    argv = ["vacuum", "--n-max", "16", "--eps", "2", "--out", str(tmp_path / "vac.json")]
+    assert run_cli(argv) == 0
+    build = cli.split_hamiltonian
+    monkeypatch.setattr(cli, "split_hamiltonian", lambda cfg, eps: 1.001 * build(cfg, eps))
+    assert run_cli(argv) == 1
+    report = json.loads((tmp_path / "vac.json").read_text())
+    rows = {r["quantity"]: r["value"] for r in report["tables"]["ground_state"]}
+    assert rows["bruteforce_skipped[eps=2.0]"] == "enumeration bound"
+    additive = rows["redefined_vacuum_energy[eps=2.0]"]
+    assert rows["redefined_vacuum_energy_operator[eps=2.0]"] == pytest.approx(1.001 * additive, rel=1e-12)
+
+
 def test_vacuum_warns_below_threshold(capsys):
     # cutoff*eps = 0.2 < pi/2: no negative modes possible, warning emitted
     assert run_cli(["vacuum", "--n-max", "2", "--eps", "0.1"]) == 0
@@ -669,6 +696,9 @@ SIMD_RUNS = CROSS_KERNEL_RUNS + [
     ["verify", "--n-max", "3", "--mass", "2", "--eps", "0.7", "--eps", "1.9"],
     ["verify", "--n-max", "8", "--delta-p", "8", "--mass", "0.3", "--eps", "0.3", "--eps", "0.9"],
     ["verify", "--n-max", "64", "--eps", "0.3", "--eps", "0.9"],
+    ["kernel", "--eps", "1e-4", "--eps", "10"],
+    ["kernel", "--eps", "0.05", "--eta", "100"],
+    ["kernel", "--eps", "2", "--eps", "3", "--mass", "2.5"],
 ]
 
 

@@ -20,7 +20,7 @@ from pointsplit.fock import (
     slot_from_linear,
     vacuum,
 )
-from pointsplit.groundstate import redefined_vacuum
+from pointsplit.groundstate import redefined_vacuum, split_spectrum
 from pointsplit.lattice import LatticeConfig
 from pointsplit.modeops import (
     ModeOperator,
@@ -501,7 +501,7 @@ def test_indexed_application_equals_the_unmasked_loop_on_dense_states():
     anomaly route's F on |0> and H on F|0>, whose many pair states each hold
     two slots."""
     cfg = LatticeConfig(1.0, 1.0, 64)
-    state = redefined_vacuum(1.3, cfg)
+    state = redefined_vacuum(split_spectrum(1.3, cfg))
     assert min(bits.bit_count() for bits in state.amp) >= 100
     assert _same_application(split_hamiltonian(cfg, 1.3).terms.items(), state)
     cfg = LatticeConfig(1.0, 1.0, 8)

@@ -94,24 +94,25 @@ def test_split_spectrum_nonempty_beyond_threshold():
 
 
 def test_redefined_vacuum_eps_zero_is_vacuum():
-    v = redefined_vacuum(0.0, CFG3)
+    v = redefined_vacuum(split_spectrum(0.0, CFG3))
     assert v.sub(vacuum(CFG3)).is_zero()
 
 
 def test_redefined_vacuum_energy_formula():
-    assert redefined_vacuum_energy(2.0, CFG3) == pytest.approx(GROUND_ENERGY_EPS2, abs=1e-12)
+    assert redefined_vacuum_energy(split_spectrum(2.0, CFG3)) == pytest.approx(GROUND_ENERGY_EPS2, abs=1e-12)
     for eps in (0.0, 0.5, 1.0, 2.0, 3.7):
-        assert redefined_vacuum_energy(eps, CFG3) <= 0.0
+        assert redefined_vacuum_energy(split_spectrum(eps, CFG3)) <= 0.0
 
 
 def test_redefined_vacuum_operator_energy_agrees():
     for eps in (0.5, 2.0):
-        state = redefined_vacuum(eps, CFG3)
+        spectrum = split_spectrum(eps, CFG3)
+        state = redefined_vacuum(spectrum)
         assert state.norm() == pytest.approx(1.0)
         h = split_hamiltonian(CFG3, eps)
         via_ops = inner(state, apply_operator(h, state))
         assert via_ops.imag == pytest.approx(0.0, abs=1e-14)
-        assert via_ops.real == pytest.approx(redefined_vacuum_energy(eps, CFG3), abs=1e-12)
+        assert via_ops.real == pytest.approx(redefined_vacuum_energy(spectrum), abs=1e-12)
 
 
 def test_bruteforce_eps_zero():
@@ -130,7 +131,7 @@ def test_bruteforce_eps2_frozen_example():
     assert rep.matches_redefined_vacuum
     assert rep.energy < 0.0  # strictly below the empty state
     # the minimizer is exactly the redefined vacuum bitstring
-    (bits,) = redefined_vacuum(2.0, CFG3).amp
+    (bits,) = redefined_vacuum(split_spectrum(2.0, CFG3)).amp
     assert rep.state_bits == bits
 
 
@@ -140,7 +141,23 @@ def test_bruteforce_negative_whenever_set_nonempty():
         rep = ground_state_bruteforce(eps, CFG3)
         if spec.negative_modes:
             assert rep.energy < 0.0
-        assert rep.energy == pytest.approx(redefined_vacuum_energy(eps, CFG3), abs=1e-12)
+        assert rep.energy == pytest.approx(redefined_vacuum_energy(spec), abs=1e-12)
+
+
+def test_bruteforce_enumerates_the_energies_of_its_one_spectrum(monkeypatch):
+    # the zero rule meets the same floats on both sides because they are one spectrum's
+    # columns: a spectrum with every split energy halved halves the minimum, bit for bit
+    minimum = ground_state_bruteforce(2.0, CFG3).energy
+    spectrum = split_spectrum(2.0, CFG3)
+    halved = dataclasses.replace(spectrum, entries=tuple((j, p, e, 0.5 * w) for j, p, e, w in spectrum.entries))
+    calls = []
+    monkeypatch.setattr(groundstate, "split_spectrum", lambda *args: calls.append(args) or halved)
+    monkeypatch.setattr(groundstate, "_mode_table", None)
+    monkeypatch.setattr(groundstate, "_split_energies", None)
+    rep = ground_state_bruteforce(2.0, CFG3)
+    assert calls == [(2.0, CFG3)]
+    assert rep.energy == 0.5 * minimum
+    assert rep.matches_redefined_vacuum
 
 
 def test_bruteforce_enumeration_bound():
@@ -152,7 +169,7 @@ def test_monotone_refinement():
     # enlarging the cutoff never raises the ground-state energy
     eps = 1.3
     energies = [
-        redefined_vacuum_energy(eps, LatticeConfig(1.0, 1.0, n_max)) for n_max in range(1, 7)
+        redefined_vacuum_energy(split_spectrum(eps, LatticeConfig(1.0, 1.0, n_max))) for n_max in range(1, 7)
     ]
     for lo, hi in zip(energies[1:], energies[:-1]):
         assert lo <= hi + 1e-12
@@ -214,11 +231,10 @@ def _full_array_bruteforce(eps, cfg):
     flips = 1 << np.arange(n)
     free = flips[_is_zero_energy(energies[flips], unsplit)]
     free_mask = int(free.sum())
-    neg_mask = _mask(spectrum.negative_modes, cfg)
-    if free_mask != _mask(spectrum.zero_modes, cfg) or (ground & ~free_mask) != neg_mask:
+    neg_mask = _mask(spectrum.negative_modes, cfg.n_max)
+    if free_mask != _mask(spectrum.zero_modes, cfg.n_max) or (ground & ~free_mask) != neg_mask:
         raise RuntimeError("brute-force minimizer does not match the split spectrum")
     return EnergyReport(
-        label=f"occupation {neg_mask:0{n}b} (slot 0 rightmost)",
         energy=float(energies[ground]),
         degeneracy=1 << len(free),
         state_bits=neg_mask,
@@ -344,7 +360,7 @@ def test_redefined_vacuum_energy_takes_linear_time():
     # rebuilt per mode takes tens of seconds
     cfg = LatticeConfig(1.0, 1.0, 20000)
     start = time.perf_counter()
-    energy = redefined_vacuum_energy(2.1, cfg)
+    energy = redefined_vacuum_energy(split_spectrum(2.1, cfg))
     elapsed = time.perf_counter() - start
     splits = [math.hypot(j, 1.0) * math.cos(j * 2.1) for j in range(-20000, 20001)]
     assert split_spectrum(2.1, cfg).zero_modes == ()
@@ -355,8 +371,7 @@ def test_redefined_vacuum_energy_takes_linear_time():
 @given(st.integers(1, 40), st.data())
 @settings(max_examples=40, deadline=None)
 def test_mode_mask_sets_each_mode_on_both_species_slots(n_max, data):
-    cfg = LatticeConfig(1.0, 1.0, n_max)
     modes = data.draw(st.lists(st.integers(-n_max, n_max), unique=True))
     slots = [SlotIndex(species, j).linear(n_max) for j in modes for species in (ELECTRON, POSITRON)]
-    assert _mask(modes, cfg) == sum(1 << s for s in slots)
+    assert _mask(modes, n_max) == sum(1 << s for s in slots)
 
