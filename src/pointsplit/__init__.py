@@ -45,6 +45,7 @@ from .modeops import (
     hamiltonian,
     multiply,
     smeared_charge,
+    smeared_kernel,
     split_current,
     split_hamiltonian,
     total_charge,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .fock import _vacuum_part, inner, vacuum
 from .lattice import LatticeConfig
-from .modeops import _first_positron, _mode_table, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
+from .modeops import _bilinear, _first_positron, _mode_table, apply_operator, hamiltonian
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -52,33 +52,35 @@ def _require_real(value: complex, what: str) -> float:
     return value.real
 
 
-def double_commutator_direct(f: TrigPoly, cfg: LatticeConfig) -> float:
+def double_commutator_direct(kernel: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: LatticeConfig) -> float:
     """2 <0| F H F |0> by raw operator application: F, then H, applied to |0>,
     then the last F read against the bra <0|.
 
+    F is normal-ordered from kernel, its band as modeops.smeared_kernel returns it.
     Equals <0|[F,[H,F]]|0> because the vacuum is the zero-energy eigenstate.
     The last pass keeps only the vacuum component of F H F |0>, the one
     entry the bra reads, so it never builds the four-particle states.
     """
-    F = smeared_charge(f, cfg)
+    F = _bilinear(kernel, cfg)
     H = hamiltonian(cfg)
     vac = vacuum(cfg)
     w = _vacuum_part(F.terms.items(), apply_operator(H, apply_operator(F, vac)))
     return _require_real(2.0 * inner(vac, w), "double commutator (direct route)")
 
 
-def double_commutator_spectral(f: TrigPoly, cfg: LatticeConfig) -> float:
+def double_commutator_spectral(kernel: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: LatticeConfig) -> float:
     """Spectral sum 2 sum_m |<0|F|m>|^2 E(m) over electron-positron pair states.
 
     The smeared charge connects the vacuum only to states with one electron
     and one positron (plus the vacuum itself, which carries zero energy), so
-    the pair states are the whole sum.  The amplitude is read off F's kernel
-    without touching a state: F's term K[p, e] d_p b_e (positron slot p,
-    electron slot e) gives <0|F d'_p b'_e|0> = -K[p, e], so |<0|F|m>|^2 = |K[p, e]|^2.
+    the pair states are the whole sum.  The amplitude is read off F's kernel, its
+    band as modeops.smeared_kernel returns it, without touching a state: F's term
+    K[p, e] d_p b_e (positron slot p, electron slot e) gives <0|F d'_p b'_e|0> = -K[p, e],
+    so |<0|F|m>|^2 = |K[p, e]|^2.
     Only the nonzero entries of that block, on the band of f's harmonics,
     enter the sum, electron slot outer and positron slot inner.
     """
-    rows, cols, values = _smeared_kernel(f, cfg)
+    rows, cols, values = kernel
     first_positron = _first_positron(cfg)
     pairs = np.flatnonzero((rows >= first_positron) & (cols < first_positron))
     pairs = pairs[np.lexsort((rows[pairs], cols[pairs]))]
@@ -117,15 +119,16 @@ def split_commutator_integral(f: TrigPoly, eps: float, cfg: LatticeConfig) -> fl
     return _split_commutator(f, eps, cfg)[0]
 
 
-def _split_commutator(f: TrigPoly, eps: float, cfg: LatticeConfig) -> tuple[float, list[complex]]:
-    """split_commutator_integral and the kernels [K(eps), K(-eps)] it reads, in that order."""
+def _split_commutator(f: TrigPoly, eps: float, cfg: LatticeConfig) -> tuple[float, list[complex], list[float]]:
+    """split_commutator_integral, the kernels [K(eps), K(-eps)] it reads and the shift
+    weights [w(eps), w(-eps)] it reads, each pair in that order."""
     f.check_on_lattice(cfg)
-    total, kernels = 0j, []
+    total, kernels, weights = 0j, [], []
     for g in (eps, -eps):
-        weight = _shift_weight(f, g)
+        weights.append(_shift_weight(f, g))
         kernels.append(split_vev_kernel(g, cfg))
-        total += weight * kernels[-1]
-    return _require_real(-0.5j * total, "split-current evaluation"), kernels
+        total += weights[-1] * kernels[-1]
+    return _require_real(-0.5j * total, "split-current evaluation"), kernels, weights
 
 
 def _shift_weight(f: TrigPoly, g: float) -> float:
@@ -325,11 +328,15 @@ def finite_difference_limit(f: TrigPoly, eps: float) -> tuple[float, float]:
     """
     if eps == 0:
         raise ValueError("eps must be nonzero")
+    return _finite_difference(f, eps, [_shift_weight(f, g) for g in (eps, -eps)])
+
+
+def _finite_difference(f: TrigPoly, eps: float, weights: list[float]) -> tuple[float, float]:
+    """finite_difference_limit at a nonzero eps from the shift weights [w(eps), w(-eps)]."""
     fd = 0.0
-    for g in (eps, -eps):
-        fd += 2.0 * _shift_weight(f, g) / g
-    limit = 4.0 * f.derivative_power()
-    return fd, limit
+    for g, weight in zip((eps, -eps), weights):
+        fd += 2.0 * weight / g
+    return fd, 4.0 * f.derivative_power()
 
 
 @dataclass

@@ -26,11 +26,11 @@ import numpy as np
 from .anomaly import (
     AnomalyReport,
     _damped_and_extrapolated,
+    _finite_difference,
     _kernel_defaults,
     _split_commutator,
     double_commutator_direct,
     double_commutator_spectral,
-    finite_difference_limit,
 )
 from .checks import run_verify_suite
 from .fock import inner, n_slots_for
@@ -43,7 +43,7 @@ from .groundstate import (
     split_spectrum,
 )
 from .lattice import LatticeConfig
-from .modeops import apply_operator, split_hamiltonian
+from .modeops import apply_operator, smeared_kernel, split_hamiltonian
 from .symbolic import formal_smeared_commutator, format_expr
 from .trigpoly import TrigPoly
 
@@ -392,18 +392,19 @@ def cmd_anomaly(config: RunConfig) -> int:
     lattice = config.lattice()
     f = config.smearing(required=True)
     formal = formal_smeared_commutator(split=False)
-    direct = double_commutator_direct(f, lattice)
-    spectral = double_commutator_spectral(f, lattice)
+    charge_kernel = smeared_kernel(f, lattice)
+    direct = double_commutator_direct(charge_kernel, lattice)
+    spectral = double_commutator_spectral(charge_kernel, lattice)
     pointsplit_rows = []
     kernel_rows = []
     continuum_rows = []
     for eps in sorted(config.eps):
-        value, kernels = _split_commutator(f, eps, lattice)
+        value, kernels, weights = _split_commutator(f, eps, lattice)
         pointsplit_rows.append({"eps": eps, "value": value, "positive": value > 0})
         for g, kernel in zip((eps, -eps), kernels):
             kernel_rows.append({"g": g, "kernel_imag": kernel.imag})
         if eps != 0:
-            fd, limit = finite_difference_limit(f, eps)
+            fd, limit = _finite_difference(f, eps, weights)
             continuum_rows.append(
                 {"eps": eps, "finite_difference": fd, "limit": limit, "abs_error": abs(fd - limit)}
             )

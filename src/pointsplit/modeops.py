@@ -27,7 +27,8 @@ through the four blocks b'b, b'd', d b and d d'.  _bilinear reads a kernel
 as its nonzero entries (rows, cols, values) in row-major order: the dense
 kernels give theirs through _entries, and the smeared charge's kernel,
 nonzero only on the band of its harmonics, is built as those entries and
-never as a matrix (_smeared_kernel).  Only the d d' diagonal produces
+never as a matrix (smeared_kernel, public so that both exact anomaly routes
+read one build of it).  Only the d d' diagonal produces
 a c-number, the vacuum value Tr(P_- K), read off K's diagonal alone (_kernel_vev;
 densities are not normal-ordered here).  The checks stay on kernels: [A'KA, A'GA] =
 A'[K,G]A, whose c-number is the finite Schwinger term; the split Hamiltonian's diagonal
@@ -524,10 +525,10 @@ def smeared_charge(f: TrigPoly, cfg: LatticeConfig) -> ModeOperator:
     picks out coefficient c_{j_a - j_b} for each mode pair; hermitian for any
     real f.
     """
-    return _bilinear(_smeared_kernel(f, cfg), cfg)
+    return _bilinear(smeared_kernel(f, cfg), cfg)
 
 
-def _smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel of smeared_charge as its nonzero entries (rows, cols, values) in
     row-major order; rejects harmonics the lattice cannot carry.
 

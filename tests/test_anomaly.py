@@ -20,7 +20,7 @@ from pointsplit.anomaly import (
 )
 from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, n_slots_for, vacuum
 from pointsplit.lattice import ID2, LatticeConfig, dispersion, spinor
-from pointsplit.modeops import _mode_table, _sandwich_at, _smeared_kernel, apply_operator, hamiltonian, smeared_charge
+from pointsplit.modeops import _mode_table, _sandwich_at, apply_operator, hamiltonian, smeared_charge, smeared_kernel
 from pointsplit.symbolic import formal_smeared_commutator
 
 import oracles
@@ -105,8 +105,9 @@ def test_trigpoly_shift_product_integral():
 
 def test_constant_smearing_gives_zero():
     f = TrigPoly.constant(CFG2.box_length, 1.0)
-    assert double_commutator_direct(f, CFG2) == pytest.approx(0.0, abs=1e-12)
-    assert double_commutator_spectral(f, CFG2) == pytest.approx(0.0, abs=1e-12)
+    kernel = smeared_kernel(f, CFG2)
+    assert double_commutator_direct(kernel, CFG2) == pytest.approx(0.0, abs=1e-12)
+    assert double_commutator_spectral(kernel, CFG2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_spectral_oracle():
@@ -114,8 +115,9 @@ def test_spectral_oracle():
 
 
 def test_two_routes_agree_and_match_oracle():
-    d = double_commutator_direct(COS1, CFG2)
-    s = double_commutator_spectral(COS1, CFG2)
+    kernel = smeared_kernel(COS1, CFG2)
+    d = double_commutator_direct(kernel, CFG2)
+    s = double_commutator_spectral(kernel, CFG2)
     assert d > 0
     assert abs(d - s) < 1e-10 * max(1.0, abs(d))
     assert d == pytest.approx(DOUBLE_COMMUTATOR_COS1, abs=1e-12)
@@ -123,8 +125,8 @@ def test_two_routes_agree_and_match_oracle():
 
 
 def test_quadratic_scaling_in_f():
-    base = double_commutator_direct(COS1, CFG2)
-    doubled = double_commutator_direct(2.0 * COS1, CFG2)
+    base = double_commutator_direct(smeared_kernel(COS1, CFG2), CFG2)
+    doubled = double_commutator_direct(smeared_kernel(2.0 * COS1, CFG2), CFG2)
     assert doubled == pytest.approx(4.0 * base, rel=1e-12)
 
 
@@ -153,8 +155,9 @@ def test_nested_commutator_operator_route():
 @settings(max_examples=25, deadline=None)
 def test_routes_agree_for_random_smearings(harmonics):
     f = TrigPoly.from_harmonics(CFG2.box_length, harmonics)
-    d = double_commutator_direct(f, CFG2)
-    s = double_commutator_spectral(f, CFG2)
+    kernel = smeared_kernel(f, CFG2)
+    d = double_commutator_direct(kernel, CFG2)
+    s = double_commutator_spectral(kernel, CFG2)
     assert s >= -1e-12
     assert abs(d - s) < 1e-10 * max(1.0, abs(d), abs(s))
     assert abs(d - spectral_oracle(f, CFG2)) < 1e-10 * max(1.0, abs(d))
@@ -177,7 +180,7 @@ def test_direct_route_equals_the_three_full_passes(data):
         st.lists(st.tuples(st.integers(0, 2 * cfg.n_max), amplitude, amplitude), min_size=1, max_size=3)
     )
     f = TrigPoly.from_harmonics(cfg.box_length, [(k, a, b if k else 0.0) for k, a, b in harmonics])
-    assert repr(double_commutator_direct(f, cfg)) == repr(_direct_by_three_full_passes(f, cfg))
+    assert repr(double_commutator_direct(smeared_kernel(f, cfg), cfg)) == repr(_direct_by_three_full_passes(f, cfg))
 
 
 def test_direct_route_makes_one_sign_call_per_hit(monkeypatch):
@@ -196,7 +199,7 @@ def test_direct_route_makes_one_sign_call_per_hit(monkeypatch):
         return hit
 
     monkeypatch.setattr(fock, "_apply_word", counted)
-    value = double_commutator_direct(f, cfg)
+    value = double_commutator_direct(smeared_kernel(f, cfg), cfg)
     pairs = sum(2 * (2 * cfg.n_max + 1 - n) for n in (1, 2))
     creating = [c for c in calls if c[0] and not c[1]]
     counting = [c for c in calls if c[0] and c[0] == c[1]]
@@ -207,7 +210,7 @@ def test_direct_route_makes_one_sign_call_per_hit(monkeypatch):
     assert all(hit is not None for *_, hit in calls)
     assert len({c[:3] for c in calls}) == len(calls)
     monkeypatch.undo()
-    assert repr(value) == repr(double_commutator_direct(f, cfg))
+    assert repr(value) == repr(double_commutator_direct(smeared_kernel(f, cfg), cfg))
 
 
 def _spectral_from_normal_form(f: TrigPoly, cfg: LatticeConfig) -> float:
@@ -243,16 +246,16 @@ def test_spectral_route_equals_the_normal_form_oracle(data):
     j, slots = _mode_table(cfg).j, np.arange(n_slots_for(cfg.n_max))
     sandwiches = _sandwich_at(cfg, ID2, slots[:, None], slots)
     entrywise = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * sandwiches
-    rows, cols, values = _smeared_kernel(f, cfg)
+    kernel = rows, cols, values = smeared_kernel(f, cfg)
     nonzero = np.nonzero(entrywise)
     assert rows.tolist() == nonzero[0].tolist() and cols.tolist() == nonzero[1].tolist()
     assert values.tobytes() == entrywise[nonzero].tobytes()
-    assert double_commutator_spectral(f, cfg) == _spectral_from_normal_form(f, cfg)
+    assert double_commutator_spectral(kernel, cfg) == _spectral_from_normal_form(f, cfg)
 
 
 def test_formal_rewrite_is_zero_while_exact_is_positive():
     assert formal_smeared_commutator(split=False).is_zero()
-    assert double_commutator_direct(COS1, CFG2) > 0
+    assert double_commutator_direct(smeared_kernel(COS1, CFG2), CFG2) > 0
 
 
 # f = cos z + 0.6 cos 2z on the box of length 2 pi (delta_p 1).  Its continuum
@@ -289,7 +292,8 @@ def test_exact_routes_stay_below_the_continuum_anomaly(mass, n_max):
     cfg = LatticeConfig(mass, 1.0, n_max)
     f = TrigPoly.from_harmonics(cfg.box_length, CONTINUUM_HARMONICS)
     assert f.derivative_power() / math.pi == pytest.approx(CONTINUUM_LIMIT, rel=1e-15)
-    for value in (double_commutator_direct(f, cfg), double_commutator_spectral(f, cfg)):
+    kernel = smeared_kernel(f, cfg)
+    for value in (double_commutator_direct(kernel, cfg), double_commutator_spectral(kernel, cfg)):
         deficit = CONTINUUM_LIMIT - value
         assert deficit > 0
         assert deficit == pytest.approx(CONTINUUM_DEFICIT[(mass, n_max)], rel=CONTINUUM_DEFICIT_REL)
@@ -310,7 +314,7 @@ def test_exact_routes_never_hold_a_dense_kernel(route):
     f = TrigPoly.from_harmonics(cfg.box_length, CONTINUUM_HARMONICS)
     tracemalloc.start()
     try:
-        route(f, cfg)
+        route(smeared_kernel(f, cfg), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -347,7 +351,7 @@ def test_split_integral_positive_in_asymptotic_regime():
     f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0)])
     value = split_commutator_integral(f, 0.1, cfg)
     assert value > 0
-    exact = double_commutator_direct(f, cfg)
+    exact = double_commutator_direct(smeared_kernel(f, cfg), cfg)
     assert exact > 0  # same sign as the split-current evaluation
 
 
@@ -411,7 +415,7 @@ def test_exact_routes_name_the_harmonic_where_they_leave_the_float_range(monkeyp
     # |c_1|^2 is past the float range; the other route is stubbed, so this one alone leaves it
     for other in (double_commutator_direct, double_commutator_spectral):
         if other is not route:
-            monkeypatch.setattr(cli, other.__name__, lambda f, cfg: 1.0)
+            monkeypatch.setattr(cli, other.__name__, lambda kernel, cfg: 1.0)
     argv = ["anomaly", "--n-max", "8", "--f-harmonic", "1:1e300:1e300", "--f-harmonic", "2:0.5:0"]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -427,7 +431,7 @@ def test_the_anomaly_report_refuses_a_non_finite_number(tmp_path, monkeypatch, c
     def with_row(**fields):
         return anomaly.AnomalyReport(**{**fields, table: fields[table] + [row]})
 
-    def exact_inf(f, cfg):
+    def exact_inf(kernel, cfg):
         return math.inf
 
     argv = ["anomaly", "--f-harmonic", "1:0.5:0"]

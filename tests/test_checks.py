@@ -50,9 +50,9 @@ from pointsplit.modeops import (
     _kernel_vev,
     _mode_table,
     _Rows,
-    _smeared_kernel,
     _split_hamiltonian_diagonal,
     _worst,
+    smeared_kernel,
 )
 from pointsplit.trigpoly import TrigPoly
 
@@ -72,7 +72,7 @@ EPS_VALUES = st.lists(st.floats(-3.0, 3.0) | st.just(0.0), min_size=1, max_size=
 def dense_hermiticity(cfg: LatticeConfig, eps_values, f: TrigPoly):
     """Every kernel the check used to read: the split Hamiltonians at 0 and each
     eps as np.diag matrices, rho's kernel and F's band scattered into a dense one."""
-    rows, cols, values = _smeared_kernel(f, cfg)
+    rows, cols, values = smeared_kernel(f, cfg)
     smeared = np.zeros((n_slots_for(cfg.n_max),) * 2, dtype=complex)
     smeared[rows, cols] = values
     kernels = [np.diag(_split_hamiltonian_diagonal(cfg, eps)) for eps in (0.0, *eps_values)]
@@ -318,7 +318,8 @@ TRACED_RUNS = [
 def test_the_benchmark_tracer_runs_every_subcommand(tmp_path):
     """perfbench/run.py --trace 1 installs spans.Tracer in a fresh interpreter and reads its
     counters off each wrapped call's arguments, so a signature change that breaks a counter
-    fails here, not only in the benchmark."""
+    fails here, not only in the benchmark.  The tracer times only public functions, so each
+    exact anomaly route must stay public and run once per anomaly run to keep its span."""
     code = (
         "import contextlib, importlib.util, io, json, sys\n"
         "import pointsplit.cli as cli\n"
@@ -332,7 +333,7 @@ def test_the_benchmark_tracer_runs_every_subcommand(tmp_path):
         "    tracer.invocation = i\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(cli.main(argv + ['--out', f'{sys.argv[3]}/{i}.json']))\n"
-        "print(json.dumps({'codes': codes, 'spans': [(s[0], s[5]) for s in tracer.spans]}))\n"
+        "print(json.dumps({'codes': codes, 'spans': [(s[0], s[4], s[5]) for s in tracer.spans]}))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -341,8 +342,11 @@ def test_the_benchmark_tracer_runs_every_subcommand(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * len(TRACED_RUNS)
-    counts = [counts for name, counts in result["spans"] if name == "groundstate.ground_state_bruteforce"]
+    counts = [counts for name, _, counts in result["spans"] if name == "groundstate.ground_state_bruteforce"]
     assert counts == [{"groundstate.enumerated_states": 2**14}]
+    anomaly_run = [i for i, argv in enumerate(TRACED_RUNS) if argv[0] == "anomaly"]
+    for route in ("anomaly.double_commutator_direct", "anomaly.double_commutator_spectral"):
+        assert [inv for name, inv, _ in result["spans"] if name == route] == anomaly_run
 
 
 def test_each_check_row_is_its_fields_in_order_and_serves_both_tables(tmp_path):

@@ -282,9 +282,11 @@ def test_a_plain_call_builds_no_parser_and_loads_no_locale():
 
 
 def test_anomaly_evaluates_each_split_kernel_once_and_formats_one_transcript(tmp_path, monkeypatch):
-    """With k eps values the split vacuum kernel runs at eps and -eps once each, 2k calls
-    shared by the pointsplit and kernel tables, each kernel row holding its own shift's
-    value, and the formal route formats only the transcript the report prints."""
+    """With k eps values the split vacuum kernel and the shift weight run at eps and -eps
+    once each, 2k calls each: the kernels shared by the pointsplit and kernel tables, each
+    kernel row holding its own shift's value, and the weights by the pointsplit and
+    continuum tables.  F's band is built once for both exact routes, and the formal route
+    formats only the transcript the report prints."""
     kernel = anomaly.split_vev_kernel
     calls = {}
 
@@ -295,17 +297,19 @@ def test_anomaly_evaluates_each_split_kernel_once_and_formats_one_transcript(tmp
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        for module in (anomaly, cli, symbolic):  # wherever a module binds fn, so no call goes uncounted
+        for module in (anomaly, cli, modeops, symbolic):  # wherever a module binds fn, so no call goes uncounted
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapper)
 
     count("kernel", anomaly.split_vev_kernel)
     count("format", symbolic.format_expr)
+    count("smeared_kernel", modeops.smeared_kernel)
+    count("weight", anomaly._shift_weight)
     eps = ["--eps", "0.1", "--eps", "0", "--eps=-0.4"]
     argv = ["anomaly", "--n-max", "4", "--f-harmonic", "1:0.5:0", *eps, "--out", str(tmp_path / "a.json")]
     assert run_cli(argv) == 0
-    assert calls == {"kernel": 6, "format": 1}
+    assert calls == {"kernel": 6, "format": 1, "smeared_kernel": 1, "weight": 6}
     rows = json.loads((tmp_path / "a.json").read_text())["tables"]["kernel"]
     cfg = RunConfig(n_max=4).lattice()
     shifts = (-0.4, -0.1, 0.0, -0.0, 0.1, 0.4)
@@ -348,7 +352,7 @@ def test_verify_nan_eps_fails(capsys):
 
 def test_invariant_failure_exits_1_with_one_error_line(monkeypatch, capsys):
     # the two exact anomaly routes disagreeing is an internal invariant failure
-    monkeypatch.setattr(cli, "double_commutator_spectral", lambda f, cfg: 1.0e3)
+    monkeypatch.setattr(cli, "double_commutator_spectral", lambda kernel, cfg: 1.0e3)
     assert run_cli(["anomaly", "--f-harmonic", "1:0.5:0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: exact routes disagree") and err.count("\n") == 1
@@ -396,7 +400,7 @@ def test_a_non_finite_report_value_exits_2_naming_the_value(tmp_path, monkeypatc
 
 @pytest.mark.parametrize(
     "module, builder, argv",
-    [(modeops, "_sandwich_at", ["verify"]), (anomaly, "_smeared_kernel", ["anomaly", "--f-harmonic", "1:0.5:0"])],
+    [(modeops, "_sandwich_at", ["verify"]), (cli, "smeared_kernel", ["anomaly", "--f-harmonic", "1:0.5:0"])],
 )
 def test_kernel_out_of_memory_exits_2_with_one_error_line(monkeypatch, capsys, module, builder, argv):
     # an allocation the OS refuses: verify streams its kernels in row blocks and

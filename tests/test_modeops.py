@@ -44,7 +44,6 @@ from pointsplit.modeops import (
     _phased,
     _Rows,
     _sandwich_at,
-    _smeared_kernel,
     _split_hamiltonian_diagonal,
     _worst,
     annihilator_op,
@@ -63,6 +62,7 @@ from pointsplit.modeops import (
     is_hermitian,
     multiply,
     smeared_charge,
+    smeared_kernel,
     split_current,
     split_hamiltonian,
     split_hamiltonian_raw,
@@ -687,7 +687,7 @@ def test_smeared_charge_is_the_box_integral_of_the_placed_density(case):
     cfg, f = case
     nodes, rho = _box_nodes(cfg), _field_kernel(0.0, ID2, _Rows(cfg))
     integral = cfg.box_length / len(nodes) * sum(f(z) * _phased(rho, z, cfg) for z in nodes)
-    rows, cols, values = _smeared_kernel(f, cfg)
+    rows, cols, values = smeared_kernel(f, cfg)
     band = np.zeros_like(integral)
     band[rows, cols] = values
     assert np.abs(band - integral).max() <= 1e-12
