@@ -100,21 +100,15 @@ class RunConfig:
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if not isinstance(self.out, (str, type(None))):
             raise ConfigError(f"out must be a path, got {self.out!r}")
-        self.lattice()
-        self.smearing(required=False)
+        lattice = self.lattice()
+        # the smearing f, built and checked here once for the subcommands to read; None without harmonics
+        self.smearing = None
+        if self.f_harmonics:
+            self.smearing = TrigPoly.from_harmonics(lattice.box_length, self.f_harmonics)
+            self.smearing.check_on_lattice(lattice)
 
     def lattice(self) -> LatticeConfig:
         return LatticeConfig(self.mass, self.delta_p, self.n_max)
-
-    def smearing(self, required: bool) -> TrigPoly | None:
-        if not self.f_harmonics:
-            if required:
-                raise ConfigError("this command needs a smearing function; pass --f-harmonic n:re:im")
-            return None
-        cfg = self.lattice()
-        f = TrigPoly.from_harmonics(cfg.box_length, self.f_harmonics)
-        f.check_on_lattice(cfg)
-        return f
 
     def to_dict(self) -> dict:
         # the output path is emission plumbing, not part of the computation,
@@ -374,7 +368,7 @@ VERIFY_HARMONICS = [(1, 0.5, 0.0)]
 
 def cmd_verify(config: RunConfig, corrupt_sign: bool = False) -> int:
     lattice = config.lattice()
-    f = TrigPoly.from_harmonics(lattice.box_length, config.f_harmonics or VERIFY_HARMONICS)
+    f = config.smearing or TrigPoly.from_harmonics(lattice.box_length, VERIFY_HARMONICS)
     results = run_verify_suite(lattice, config.eps, f=f, corrupt_sign=corrupt_sign)
     if not all(math.isfinite(res.residual) for res in results):
         raise OverflowError
@@ -390,7 +384,9 @@ def cmd_verify(config: RunConfig, corrupt_sign: bool = False) -> int:
 
 def cmd_anomaly(config: RunConfig) -> int:
     lattice = config.lattice()
-    f = config.smearing(required=True)
+    f = config.smearing
+    if f is None:
+        raise ConfigError("this command needs a smearing function; pass --f-harmonic n:re:im")
     formal = formal_smeared_commutator(split=False)
     charge_kernel = smeared_kernel(f, lattice)
     direct = double_commutator_direct(charge_kernel, lattice)

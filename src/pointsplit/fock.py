@@ -139,18 +139,20 @@ def _apply_word(cre, ann, bits: int):
     state (annihilating an empty slot or creating in a full one).
     """
     odd = 0
-    for s in reversed(ann):
-        bit = 1 << s
-        if not bits & bit:
-            return None
-        bits ^= bit
-        odd ^= (bits & (bit - 1)).bit_count()
-    for s in reversed(cre):
-        bit = 1 << s
-        if bits & bit:
-            return None
-        odd ^= (bits & (bit - 1)).bit_count()
-        bits ^= bit
+    if ann:  # an empty side skips its loop: each factor of the CAR sweep, and many a word, has one
+        for s in reversed(ann):
+            bit = 1 << s
+            if not bits & bit:
+                return None
+            bits ^= bit
+            odd ^= (bits & (bit - 1)).bit_count()
+    if cre:
+        for s in reversed(cre):
+            bit = 1 << s
+            if bits & bit:
+                return None
+            odd ^= (bits & (bit - 1)).bit_count()
+            bits ^= bit
     return bits, odd & 1
 
 

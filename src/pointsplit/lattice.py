@@ -150,10 +150,11 @@ def mode_overlap(lam1: int, j1: int, lam2: int, j2: int, cfg: LatticeConfig) -> 
     """Exact box integral of mode_function(lam1,j1)' . mode_function(lam2,j2).
 
     The z-integral of exp(i(p_j2 - p_j1)z) over one period is L*delta_{j1,j2},
-    so the overlap reduces to the spinor inner product at equal momentum.
+    so the overlap reduces to the spinor inner product at equal momentum,
+    summed elementwise, as the package reads no BLAS kernel.
     """
     if j1 != j2:
         return 0.0 + 0.0j
     u1 = spinor(lam1, j1, cfg).u
     u2 = spinor(lam2, j2, cfg).u
-    return complex(np.vdot(u1, u2))
+    return complex(u1[0].conjugate() * u2[0] + u1[1].conjugate() * u2[1])

@@ -17,6 +17,10 @@ to it by float.hex, errors included.
 factor_table is the CAR sweep's table of single factors built row by row
 through map, filter and a boolean scatter: test_fock holds the package's
 one-integer-per-hit table to it entry by entry, under corrupted sign rules.
+
+spinor_residuals is verify's spinor check mode by mode in Python floats from
+lattice.spinor: test_checks holds the package's one pass over the mode table
+to it by float.hex, on clean and on broken spinors.
 """
 
 import cmath
@@ -25,7 +29,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from pointsplit import anomaly, trigpoly
+from pointsplit import anomaly, lattice, trigpoly
 from pointsplit.lattice import LatticeConfig
 from pointsplit.modeops import _kernel_vev, _worst
 
@@ -54,6 +58,24 @@ def factor_table(n: int, apply_word):
         target[row, acts] = flat[0::2]
         sign[row, acts] = 1 - 2 * (flat[1::2] & 1)
     return target, sign
+
+
+def spinor_residuals(cfg: LatticeConfig, spinor=lattice.spinor) -> list[float]:
+    """checks.check_spinors' residuals per mode j, from spinor(lam, j, cfg) in Python floats: for each
+    lam the eigenvector residual |h u - lam E u| with h = sigma_x p + sigma_z m, and |u'u - 1|; then
+    |u+' u-| and the entries of |u+ u+' + u- u-' - 1|."""
+    m, out = cfg.mass, []
+    for j in cfg.mode_indices():
+        modes = [spinor(lam, j, cfg) for lam in (+1, -1)]
+        (a0, a1), (b0, b1) = ([float(c.real) for c in sp.u] for sp in modes)
+        for sp, (u0, u1) in zip(modes, ((a0, a1), (b0, b1))):
+            r0 = m * u0 + sp.p * u1 - sp.lam * sp.energy * u0
+            r1 = sp.p * u0 - m * u1 - sp.lam * sp.energy * u1
+            out += [math.sqrt(r0 * r0 + r1 * r1), abs(u0 * u0 + u1 * u1 - 1.0)]
+        out.append(abs(a0 * b0 + a1 * b1))
+        completeness = [[a0 * a0 + b0 * b0 - 1.0, a0 * a1 + b0 * b1], [a1 * a0 + b1 * b0, a1 * a1 + b1 * b1 - 1.0]]
+        out += [abs(x) for row in completeness for x in row]
+    return out
 
 
 class TrigPoly(trigpoly.TrigPoly):

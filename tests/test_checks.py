@@ -36,11 +36,12 @@ from pointsplit.checks import (
     check_hermiticity,
     check_split_continuity,
     check_split_current_consistency,
+    check_spinors,
     continuity_pairwise_residual,
     run_verify_suite,
 )
 from pointsplit.fock import n_slots_for
-from pointsplit.lattice import ID2, SIGMA_X, LatticeConfig
+from pointsplit.lattice import ID2, SIGMA_X, LatticeConfig, spinor
 from pointsplit.modeops import (
     _boulware_kernel,
     _d_dz,
@@ -56,7 +57,7 @@ from pointsplit.modeops import (
 )
 from pointsplit.trigpoly import TrigPoly
 
-from oracles import _kernel_distance
+from oracles import _kernel_distance, spinor_residuals
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -148,6 +149,48 @@ def test_slim_checks_build_no_dense_kernel():
             tracemalloc.stop()
         assert result.passed
         assert peak < 16 * 2**20, f"{result.name} peaked at {peak / 2**20:.1f} MiB"
+
+
+# -- spinor identities --------------------------------------------------------
+
+
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 40))
+@example(0.0032400388466084285, 0.0017830873055899937, 24)  # 3.331e-16 through BLAS, 2.220e-16 elementwise
+@settings(max_examples=200, deadline=None)
+def test_spinor_check_equals_the_per_mode_oracle_bit_for_bit(mass, delta_p, n_max):
+    cfg = LatticeConfig(mass, delta_p, n_max)
+    assert check_spinors(cfg).residual.hex() == _worst(spinor_residuals(cfg)).hex()
+
+
+# one spinor of mode j = 2 broken, u+ = (norm, w * norm) or u- = (-w * norm, norm): a component's sign
+# flipped, the spinor scaled off unit norm, u- made (w * norm, norm), or u- tilted by 1e-6 u+.  Correct
+# spinors are orthogonal to the last bit, so only the last two read that identity; where E < 1/2, as
+# here (p = 0.2, E = 0.224), the tilt breaks it by 1e-6 and the eigenvector and completeness by less
+BROKEN_SPINORS = {
+    "electron sign flipped": (+1, lambda u: u * [1, -1]),
+    "electron scaled": (+1, lambda u: u * (1 + 1e-9)),
+    "positron made (w norm, norm)": (-1, lambda u: u * [-1, 1]),
+    "positron tilted toward electron": (-1, lambda u: u + 1e-6 * np.array([u[1], -u[0]])),
+}
+
+
+@pytest.mark.parametrize("lam, breaking", BROKEN_SPINORS.values(), ids=BROKEN_SPINORS)
+def test_spinor_check_fails_on_a_broken_spinor(monkeypatch, lam, breaking):
+    """Each broken table fails the check, whose residual is the oracle's on the same broken spinor."""
+    cfg, j = LatticeConfig(0.1, 0.1, 3), 2
+    table = _mode_table(cfg)
+    slot = j + cfg.n_max + (0 if lam == +1 else _first_positron(cfg))
+    u = table.u.copy()
+    u[slot] = breaking(u[slot])
+    monkeypatch.setattr(checks, "_mode_table", lambda _: table._replace(u=u))
+
+    def broken_spinor(lam_, j_, cfg_):
+        sp = spinor(lam_, j_, cfg_)
+        return dataclasses.replace(sp, u=breaking(sp.u)) if (lam_, j_) == (lam, j) else sp
+
+    result = check_spinors(cfg)
+    assert not result.passed
+    assert result.residual.hex() == _worst(spinor_residuals(cfg, broken_spinor)).hex()
 
 
 def _perfbench_module(name: str):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib.util
 import io
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from pointsplit import anomaly, cli, groundstate, modeops, symbolic
 from pointsplit.cli import RunConfig, main
+from pointsplit.trigpoly import TrigPoly
 
 
 def run_cli(args):
@@ -314,6 +316,24 @@ def test_anomaly_evaluates_each_split_kernel_once_and_formats_one_transcript(tmp
     cfg = RunConfig(n_max=4).lattice()
     shifts = (-0.4, -0.1, 0.0, -0.0, 0.1, 0.4)
     assert [(row["g"], row["kernel_imag"]) for row in rows] == [(g, kernel(g, cfg).imag) for g in shifts]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "2", "--f-harmonic", "1:0.5:0"],
+        ["verify", "--n-max", "2"],  # verify's default smearing
+        ["anomaly", "--n-max", "2", "--f-harmonic", "1:0.5:0", "--f-harmonic", "2:0.1:0.2"],
+    ],
+)
+def test_a_run_builds_its_smearing_once(tmp_path, monkeypatch, argv):
+    """RunConfig builds and checks f, and verify and anomaly read that one TrigPoly."""
+    builds = []
+    build = TrigPoly.from_harmonics.__func__
+    counted = classmethod(lambda cls, *args: builds.append(args) or build(cls, *args))
+    monkeypatch.setattr(TrigPoly, "from_harmonics", counted)
+    assert run_cli(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize(
@@ -651,14 +671,16 @@ def test_importing_the_cli_does_not_load_scipy():
 
 
 # one config per subcommand whose report reads spinor sandwiches or a quadrature sum
-# vacuum just past eps = pi/2 walks all 2^22 states of n_max 5 through exact ties, and kernel at
-# eps 0.001 and 0.05 integrates along all three legs on graded panels
+# vacuum just past eps = pi/2 walks all 2^22 states of n_max 5 through exact ties, kernel at
+# eps 0.001 and 0.05 integrates along all three legs on graded panels, and verify at n_max 24
+# read spinor_identities 3.331e-16 natively and 2.220e-16 under Nehalem while it called zdotc
 CROSS_KERNEL_RUNS = [
     ["anomaly", "--n-max", "16", "--f-harmonic", "1:0.5:0"],
     ["kernel", "--eps", "0.3", "--eps", "0.9"],
     ["verify", "--n-max", "16", "--eps", "0.3", "--f-harmonic", "1:0.5:0"],
     ["vacuum", "--n-max", "5", "--eps", "1.5708"],
     ["kernel", "--eps", "0.001", "--eps", "0.05"],
+    ["verify", "--n-max", "24", "--mass", "0.0032400388466084285", "--delta-p", "0.0017830873055899937"],
 ]
 
 
@@ -682,6 +704,49 @@ def _reports_under(tmp_path, name: str, variable: str, value: str | None, runs) 
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return [(tmp_path / name / f"{i}.json").read_bytes() for i in range(len(runs))]
+
+
+# numpy calls that may reach a BLAS kernel, whose rounding depends on the CPU it selects
+_BLAS_CALLS = {"vdot", "dot", "inner", "outer", "matmul", "einsum", "tensordot"}
+
+
+def _blas_calls(tree: ast.AST):
+    """(line, text) of each np.<BLAS call>, .dot( call, np.linalg.* name and @ operator in tree, and
+    of each import of one of these names from numpy."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            if node.attr in _BLAS_CALLS or node.attr == "linalg":
+                yield node.lineno, f"np.{node.attr}"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "dot":
+            yield node.lineno, ".dot("
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if node.module == "numpy.linalg" or any(a.name in _BLAS_CALLS | {"linalg"} for a in node.names):
+                yield node.lineno, f"from {node.module} import"
+
+
+def test_the_package_calls_no_blas_kernel():
+    """No module of the package calls a BLAS-backed numpy function, so no report bit depends on the
+    BLAS kernel the CPU selects; the runs below sample that, this reads every line."""
+    source = Path(cli.__file__).parent
+    modules = sorted(source.glob("*.py"))
+    assert {path.stem for path in modules} >= {"checks", "cli", "lattice", "modeops"}
+    found = [
+        f"{path.name}:{line}: {text}"
+        for path in modules for line, text in _blas_calls(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_blas_scan_sees_every_form():
+    code = "np.vdot(u, v)\nnp.linalg.norm(x)\nh @ u\nx @= y\na.dot(b)\nnumpy.einsum('i,i', a, b)\nnp.tensordot(a, b)\n"
+    code += "from numpy import outer\nfrom numpy.linalg import norm\n"
+    texts = [text for _, text in _blas_calls(ast.parse(code))]
+    expected = ["np.vdot", "np.linalg", "@", "@", ".dot(", "np.einsum", "np.tensordot"]
+    expected += ["from numpy import", "from numpy.linalg import"]
+    assert sorted(texts) == sorted(expected)
+    assert list(_blas_calls(ast.parse("np.abs(x).max()\nnp.sum(a * b)\nnp.take(a, b)\n"))) == []
 
 
 def test_reports_are_byte_identical_under_another_blas_kernel(tmp_path):
