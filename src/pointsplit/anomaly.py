@@ -28,7 +28,7 @@ import numpy as np
 
 from .fock import _vacuum_part, inner, vacuum
 from .lattice import LatticeConfig
-from .modeops import _bilinear, _first_positron, _mode_table, apply_operator, hamiltonian
+from .modeops import _bilinear, _first_positron, _mode_table, _pair_blocks, apply_operator, hamiltonian
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -56,15 +56,19 @@ def double_commutator_direct(kernel: tuple[np.ndarray, np.ndarray, np.ndarray], 
     """2 <0| F H F |0> by raw operator application: F, then H, applied to |0>,
     then the last F read against the bra <0|.
 
-    F is normal-ordered from kernel, its band as modeops.smeared_kernel returns it.
+    F's kernel is its band as modeops.smeared_kernel returns it.  Only F's
+    pair-creating b'd' block acts on |0>, and only its pair-annihilating d b
+    block takes a pair state back to <0|, so the route normal-orders those two
+    blocks alone (modeops._pair_blocks): the b'b and d d' terms and F's
+    c-number, which H would annihilate, are never built.
     Equals <0|[F,[H,F]]|0> because the vacuum is the zero-energy eigenstate.
     The last pass keeps only the vacuum component of F H F |0>, the one
     entry the bra reads, so it never builds the four-particle states.
     """
-    F = _bilinear(kernel, cfg)
-    H = hamiltonian(cfg)
+    creating, annihilating = _pair_blocks(kernel, cfg)
     vac = vacuum(cfg)
-    w = _vacuum_part(F.terms.items(), apply_operator(H, apply_operator(F, vac)))
+    pairs = apply_operator(_bilinear(creating, cfg), vac)
+    w = _vacuum_part(_bilinear(annihilating, cfg).terms.items(), apply_operator(hamiltonian(cfg), pairs))
     return _require_real(2.0 * inner(vac, w), "double commutator (direct route)")
 
 

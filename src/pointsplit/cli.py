@@ -339,8 +339,11 @@ def _emit(report: dict, config: RunConfig) -> None:
             lines.append("")
         text = "\n".join(lines)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # the path is not checked before the run: a check would cost every run
+            raise ConfigError(f"cannot write the report to {config.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -528,9 +531,10 @@ def _failure_line(failure: str, command: str, config: RunConfig) -> str:
 
 def main(argv=None) -> int:
     """Run one subcommand; every failure ends in one `error:` line on stderr:
-    exit 2 for bad usage or config, a run too large for memory, or a run
-    that left the float range (an ArithmeticError, numpy's warnings raising
-    as FloatingPointError, or a nan or an infinity bound for the report),
+    exit 2 for bad usage or config, a report that cannot be written to --out,
+    a run too large for memory, or a run that left the float range (an
+    ArithmeticError, numpy's warnings raising as FloatingPointError, or a nan
+    or an infinity bound for the report),
     exit 1 when an internal invariant fails, as a failed check does, or the
     kernel quadrature misses its tolerance."""
     config = None

@@ -28,7 +28,9 @@ as its nonzero entries (rows, cols, values) in row-major order: the dense
 kernels give theirs through _entries, and the smeared charge's kernel,
 nonzero only on the band of its harmonics, is built as those entries and
 never as a matrix (smeared_kernel, public so that both exact anomaly routes
-read one build of it).  Only the d d' diagonal produces
+read one build of it).  The direct anomaly route needs only F's pair blocks,
+b'd' on |0> and d b against <0|, so it splits F's entries into those two
+sets (_pair_blocks) and normal-orders each alone.  Only the d d' diagonal produces
 a c-number, the vacuum value Tr(P_- K), read off K's diagonal alone (_kernel_vev;
 densities are not normal-ordered here).  The checks stay on kernels: [A'KA, A'GA] =
 A'[K,G]A, whose c-number is the finite Schwinger term; the split Hamiltonian's diagonal
@@ -361,6 +363,17 @@ def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
     if not terms[_IDENTITY_SIG]:
         del terms[_IDENTITY_SIG]
     return ModeOperator._of(n_slots_for(cfg.n_max), terms)
+
+
+def _pair_blocks(entries, cfg: LatticeConfig):
+    """A kernel's nonzero entries (rows, cols, values) split into its pair-creating entries
+    (electron row, positron column: the b'd' block) and its pair-annihilating ones (positron
+    row, electron column: the d b block), each set in its original row-major order."""
+    rows, cols, _ = entries
+    first_positron = _first_positron(cfg)
+    creating = (rows < first_positron) & (cols >= first_positron)
+    annihilating = (rows >= first_positron) & (cols < first_positron)
+    return tuple(tuple(x[block] for x in entries) for block in (creating, annihilating))
 
 
 # -- operator builders ---------------------------------------------------

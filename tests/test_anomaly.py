@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pointsplit import anomaly, cli, fock
+from pointsplit import anomaly, cli, fock, modeops
 from pointsplit.anomaly import (
     damped_kernel_integral,
     double_commutator_direct,
@@ -20,7 +21,16 @@ from pointsplit.anomaly import (
 )
 from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, n_slots_for, vacuum
 from pointsplit.lattice import ID2, LatticeConfig, dispersion, spinor
-from pointsplit.modeops import _mode_table, _sandwich_at, apply_operator, hamiltonian, smeared_charge, smeared_kernel
+from pointsplit.modeops import (
+    _bilinear,
+    _mode_table,
+    _pair_blocks,
+    _sandwich_at,
+    apply_operator,
+    hamiltonian,
+    smeared_charge,
+    smeared_kernel,
+)
 from pointsplit.symbolic import formal_smeared_commutator
 
 import oracles
@@ -213,6 +223,67 @@ def test_direct_route_makes_one_sign_call_per_hit(monkeypatch):
     assert repr(value) == repr(double_commutator_direct(smeared_kernel(f, cfg), cfg))
 
 
+def test_direct_route_makes_no_empty_word_call_for_a_constant_harmonic(monkeypatch):
+    """A constant harmonic gives F a c-number and b'b and d d' terms but no pair,
+    since u_+(j)' u_-(j) is exactly 0; the route builds none of those, so every sign
+    call still creates, counts or annihilates a pair, and none applies the empty
+    word to |0>: at n_max 8 with harmonics 0 and 1, 32 + 64 + 32 calls."""
+    cfg = LatticeConfig(1.0, 1.0, 8)
+    f = TrigPoly.from_harmonics(cfg.box_length, [(0, 0.7, 0.0), (1, 0.5, 0.2)])
+    signed, calls = fock._apply_word, []
+
+    def counted(creators, annihilators, bits):
+        calls.append((creators, annihilators, bits))
+        return signed(creators, annihilators, bits)
+
+    monkeypatch.setattr(fock, "_apply_word", counted)
+    double_commutator_direct(smeared_kernel(f, cfg), cfg)
+    creating = [c for c in calls if c[0] and not c[1]]
+    counting = [c for c in calls if c[0] and c[0] == c[1]]
+    annihilating = [c for c in calls if c[1] and not c[0]]
+    assert (len(creating), len(counting), len(annihilating)) == (32, 64, 32)
+    assert calls == creating + counting + annihilating
+
+
+def test_direct_route_applies_f_and_h_through_apply_operator_once_each(monkeypatch):
+    """perfbench's tracer reads the route's state application, modeops.apply_operator.{calls,
+    s, term_state_pairs}, through that public name alone, rebound in every module that
+    imports it, so a private path would zero those metrics: F|0> and H F|0> each make
+    one call, with F's 254 pair-creating terms on |0> and H's 130 terms on the 254 pairs."""
+    cfg = LatticeConfig(1.0, 1.0, 32)
+    f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0), (2, 0.3, 0.1)])
+    applied, calls = modeops.apply_operator, []
+
+    def counted(a, v):
+        calls.append((len(a.terms), len(v.amp)))
+        return applied(a, v)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "pointsplit"]:
+        if getattr(module, "apply_operator", None) is applied:
+            monkeypatch.setattr(module, "apply_operator", counted)
+    double_commutator_direct(smeared_kernel(f, cfg), cfg)
+    assert calls == [(254, 1), (130, 254)]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_pair_blocks_are_the_pair_terms_of_the_normal_form(data):
+    """Normal-ordered, the pair-creating entries are exactly F's b'd' terms ((e, p), ())
+    and the pair-annihilating ones exactly its d b terms ((), (p, e)), each in F's order
+    and with its coefficients, a constant harmonic included."""
+    cfg = LatticeConfig(1.0, 1.0, data.draw(st.integers(1, 8)))
+    amplitude = st.floats(-1.0, 1.0, allow_nan=False)
+    harmonics = data.draw(
+        st.lists(st.tuples(st.integers(0, 2 * cfg.n_max), amplitude, amplitude), min_size=1, max_size=3)
+    )
+    f = TrigPoly.from_harmonics(cfg.box_length, [(k, a, b if k else 0.0) for k, a, b in harmonics])
+    creating, annihilating = (_bilinear(block, cfg).terms for block in _pair_blocks(smeared_kernel(f, cfg), cfg))
+    terms = smeared_charge(f, cfg).terms.items()
+    assert list(creating.items()) == [(sig, c) for sig, c in terms if len(sig[0]) == 2]
+    assert list(annihilating.items()) == [(sig, c) for sig, c in terms if len(sig[1]) == 2]
+    assert all(type(c) is complex for c in [*creating.values(), *annihilating.values()])
+
+
 def _spectral_from_normal_form(f: TrigPoly, cfg: LatticeConfig) -> float:
     """Oracle: each pair amplitude read off the normal-ordered F as the
     coefficient of d_p b_e, each energy from dispersion(), electron mode outer."""
@@ -301,7 +372,7 @@ def test_exact_routes_stay_below_the_continuum_anomaly(mass, n_max):
 
 # The exact routes hold F's kernel as its band, O(n_max * harmonics) entries,
 # and evaluate its spinor sandwiches on that band alone.  At n_max 512 the dense
-# N x N sandwich matrix alone is 67 MB; the whole routes trace 7.4 MiB (direct)
+# N x N sandwich matrix alone is 67 MB; the whole routes trace 4.6 MiB (direct)
 # and 1.1 MiB (spectral).
 EXACT_ROUTE_PEAK_BYTES = 16 * 2**20
 

@@ -452,6 +452,29 @@ def test_an_empty_memory_error_still_names_the_inputs(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: out of memory reading the arguments\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "1"],
+        ["anomaly", "--n-max", "1", "--f-harmonic", "1:0.5:0"],
+        ["vacuum", "--n-max", "1", "--eps", "1"],
+        ["kernel", "--eps", "0.1"],
+        ["derive"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_an_unwritable_out_path_exits_2_with_one_line_naming_it(tmp_path, capsys, argv, target):
+    # a missing directory and a directory as the target: the run completes, and the
+    # failed write ends in exit 2 and one error line that names the path
+    out = str(tmp_path / target)
+    assert run_cli(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write the report to {out!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("n_max", [2.5, "3", True])
 def test_config_file_non_integer_n_max(tmp_path, capsys, n_max):
     cfg_file = tmp_path / "run.json"
