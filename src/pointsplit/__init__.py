@@ -10,7 +10,7 @@ corrected current, and the redefined vacuum that restores a ground state.
 
 Modules
 -------
-lattice      momentum grid, dispersion, spinors, mode functions
+lattice      momentum grid, dispersion, spinors
 trigpoly     smearing functions as finite sums of box harmonics
 fock         occupation-bitstring Fock space with exact fermionic signs
 modeops      normal-ordered operator polynomials and all model operators
@@ -21,7 +21,7 @@ checks       reusable identity suites
 cli          batch experiment runner (verify | anomaly | vacuum | kernel | derive)
 """
 
-from .lattice import LatticeConfig, ModeSpinor, dispersion, mode_function, mode_overlap, spinor
+from .lattice import LatticeConfig, ModeSpinor, dispersion, spinor
 from .trigpoly import TrigPoly
 from .fock import (
     ELECTRON,
@@ -41,14 +41,12 @@ from .modeops import (
     coeff_distance,
     commutator,
     current_density,
-    expectation,
     hamiltonian,
     multiply,
     smeared_charge,
     smeared_kernel,
     split_current,
     split_hamiltonian,
-    total_charge,
     vev,
 )
 from .anomaly import (

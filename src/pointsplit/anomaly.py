@@ -26,9 +26,9 @@ from itertools import pairwise
 
 import numpy as np
 
-from .fock import _vacuum_part, inner, vacuum
+from .fock import _first_positron, _vacuum_part, inner, vacuum
 from .lattice import LatticeConfig
-from .modeops import _bilinear, _first_positron, _mode_table, _pair_blocks, apply_operator, hamiltonian
+from .modeops import _bilinear, _mode_table, _pair_blocks, apply_operator, hamiltonian
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -85,7 +85,7 @@ def double_commutator_spectral(kernel: tuple[np.ndarray, np.ndarray, np.ndarray]
     enter the sum, electron slot outer and positron slot inner.
     """
     rows, cols, values = kernel
-    first_positron = _first_positron(cfg)
+    first_positron = _first_positron(cfg.n_max)
     pairs = np.flatnonzero((rows >= first_positron) & (cols < first_positron))
     pairs = pairs[np.lexsort((rows[pairs], cols[pairs]))]
     energy = _mode_table(cfg).energy.tolist()
@@ -104,7 +104,7 @@ def split_vev_kernel(g: float, cfg: LatticeConfig) -> complex:
     """
     cfg.check_phase(g)
     t = _mode_table(cfg)
-    electrons = slice(_first_positron(cfg))
+    electrons = slice(_first_positron(cfg.n_max))
     total = 0j
     for p, energy in zip(t.p[electrons].tolist(), t.energy[electrons].tolist()):
         total += (p / energy) * cmath.exp(-1j * p * g)

@@ -33,11 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import n_slots_for
+from .fock import _first_positron, n_slots_for
 from .lattice import ID2, SIGMA_X, LatticeConfig, dispersion
 from .modeops import (
     _boulware_kernel,
-    _first_positron,
     _gradient_kernel,
     _kernel_vev,
     _mode_table,
@@ -106,8 +105,8 @@ def check_spinors(cfg: LatticeConfig) -> CheckResult:
     slots.  The spinors and h(p) = sigma_x p + sigma_z m are real, so each identity is read in
     elementwise float64, which rounds alike on every CPU, as a BLAS kernel need not."""
     t = _mode_table(cfg)
-    half = _first_positron(cfg)
-    u0, u1 = t.u.real.T
+    half = _first_positron(cfg.n_max)
+    u0, u1 = t.u.T
     lam_energy = t.energy * np.repeat([1.0, -1.0], half)
     r0 = cfg.mass * u0 + t.p * u1 - lam_energy * u0
     r1 = t.p * u0 - cfg.mass * u1 - lam_energy * u1
@@ -216,19 +215,13 @@ def _largest_difference(cfg: LatticeConfig, identities) -> float:
 
 
 def _pairwise(h: np.ndarray, rows: _Rows):
-    """The pairwise continuity identity below on these rows, as a pair of kernels to subtract."""
-    return _commute_diagonal(h, rows.sandwich(ID2), rows), _i_d_dz(rows.sandwich(SIGMA_X), rows)
-
-
-def continuity_pairwise_residual(cfg: LatticeConfig) -> float:
-    """Largest residual of the per-mode-pair continuity identity
+    """The per-mode-pair continuity identity on these rows, as a pair of kernels to subtract:
 
         u_a' [ (h_a - h_b) + (p_b - p_a) sigma_x ] u_b = 0,
 
     with h_a = E_a on electron slots and -E_a on positron slots, which makes the commutator
     of the Hamiltonian with the charge density equal i d/dz of the current for every z at once."""
-    h = _split_hamiltonian_diagonal(cfg, 0.0)
-    return _largest_difference(cfg, lambda rows: [_pairwise(h, rows)])
+    return _commute_diagonal(h, rows.sandwich(ID2), rows), _i_d_dz(rows.sandwich(SIGMA_X), rows)
 
 
 def check_continuity(cfg: LatticeConfig, corrupt_sign: bool = False) -> CheckResult:
@@ -240,7 +233,7 @@ def check_continuity(cfg: LatticeConfig, corrupt_sign: bool = False) -> CheckRes
     """
     h = _split_hamiltonian_diagonal(cfg, 0.0)
     if corrupt_sign:
-        h[_first_positron(cfg) :] *= -1
+        h[_first_positron(cfg.n_max) :] *= -1
 
     def identities(rows):
         if not corrupt_sign:

@@ -559,7 +559,7 @@ def main(argv=None) -> int:
         code, message = 2, str(exc)
     except RuntimeError as exc:
         code, message = 1, str(exc)
-    print("error: " + " ".join(message.split()), file=sys.stderr)
+    print("error: " + " ".join(message.splitlines()), file=sys.stderr)  # one line; a path keeps its spaces
     return code
 
 

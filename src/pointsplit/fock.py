@@ -2,8 +2,8 @@
 
 Basis states are occupation bitstrings over M_tot = 2*(2*n_max+1) slots:
 electron modes sit at slots 0..2*n_max (ascending mode index j), positron
-modes at slots 2*n_max+1..4*n_max+1 (ascending j).  Bit k of the integer
-key is slot k.
+modes at slots 2*n_max+1..4*n_max+1 (ascending j), from _first_positron on.
+Bit k of the integer key is slot k.
 
 This fixed slot order is the single source of truth for every fermionic
 sign in the package: creating or annihilating in slot k multiplies the
@@ -49,12 +49,17 @@ class SlotIndex:
         """Position of this slot in the fixed linear order."""
         if abs(self.j) > n_max:
             raise ValueError(f"mode index {self.j} out of range for n_max={n_max}")
-        offset = 0 if self.species == ELECTRON else 2 * n_max + 1
+        offset = 0 if self.species == ELECTRON else _first_positron(n_max)
         return offset + (self.j + n_max)
 
 
+def _first_positron(n_max: int) -> int:
+    """Linear slots below this one are electron slots, the rest positron slots."""
+    return 2 * n_max + 1
+
+
 def n_slots_for(n_max: int) -> int:
-    return 2 * (2 * n_max + 1)
+    return 2 * _first_positron(n_max)
 
 
 def n_max_from_slots(n_slots: int) -> int:
@@ -62,15 +67,6 @@ def n_max_from_slots(n_slots: int) -> int:
     if n_slots_for(n_max) != n_slots:
         raise ValueError(f"slot count {n_slots} is not of the form 2*(2*n_max+1)")
     return n_max
-
-
-def slot_from_linear(k: int, n_max: int) -> SlotIndex:
-    per_species = 2 * n_max + 1
-    if not 0 <= k < 2 * per_species:
-        raise ValueError(f"linear slot {k} out of range")
-    if k < per_species:
-        return SlotIndex(ELECTRON, k - n_max)
-    return SlotIndex(POSITRON, k - per_species - n_max)
 
 
 @dataclass(frozen=True)
@@ -85,10 +81,6 @@ class FockVector:
     amp: dict[int, complex] = field(default_factory=dict)
 
     @classmethod
-    def zero(cls, n_slots: int) -> "FockVector":
-        return cls(n_slots, {})
-
-    @classmethod
     def basis_state(cls, bits: int, n_slots: int) -> "FockVector":
         if not 0 <= bits < (1 << n_slots):
             raise ValueError(f"bitstring {bits} out of range for {n_slots} slots")
@@ -96,25 +88,6 @@ class FockVector:
 
     def norm(self) -> float:
         return sum(abs(a) ** 2 for a in self.amp.values()) ** 0.5
-
-    def scaled(self, c: complex) -> "FockVector":
-        if c == 0:
-            return FockVector.zero(self.n_slots)
-        return FockVector(self.n_slots, {b: c * a for b, a in self.amp.items()})
-
-    def add(self, other: "FockVector") -> "FockVector":
-        _check_same_space(self, other)
-        out = dict(self.amp)
-        for b, a in other.amp.items():
-            s = out.get(b, 0j) + a
-            if s == 0:
-                out.pop(b, None)
-            else:
-                out[b] = s
-        return FockVector(self.n_slots, out)
-
-    def sub(self, other: "FockVector") -> "FockVector":
-        return self.add(other.scaled(-1.0))
 
     def is_zero(self) -> bool:
         return not self.amp

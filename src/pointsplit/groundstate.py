@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, SlotIndex, apply_create, inner, n_slots_for, vacuum
+from .fock import FockVector, SlotIndex, _first_positron, apply_create, inner, n_slots_for, vacuum
 from .lattice import LatticeConfig
-from .modeops import _first_positron, _mode_table, _split_energies, apply_operator, split_hamiltonian
+from .modeops import _mode_table, _split_energies, apply_operator, split_hamiltonian
 
 ENUMERATION_MAX_SLOTS = 24
 
@@ -92,7 +92,7 @@ def split_spectrum(eps: float, cfg: LatticeConfig) -> SplitSpectrum:
     cutoff the negative set is guaranteed nonempty once cutoff*|eps| > pi/2.
     """
     t = _mode_table(cfg)
-    electrons = slice(_first_positron(cfg))
+    electrons = slice(_first_positron(cfg.n_max))
     columns = (t.j[electrons].tolist(), t.p[electrons].tolist(), t.energy[electrons].tolist())
     entries = tuple(zip(*columns, _split_energies(cfg, eps)))
     zero = tuple(j for j, _, energy, split in entries if _is_zero_energy(split, energy))
@@ -102,9 +102,9 @@ def split_spectrum(eps: float, cfg: LatticeConfig) -> SplitSpectrum:
 
 def _mask(modes, n_max: int) -> int:
     """Bitmask of the electron and positron slots of the given modes at this n_max: mode j's
-    electron slot is j + n_max, and its positron slot lies half the slots above that."""
+    electron slot is j + n_max, and its positron slot lies _first_positron(n_max) above that."""
     electrons = sum(1 << (j + n_max) for j in set(modes))
-    return electrons | electrons << (n_slots_for(n_max) // 2)
+    return electrons | electrons << _first_positron(n_max)
 
 
 def redefined_vacuum(spectrum: SplitSpectrum) -> FockVector:

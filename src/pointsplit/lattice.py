@@ -79,11 +79,6 @@ class LatticeConfig:
                 f"the phase p * eps leaves the float range at eps={eps!r}, delta_p={self.delta_p}, n_max={self.n_max}"
             )
 
-    @property
-    def n_modes(self) -> int:
-        """Number of modes per species, 2*n_max + 1."""
-        return 2 * self.n_max + 1
-
     def momentum(self, j: int) -> float:
         if abs(j) > self.n_max:
             raise ValueError(f"mode index {j} out of range [-{self.n_max}, {self.n_max}]")
@@ -137,24 +132,3 @@ def _spinor_components(p, energy, m):
     over modes alike: the lam = +1 spinor is (norm, w * norm) and the lam = -1 one (-w * norm, norm)."""
     norm = np.sqrt((energy + m) / (2.0 * energy))
     return norm, p / (energy + m) * norm
-
-
-def mode_function(lam: int, j: int, z: float, cfg: LatticeConfig) -> np.ndarray:
-    """Plane-wave mode u_{lam,p_j} * exp(i p_j z) / sqrt(L) at position z."""
-    sp = spinor(lam, j, cfg)
-    phase = np.exp(1j * sp.p * z) / math.sqrt(cfg.box_length)
-    return sp.u * phase
-
-
-def mode_overlap(lam1: int, j1: int, lam2: int, j2: int, cfg: LatticeConfig) -> complex:
-    """Exact box integral of mode_function(lam1,j1)' . mode_function(lam2,j2).
-
-    The z-integral of exp(i(p_j2 - p_j1)z) over one period is L*delta_{j1,j2},
-    so the overlap reduces to the spinor inner product at equal momentum,
-    summed elementwise, as the package reads no BLAS kernel.
-    """
-    if j1 != j2:
-        return 0.0 + 0.0j
-    u1 = spinor(lam1, j1, cfg).u
-    u2 = spinor(lam2, j2, cfg).u
-    return complex(u1[0].conjugate() * u2[0] + u1[1].conjugate() * u2[1])

@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .fock import FockVector, n_slots_for
+from .fock import FockVector, _first_positron, n_slots_for
 from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, _spinor_components, dispersion
 from .trigpoly import TrigPoly
 
@@ -108,14 +108,6 @@ class ModeOperator:
     def __sub__(self, other: "ModeOperator") -> "ModeOperator":
         return self + (-1.0) * other
 
-    def __neg__(self) -> "ModeOperator":
-        return (-1.0) * self
-
-    def __mul__(self, other):
-        if isinstance(other, ModeOperator):
-            return multiply(self, other)
-        return ModeOperator(self.n_slots, {sig: other * c for sig, c in self.terms.items()})
-
     def __rmul__(self, scalar) -> "ModeOperator":
         return ModeOperator(self.n_slots, {sig: scalar * c for sig, c in self.terms.items()})
 
@@ -125,9 +117,6 @@ class ModeOperator:
         for (cre, ann), c in self.terms.items():
             out[(tuple(reversed(ann)), tuple(reversed(cre)))] = c.conjugate()
         return ModeOperator(self.n_slots, out)
-
-    def max_abs_coeff(self) -> float:
-        return _worst(abs(c) for c in self.terms.values())
 
     def coefficient(self, sig: Signature) -> complex:
         return self.terms.get(sig, 0.0 + 0.0j)
@@ -143,14 +132,6 @@ def _check_same(a: ModeOperator, b: ModeOperator) -> None:
 
 def constant_op(value: complex, n_slots: int) -> ModeOperator:
     return ModeOperator(n_slots, {_IDENTITY_SIG: value})
-
-
-def creator_op(slot: int, n_slots: int) -> ModeOperator:
-    return ModeOperator(n_slots, {((slot,), ()): 1.0 + 0.0j})
-
-
-def annihilator_op(slot: int, n_slots: int) -> ModeOperator:
-    return ModeOperator(n_slots, {((), (slot,)): 1.0 + 0.0j})
 
 
 # -- normal ordering -----------------------------------------------------
@@ -239,10 +220,6 @@ def coeff_distance(a: ModeOperator, b: ModeOperator) -> float:
     return _worst(abs(a.coefficient(k) - b.coefficient(k)) for k in keys)
 
 
-def is_hermitian(a: ModeOperator) -> bool:
-    return coeff_distance(a, a.adjoint()) <= 1e-12
-
-
 # -- state action --------------------------------------------------------
 
 
@@ -258,11 +235,6 @@ def vev(a: ModeOperator) -> complex:
     return a.coefficient(_IDENTITY_SIG)
 
 
-def expectation(v: FockVector, a: ModeOperator) -> complex:
-    """<v|A|v> via explicit state application (independent of vev)."""
-    return fock.inner(v, apply_operator(a, v))
-
-
 # -- field modes ---------------------------------------------------------
 
 
@@ -272,14 +244,14 @@ class _Modes(NamedTuple):
     j: np.ndarray  # mode index
     p: np.ndarray  # momentum, float64
     energy: np.ndarray  # E_j, the same on both of mode j's slots
-    u: np.ndarray  # unit spinors, shape (n_slots, 2)
+    u: np.ndarray  # unit spinors, real, float64, shape (n_slots, 2)
 
 
 @functools.lru_cache(maxsize=8)
 def _mode_table(cfg: LatticeConfig) -> _Modes:
     """Positive-energy spinors on electron slots, negative-energy ones on positron slots, once per
     lattice: lattice.spinor's values, from its momenta and dispersion per mode and its component
-    formula over all modes at once."""
+    formula over all modes at once; the spinors are real, so u holds them in float64."""
     p = [j * cfg.delta_p for j in cfg.mode_indices()]  # cfg.momentum's product, whatever delta_p's type
     energy = np.array([dispersion(x, cfg.mass) for x in p])
     p = np.array(p, dtype=float)
@@ -290,7 +262,7 @@ def _mode_table(cfg: LatticeConfig) -> _Modes:
         j=np.tile(np.arange(-cfg.n_max, cfg.n_max + 1), 2),
         p=np.tile(p, 2),
         energy=np.tile(energy, 2),
-        u=u.astype(complex),
+        u=u,
     )
     for column in table:
         column.flags.writeable = False
@@ -301,7 +273,7 @@ def _sandwich_at(cfg: LatticeConfig, matrix: np.ndarray, a: np.ndarray, b: np.nd
     """The one sandwich rule: u_a' M u_b for slot indices a, b broadcast together, as
     v_a0 u_b0 + v_a1 u_b1 with v = u'M.  The spinors and the insertions are real, and
     elementwise float64 arithmetic rounds alike on every CPU, as a BLAS kernel need not."""
-    u, m = _mode_table(cfg).u.real, np.asarray(matrix).real
+    u, m = _mode_table(cfg).u, np.asarray(matrix).real
     v = u[:, :1] * m[0] + u[:, 1:] * m[1]
     return v[a, 0] * u[b, 0] + v[a, 1] * u[b, 1]
 
@@ -321,14 +293,9 @@ class _Rows:
         return self._sandwiches[key]
 
 
-def _first_positron(cfg: LatticeConfig) -> int:
-    """Linear slots below this one are electron slots, the rest positron slots."""
-    return n_slots_for(cfg.n_max) // 2
-
-
 def _kernel_vev(diagonal: np.ndarray, cfg: LatticeConfig) -> complex:
     """Vacuum value of A'KA from the diagonal of K, Tr(P_- K): its positron entries summed in slot order."""
-    return sum(diagonal[_first_positron(cfg) :].tolist(), 0j)
+    return sum(diagonal[_first_positron(cfg.n_max) :].tolist(), 0j)
 
 
 def _entries(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,7 +314,7 @@ def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
     in slot order as _kernel_vev sums it, where a zero entry adds nothing.
     The entries are nonzero, so only a c-number that sums to zero is dropped.
     """
-    first_positron = _first_positron(cfg)
+    first_positron = _first_positron(cfg.n_max)
     terms: dict[Signature, complex] = {_IDENTITY_SIG: 0j}
     rows, cols, values = entries
     for a, b, c in zip(rows.tolist(), cols.tolist(), values.astype(complex, copy=False).tolist()):
@@ -370,7 +337,7 @@ def _pair_blocks(entries, cfg: LatticeConfig):
     (electron row, positron column: the b'd' block) and its pair-annihilating ones (positron
     row, electron column: the d b block), each set in its original row-major order."""
     rows, cols, _ = entries
-    first_positron = _first_positron(cfg)
+    first_positron = _first_positron(cfg.n_max)
     creating = (rows < first_positron) & (cols >= first_positron)
     annihilating = (rows >= first_positron) & (cols < first_positron)
     return tuple(tuple(x[block] for x in entries) for block in (creating, annihilating))
@@ -392,13 +359,13 @@ def _split_energies(cfg: LatticeConfig, eps: float) -> list[float]:
     """E_j cos(p_j eps) for modes j = -n_max .. n_max, the energy of both of mode j's slots."""
     cfg.check_phase(eps)
     t = _mode_table(cfg)
-    electrons = slice(_first_positron(cfg))
+    electrons = slice(_first_positron(cfg.n_max))
     return [e * math.cos(p * eps) for e, p in zip(t.energy[electrons].tolist(), t.p[electrons].tolist())]
 
 
 def split_hamiltonian(cfg: LatticeConfig, eps: float) -> ModeOperator:
     """Point-split Hamiltonian: per-mode energies E_j cos(p_j eps), renormalized."""
-    first_positron = _first_positron(cfg)
+    first_positron = _first_positron(cfg.n_max)
     terms: dict[Signature, complex] = {}
     for se, w in enumerate(_split_energies(cfg, eps)):
         if w != 0:
@@ -415,21 +382,19 @@ def _split_hamiltonian_diagonal(cfg: LatticeConfig, eps: float) -> np.ndarray:
     return np.array(splits + [-w for w in splits])
 
 
-def split_hamiltonian_raw(cfg: LatticeConfig, eps: float, renormalization: float | None = None) -> ModeOperator:
+def split_hamiltonian_raw(cfg: LatticeConfig, eps: float) -> ModeOperator:
     """Pre-normal-ordered form sum_j E_j cos(p_j eps)(b'_j b_j - d_j d'_j) + const.
 
     Each word is normal-ordered by _reduce_word, the engine under multiply,
-    and the d d' word exposes the c-number -sum_j E_j cos(p_j eps).  With the default renormalization
-    constant (+sum_j E_j cos(p_j eps)) the result equals split_hamiltonian
+    and the d d' word exposes the c-number -sum_j E_j cos(p_j eps).  With the renormalization
+    constant +sum_j E_j cos(p_j eps) the result equals split_hamiltonian
     coefficient for coefficient.
     """
     n = n_slots_for(cfg.n_max)
     splits = _split_energies(cfg, eps)
-    if renormalization is None:
-        renormalization = sum(splits)
-    terms = constant_op(renormalization, n).terms
+    terms = constant_op(sum(splits), n).terms
     for se, w in enumerate(splits):
-        sp = se + _first_positron(cfg)
+        sp = se + _first_positron(cfg.n_max)
         _reduce_word(((se, True), (se, False)), w, terms)
         _reduce_word(((sp, False), (sp, True)), -w, terms)
     return ModeOperator(n, terms)
@@ -560,16 +525,9 @@ def smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndar
     # positron slot first_positron further on; with the offsets descending,
     # the (row, block, offset) axes run in row-major order
     j_b = t.j[:, None, None] - (np.flatnonzero(coeffs) - span)[::-1]
-    cols = j_b + cfg.n_max + np.array([0, _first_positron(cfg)])[:, None]
+    cols = j_b + cfg.n_max + np.array([0, _first_positron(cfg.n_max)])[:, None]
     band = np.broadcast_to(np.abs(j_b) <= cfg.n_max, cols.shape)
     rows, cols = np.broadcast_to(np.arange(len(t.j))[:, None, None], cols.shape)[band], cols[band]
     values = coeffs[t.j[rows] - t.j[cols] + span] * _sandwich_at(cfg, ID2, rows, cols)
     kept = values != 0
     return rows[kept], cols[kept], values[kept]
-
-
-def total_charge(cfg: LatticeConfig) -> ModeOperator:
-    """Q = integral of charge_density over the box: electron number minus
-    positron number plus the constant background 2*n_max + 1."""
-    slots = np.arange(n_slots_for(cfg.n_max))
-    return _bilinear((slots, slots, np.ones(len(slots))), cfg)

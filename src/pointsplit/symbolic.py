@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 MatrixKey = tuple[complex, complex, complex, complex]
 
 MAT_ID: MatrixKey = (1 + 0j, 0j, 0j, 1 + 0j)
@@ -36,13 +34,6 @@ MAT_SX: MatrixKey = (0j, 1 + 0j, 1 + 0j, 0j)
 MAT_SZ: MatrixKey = (1 + 0j, 0j, 0j, -1 + 0j)
 
 _MATRIX_NAMES = {MAT_ID: "1", MAT_SX: "sx", MAT_SZ: "sz"}
-
-
-def matrix_key(m) -> MatrixKey:
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError(f"insertion must be 2x2, got shape {a.shape}")
-    return (complex(a[0, 0]), complex(a[0, 1]), complex(a[1, 0]), complex(a[1, 1]))
 
 
 def _mat_mul(a: MatrixKey, b: MatrixKey) -> MatrixKey:
@@ -167,10 +158,6 @@ class SymExpr:
                 if c != 0:
                     self.terms[k] = complex(c)
 
-    @classmethod
-    def single(cls, coeff: complex, deltas=(), smears=(), bilinear: Bilinear | None = None) -> "SymExpr":
-        return cls({_term_key(deltas, smears, bilinear): coeff})
-
     def add_term(self, coeff: complex, deltas=(), smears=(), bilinear: Bilinear | None = None) -> None:
         key = _term_key(deltas, smears, bilinear)
         s = self.terms.get(key, 0j) + coeff
@@ -189,9 +176,6 @@ class SymExpr:
                 out.terms[k] = s
         return out
 
-    def __sub__(self, other: "SymExpr") -> "SymExpr":
-        return self + other.scaled(-1.0)
-
     def scaled(self, c: complex) -> "SymExpr":
         return SymExpr({k: c * v for k, v in self.terms.items()})
 
@@ -200,15 +184,6 @@ class SymExpr:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymExpr) and self.terms == other.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __str__(self) -> str:
-        return format_expr(self)
 
 
 def commute_bilinears(first: Bilinear, second: Bilinear) -> SymExpr:
@@ -294,11 +269,7 @@ def shift_variable(expr: SymExpr, var: str, amount: int) -> SymExpr:
     return out
 
 
-def formal_smeared_commutator(
-    split: bool = False,
-    right_matrix=None,
-    record: list | None = None,
-) -> SymExpr:
+def formal_smeared_commutator(split: bool = False, record: list | None = None) -> SymExpr:
     """Formally evaluate the double-smeared density/current commutator integrand.
 
     Pipeline: build [psi'(z) psi(z), current at z'] with the CAR commutator
@@ -311,7 +282,6 @@ def formal_smeared_commutator(
 
     `record`, if given, collects (step label, formatted expression) pairs.
     """
-    mr = MAT_SX if right_matrix is None else matrix_key(right_matrix)
     z, zp = "z", "z'"
     density = Bilinear(SymPoint(z), MAT_ID, SymPoint(z))
 
@@ -322,10 +292,10 @@ def formal_smeared_commutator(
     if split:
         comm = SymExpr()
         for gamma in (+1, -1):
-            shifted = Bilinear(SymPoint(zp, gamma), mr, SymPoint(zp))
+            shifted = Bilinear(SymPoint(zp, gamma), MAT_SX, SymPoint(zp))
             comm = comm + commute_bilinears(density, shifted).scaled(0.5)
     else:
-        comm = commute_bilinears(density, Bilinear(SymPoint(zp), mr, SymPoint(zp)))
+        comm = commute_bilinears(density, Bilinear(SymPoint(zp), MAT_SX, SymPoint(zp)))
     note("commutator", comm)
 
     smeared = SymExpr()

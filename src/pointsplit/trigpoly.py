@@ -58,10 +58,6 @@ class TrigPoly:
                 coeffs[-n] = coeffs.get(-n, 0j) + c.conjugate()
         return cls(length, coeffs)
 
-    @classmethod
-    def constant(cls, length: float, value: float) -> "TrigPoly":
-        return cls(length, {0: complex(value)})
-
     def wavenumber(self, n: int) -> float:
         return 2.0 * math.pi * n / self.length
 

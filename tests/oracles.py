@@ -21,6 +21,26 @@ one-integer-per-hit table to it entry by entry, under corrupted sign rules.
 spinor_residuals is verify's spinor check mode by mode in Python floats from
 lattice.spinor: test_checks holds the package's one pass over the mode table
 to it by float.hex, on clean and on broken spinors.
+
+slot_from_linear inverts SlotIndex.linear from the slot layout written out
+again: test_fock holds the two to a round trip, and test_fock and
+test_modeops name slots through it.
+
+mode_function and mode_overlap state a mode in position space, u exp(i p z)
+/ sqrt(L), and its exact box integral: test_lattice holds the overlap to
+orthonormality and to a quadrature of the mode functions, and test_modeops
+holds every placed field kernel to sandwiches of mode functions.
+
+continuity_pairwise_residual reads the per-mode-pair continuity identity
+(checks._pairwise) alone, as check_continuity reads it in the same pass as
+the operator identity: test_modeops holds it to a per-pair spinor oracle,
+test_checks to a dense route by float.hex, and test_acceptance to its
+tolerance.
+
+total_charge is Q written monomial by monomial, electron number minus
+positron number plus the background 2 n_max + 1: test_modeops holds it to
+the box integral of the charge density, to the identity kernel and to the
+smeared charge of a constant.
 """
 
 import cmath
@@ -29,9 +49,10 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from pointsplit import anomaly, lattice, trigpoly
+from pointsplit import anomaly, checks, lattice, trigpoly
+from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, n_slots_for
 from pointsplit.lattice import LatticeConfig
-from pointsplit.modeops import _kernel_vev, _worst
+from pointsplit.modeops import ModeOperator, _kernel_vev, _split_hamiltonian_diagonal, _worst
 
 
 def _kernel_distance(k: np.ndarray, g: np.ndarray, cfg: LatticeConfig) -> float:
@@ -76,6 +97,44 @@ def spinor_residuals(cfg: LatticeConfig, spinor=lattice.spinor) -> list[float]:
         completeness = [[a0 * a0 + b0 * b0 - 1.0, a0 * a1 + b0 * b1], [a1 * a0 + b1 * b0, a1 * a1 + b1 * b1 - 1.0]]
         out += [abs(x) for row in completeness for x in row]
     return out
+
+
+def slot_from_linear(k: int, n_max: int) -> SlotIndex:
+    """The slot at linear position k: electrons at 0 .. 2 n_max, positrons after them."""
+    per_species = 2 * n_max + 1
+    if not 0 <= k < 2 * per_species:
+        raise ValueError(f"linear slot {k} out of range")
+    if k < per_species:
+        return SlotIndex(ELECTRON, k - n_max)
+    return SlotIndex(POSITRON, k - per_species - n_max)
+
+
+def mode_function(lam: int, j: int, z: float, cfg: LatticeConfig) -> np.ndarray:
+    """Plane-wave mode u_{lam,p_j} * exp(i p_j z) / sqrt(L) at position z."""
+    sp = lattice.spinor(lam, j, cfg)
+    return sp.u * (np.exp(1j * sp.p * z) / math.sqrt(cfg.box_length))
+
+
+def mode_overlap(lam1: int, j1: int, lam2: int, j2: int, cfg: LatticeConfig) -> complex:
+    """Exact box integral of mode_function(lam1, j1)' mode_function(lam2, j2): the z-integral of
+    exp(i(p_j2 - p_j1)z) over one period is L delta_{j1,j2}, leaving the spinor inner product."""
+    if j1 != j2:
+        return 0j
+    u1, u2 = lattice.spinor(lam1, j1, cfg).u, lattice.spinor(lam2, j2, cfg).u
+    return complex(np.vdot(u1, u2))
+
+
+def continuity_pairwise_residual(cfg: LatticeConfig) -> float:
+    """Largest residual of checks._pairwise over the blocks of rows check_continuity reads."""
+    h = _split_hamiltonian_diagonal(cfg, 0.0)
+    return checks._largest_difference(cfg, lambda rows: [checks._pairwise(h, rows)])
+
+
+def total_charge(cfg: LatticeConfig) -> ModeOperator:
+    """Q = sum_e b'_e b_e - sum_p d'_p d_p + 2 n_max + 1, its c-number first, then slot by slot."""
+    n = n_slots_for(cfg.n_max)
+    terms = {((), ()): n // 2} | {((a,), (a,)): 1.0 if a < n // 2 else -1.0 for a in range(n)}
+    return ModeOperator(n, terms)
 
 
 class TrigPoly(trigpoly.TrigPoly):

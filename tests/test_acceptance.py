@@ -17,7 +17,7 @@ from pointsplit.anomaly import (
     kernel_asymptote,
     split_commutator_integral,
 )
-from pointsplit.checks import check_car, continuity_pairwise_residual
+from pointsplit.checks import check_car
 from pointsplit.cli import main as cli_main
 from pointsplit.fock import ELECTRON, POSITRON, n_slots_for
 from pointsplit.groundstate import (
@@ -41,6 +41,8 @@ from pointsplit.modeops import (
 )
 from pointsplit.symbolic import formal_smeared_commutator
 from pointsplit.trigpoly import TrigPoly
+
+from oracles import continuity_pairwise_residual
 
 RNG_SEED = 20260808
 

@@ -114,7 +114,7 @@ def test_trigpoly_shift_product_integral():
 
 
 def test_constant_smearing_gives_zero():
-    f = TrigPoly.constant(CFG2.box_length, 1.0)
+    f = TrigPoly(CFG2.box_length, {0: 1.0})
     kernel = smeared_kernel(f, CFG2)
     assert double_commutator_direct(kernel, CFG2) == pytest.approx(0.0, abs=1e-12)
     assert double_commutator_spectral(kernel, CFG2) == pytest.approx(0.0, abs=1e-12)
@@ -411,7 +411,7 @@ def test_kernel_odd_and_imaginary(g):
 
 def test_split_integral_zero_cases():
     assert split_commutator_integral(COS1, 0.0, CFG2) == pytest.approx(0.0, abs=1e-14)
-    const = TrigPoly.constant(CFG2.box_length, 3.0)
+    const = TrigPoly(CFG2.box_length, {0: 3.0})
     for eps in (0.1, 0.8):
         assert split_commutator_integral(const, eps, CFG2) == pytest.approx(0.0, abs=1e-14)
 
@@ -781,7 +781,7 @@ def test_finite_difference_quadratic_convergence():
 
 
 def test_finite_difference_constant_smearing():
-    const = TrigPoly.constant(CFG2.box_length, 1.0)
+    const = TrigPoly(CFG2.box_length, {0: 1.0})
     fd, limit = finite_difference_limit(const, 0.2)
     assert fd == 0.0
     assert limit == 0.0

@@ -37,16 +37,14 @@ from pointsplit.checks import (
     check_split_continuity,
     check_split_current_consistency,
     check_spinors,
-    continuity_pairwise_residual,
     run_verify_suite,
 )
-from pointsplit.fock import n_slots_for
+from pointsplit.fock import _first_positron, n_slots_for
 from pointsplit.lattice import ID2, SIGMA_X, LatticeConfig, spinor
 from pointsplit.modeops import (
     _boulware_kernel,
     _d_dz,
     _field_kernel,
-    _first_positron,
     _gradient_kernel,
     _kernel_vev,
     _mode_table,
@@ -57,7 +55,7 @@ from pointsplit.modeops import (
 )
 from pointsplit.trigpoly import TrigPoly
 
-from oracles import _kernel_distance, spinor_residuals
+from oracles import _kernel_distance, continuity_pairwise_residual, spinor_residuals
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -179,7 +177,7 @@ def test_spinor_check_fails_on_a_broken_spinor(monkeypatch, lam, breaking):
     """Each broken table fails the check, whose residual is the oracle's on the same broken spinor."""
     cfg, j = LatticeConfig(0.1, 0.1, 3), 2
     table = _mode_table(cfg)
-    slot = j + cfg.n_max + (0 if lam == +1 else _first_positron(cfg))
+    slot = j + cfg.n_max + (0 if lam == +1 else _first_positron(cfg.n_max))
     u = table.u.copy()
     u[slot] = breaking(u[slot])
     monkeypatch.setattr(checks, "_mode_table", lambda _: table._replace(u=u))
@@ -228,7 +226,7 @@ def dense_continuity(cfg: LatticeConfig, corrupt_sign: bool):
     rows = _Rows(cfg)
     h = _split_hamiltonian_diagonal(cfg, 0.0)
     if corrupt_sign:
-        h[_first_positron(cfg) :] *= -1
+        h[_first_positron(cfg.n_max) :] *= -1
     commuted = _commute_diagonal(h, _field_kernel(0.0, ID2, rows), rows)
     residuals = [0.0 if corrupt_sign else dense_pairwise_residual(cfg)]
     residuals.append(_kernel_distance(commuted, 1j * _d_dz(_field_kernel(0.0, SIGMA_X, rows), rows), cfg))

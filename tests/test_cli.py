@@ -475,6 +475,15 @@ def test_an_unwritable_out_path_exits_2_with_one_line_naming_it(tmp_path, capsys
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("argv", [["derive", "--out"], ["verify", "--config"]])
+def test_an_error_line_keeps_the_spaces_of_the_path_it_names(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "a  b.json")
+    assert run_cli(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert repr(path) in err
+
+
 @pytest.mark.parametrize("n_max", [2.5, "3", True])
 def test_config_file_non_integer_n_max(tmp_path, capsys, n_max):
     cfg_file = tmp_path / "run.json"
@@ -770,6 +779,34 @@ def test_the_blas_scan_sees_every_form():
     expected += ["from numpy import", "from numpy.linalg import"]
     assert sorted(texts) == sorted(expected)
     assert list(_blas_calls(ast.parse("np.abs(x).max()\nnp.sum(a * b)\nnp.take(a, b)\n"))) == []
+
+
+def test_the_package_holds_no_code_that_only_tests_run():
+    """Every function and method of the package is named somewhere in the package past its own
+    def and __init__'s re-exports, or in a demo, or is a per-layer metric of the benchmark, the
+    console script cli.entry, the argparse hook _Parser.error or a dunder.  Names are matched
+    without types, so a method sharing its name with another name that is used passes."""
+    package = Path(cli.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in [*package.glob("*.py"), *(root / "demos").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    per_layer = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    exempt = {tuple(metric["name"].split(".")[:2]) for metric in per_layer} | {("cli", "entry"), ("cli", "error")}
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in used
+        and (path.stem, node.name) not in exempt
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert unused == []
 
 
 def test_reports_are_byte_identical_under_another_blas_kernel(tmp_path):

@@ -95,7 +95,7 @@ def test_split_spectrum_nonempty_beyond_threshold():
 
 def test_redefined_vacuum_eps_zero_is_vacuum():
     v = redefined_vacuum(split_spectrum(0.0, CFG3))
-    assert v.sub(vacuum(CFG3)).is_zero()
+    assert v == vacuum(CFG3)
 
 
 def test_redefined_vacuum_energy_formula():
