@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -565,6 +566,14 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+# Everything the import made (numpy's and this package's modules, functions and
+# classes) lives as long as the process.  Freezing it keeps every later garbage
+# collection off it: a command's collections then walk only what the command
+# allocates, so their cost no longer depends on which call the first one after
+# the import falls in (about 1 ms on whichever call that is).
+gc.freeze()
 
 
 if __name__ == "__main__":
