@@ -81,13 +81,11 @@ def double_commutator_spectral(kernel: tuple[np.ndarray, np.ndarray, np.ndarray]
     band as modeops.smeared_kernel returns it, without touching a state: F's term
     K[p, e] d_p b_e (positron slot p, electron slot e) gives <0|F d'_p b'_e|0> = -K[p, e],
     so |<0|F|m>|^2 = |K[p, e]|^2.
-    Only the nonzero entries of that block, on the band of f's harmonics,
-    enter the sum, electron slot outer and positron slot inner.
+    Only the nonzero entries of that block, F's d b pair block (modeops._pair_blocks)
+    on the band of f's harmonics, enter the sum, electron slot outer and positron slot inner.
     """
-    rows, cols, values = kernel
-    first_positron = _first_positron(cfg.n_max)
-    pairs = np.flatnonzero((rows >= first_positron) & (cols < first_positron))
-    pairs = pairs[np.lexsort((rows[pairs], cols[pairs]))]
+    rows, cols, values = _pair_blocks(kernel, cfg)[1]
+    pairs = np.lexsort((rows, cols))
     energy = _mode_table(cfg).energy.tolist()
     total = 0.0
     for p, e, k in zip(rows[pairs].tolist(), cols[pairs].tolist(), values[pairs].tolist()):

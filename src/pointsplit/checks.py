@@ -12,9 +12,11 @@ Every operator checked here is a fermion bilinear A'KA, so the checks stay on th
 diagonal, carried as the vector h of their diagonal, so every continuity identity takes one
 elementwise commutator [diag(h), K] = (h_a - h_b) K[a,b] (_commute_diagonal), and its two kernels
 are compared entry by entry, one block of rows at a time (_largest_difference): no N x N array is
-held.  Those kernels carry no shift, so they are real: rho and the current are u_a' M u_b / L, the
-corrected current and the gradient form are real by their gamma average, and i d/dz of a real
-kernel is (p_a - p_b) K[a,b] (_i_d_dz); each identity is read in float64.  The renormalization
+held, and a block does only its O(rows x N) work, as each eps's diagonal and plane wave are built
+once and handed to every block (_split_residual).  Those kernels carry no shift, so they are real:
+rho and the current are u_a' M u_b / L, the corrected current and the gradient form are real by
+their gamma average, and modeops' one d/dz rule, i d/dz K = (p_a - p_b) K (_i_d_dz), keeps them
+real; each identity is read in float64.  The renormalization
 check builds operators, as it tests the normal-ordering engine itself, and the hermiticity check
 builds F, the one operator whose hermiticity can fail.
 tests/test_checks.py holds every check that reads less than whole kernels to a dense route.
@@ -38,6 +40,7 @@ from .lattice import ID2, SIGMA_X, LatticeConfig, dispersion
 from .modeops import (
     _boulware_kernel,
     _gradient_kernel,
+    _i_d_dz,
     _kernel_vev,
     _mode_table,
     _plane_wave,
@@ -195,13 +198,6 @@ def _commute_diagonal(h: np.ndarray, k: np.ndarray, rows: _Rows) -> np.ndarray:
     return h[rows.slots, None] * k - k * h[None, :]
 
 
-def _i_d_dz(kernel: np.ndarray, rows: _Rows) -> np.ndarray:
-    """i d/dz of a z-free kernel on these rows: modeops' one d/dz rule times i, (p_a - p_b) K[a,b], real
-    where K is."""
-    p = _mode_table(rows.cfg).p
-    return (p[rows.slots, None] - p[None, :]) * kernel
-
-
 BLOCK_BYTES = 2**20  # the kernel identities are read in blocks of rows of about BLOCK_BYTES / 16 entries
 
 
@@ -245,12 +241,13 @@ def check_continuity(cfg: LatticeConfig, corrupt_sign: bool = False) -> CheckRes
 
 
 def _split_residual(cfg: LatticeConfig, eps_values, other_side) -> float:
-    """[H_split(eps), rho] against other_side(eps, rows) for every eps, rho built once per block."""
-    hamiltonians = [(eps, _split_hamiltonian_diagonal(cfg, eps)) for eps in eps_values]
+    """[H_split(eps), rho] against other_side(eps, e(eps), rows) for every eps, rho built once per block.
+    Each eps is paired with its diagonal and plane wave in a list: 0.0 and -0.0 would be one dict key."""
+    per_eps = [(eps, _split_hamiltonian_diagonal(cfg, eps), _plane_wave(cfg, eps)) for eps in eps_values]
 
     def identities(rows):
         rho = rows.sandwich(ID2) / cfg.box_length
-        return ((_commute_diagonal(h, rho, rows), other_side(eps, rows)) for eps, h in hamiltonians)
+        return ((_commute_diagonal(h, rho, rows), other_side(eps, e, rows)) for eps, h, e in per_eps)
 
     return _largest_difference(cfg, identities)
 
@@ -261,13 +258,13 @@ def check_split_continuity(cfg: LatticeConfig, eps_values) -> CheckResult:
         [H_split(eps), rho(z)] = i d/dz J_corrected(z; eps)
 
     checked monomial by monomial for every eps, on the z-free kernels."""
-    residual = _split_residual(cfg, eps_values, lambda eps, rows: _i_d_dz(_boulware_kernel(eps, rows), rows))
+    residual = _split_residual(cfg, eps_values, lambda eps, e, rows: _i_d_dz(_boulware_kernel(eps, e, rows), rows))
     return _result("split_continuity_defining_relation", residual, TOL["split_continuity_defining_relation"])
 
 
 def check_gradient_form(cfg: LatticeConfig, eps_values) -> CheckResult:
     """[H_split, rho(z)] against its point-shifted field-gradient expansion."""
-    residual = _split_residual(cfg, eps_values, _gradient_kernel)
+    residual = _split_residual(cfg, eps_values, lambda eps, e, rows: _gradient_kernel(e, rows))
     return _result("split_commutator_gradient_form", residual, TOL["split_commutator_gradient_form"])
 
 
@@ -282,8 +279,8 @@ def check_split_renormalization(cfg: LatticeConfig, eps_values) -> CheckResult:
 def check_split_current_consistency(cfg: LatticeConfig, eps_values) -> CheckResult:
     """The gamma-symmetrized split current's vacuum value vanishes; it reads only
     the N diagonal entries u_a' sigma_x u_a conj(e(+-eps))_a / L."""
-    slots = np.arange(n_slots_for(cfg.n_max))
-    diagonal = _sandwich_at(cfg, SIGMA_X, slots, slots) / cfg.box_length
+    u = _mode_table(cfg).u
+    diagonal = _sandwich_at(u, SIGMA_X, u) / cfg.box_length
     residuals = []
     for eps in eps_values:
         plus, minus = (diagonal * _plane_wave(cfg, g).conj() for g in (+eps, -eps))

@@ -39,19 +39,19 @@ engine (multiply, commutator) is the independent oracle the tests hold them to.
 
 Every spinor sandwich u_a' M u_b comes from one elementwise float64 rule (_sandwich_at), never
 from a matrix product, so no BLAS kernel sets a bit of a report.  A kernel function evaluates one
-range of its kernel's rows (_Rows, which holds the range's sandwiches for every kernel built on it),
-all rows for the public builders; the smeared charge evaluates the rule on its band alone.
+range of its kernel's rows in O(rows x N) work, its plane wave handed in (_Rows, which builds each
+insertion's sandwiches on the range on first use), all rows for the public builders; the smeared
+charge evaluates the rule on its band alone.
 
 Position enters only through the per-slot factor e(x)_a = exp(i p_a x) (_plane_wave).
 The private kernels are z-free, with a shift g as the factor conj(e(g))_a of psi'(z + g);
 only the public builders place a kernel at z, by the unimodular phase conj(e(z))_a e(z)_b
-(_phased), so the checks read each identity once, on its z-free kernels.  One d/dz rule,
-K[a,b] -> i(p_b - p_a) K[a,b] (_d_dz), serves every dz=True flag.  The checks' kernel
-identities are read in float64, as every kernel they compare carries no shift and is real:
-rho and the current are _Rows.sandwich / L (_field_kernel's conj(e(0)) is 1), and
-_boulware_kernel and _gradient_kernel return float64.  The checks multiply no two complex
-numbers that both have real and imaginary parts, a product numpy's SIMD kernels may round
-differently, so the CPU's dispatch sets no bit of a verify report.
+(_placed), so the checks read each identity once, on its z-free kernels.  One d/dz rule,
+i d/dz K[a,b] = (p_a - p_b) K[a,b] (_i_d_dz), serves the checks and, times -i, every dz=True
+flag.  The checks read their kernel identities in float64, as each kernel they compare carries
+no shift and is real (_Rows.sandwich / L, _boulware_kernel, _gradient_kernel), and multiply no two
+complex numbers with real and imaginary parts both set, a product numpy's SIMD kernels may round
+differently: the CPU's dispatch sets no bit of a verify report.
 """
 
 from __future__ import annotations
@@ -251,13 +251,13 @@ class _Modes(NamedTuple):
 def _mode_table(cfg: LatticeConfig) -> _Modes:
     """Positive-energy spinors on electron slots, negative-energy ones on positron slots, once per
     lattice: lattice.spinor's values, from its momenta and dispersion per mode and its component
-    formula over all modes at once; the spinors are real, so u holds them in float64."""
+    formula over all modes at once; the spinors are real, so u holds them in float64, by column."""
     p = [j * cfg.delta_p for j in cfg.mode_indices()]  # cfg.momentum's product, whatever delta_p's type
     energy = np.array([dispersion(x, cfg.mass) for x in p])
     p = np.array(p, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # out of float range: inf and nan, as spinor's floats, no error
         norm, w_norm = _spinor_components(p, energy, cfg.mass)
-    u = np.concatenate((np.column_stack((norm, w_norm)), np.column_stack((-w_norm, norm))))
+    u = np.array([np.concatenate((norm, -w_norm)), np.concatenate((w_norm, norm))]).T
     table = _Modes(
         j=np.tile(np.arange(-cfg.n_max, cfg.n_max + 1), 2),
         p=np.tile(p, 2),
@@ -269,13 +269,13 @@ def _mode_table(cfg: LatticeConfig) -> _Modes:
     return table
 
 
-def _sandwich_at(cfg: LatticeConfig, matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The one sandwich rule: u_a' M u_b for slot indices a, b broadcast together, as
-    v_a0 u_b0 + v_a1 u_b1 with v = u'M.  The spinors and the insertions are real, and
-    elementwise float64 arithmetic rounds alike on every CPU, as a BLAS kernel need not."""
-    u, m = _mode_table(cfg).u, np.asarray(matrix).real
-    v = u[:, :1] * m[0] + u[:, 1:] * m[1]
-    return v[a, 0] * u[b, 0] + v[a, 1] * u[b, 1]
+def _sandwich_at(u_a: np.ndarray, matrix: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    """The one sandwich rule: u_a' M u_b for spinors broadcast together, components on the last axis,
+    as v_0 u_b0 + v_1 u_b1 with v = u_a'M.  The spinors and the insertions are real, and elementwise
+    float64 arithmetic rounds alike on every CPU, as a BLAS kernel need not."""
+    m = np.asarray(matrix).real
+    v0, v1 = (u_a[..., 0] * m[0, k] + u_a[..., 1] * m[1, k] for k in (0, 1))
+    return v0 * u_b[..., 0] + v1 * u_b[..., 1]
 
 
 class _Rows:
@@ -288,8 +288,8 @@ class _Rows:
     def sandwich(self, matrix: np.ndarray) -> np.ndarray:
         key = np.asarray(matrix).tobytes()
         if key not in self._sandwiches:
-            b = np.arange(n_slots_for(self.cfg.n_max))
-            self._sandwiches[key] = _sandwich_at(self.cfg, matrix, b[self.slots, None], b)
+            u = _mode_table(self.cfg).u
+            self._sandwiches[key] = _sandwich_at(u[self.slots, None], matrix, u)
         return self._sandwiches[key]
 
 
@@ -411,21 +411,27 @@ def _phased(kernel: np.ndarray, z: float, cfg: LatticeConfig) -> np.ndarray:
     return kernel * e_z.conj()[:, None] * e_z[None, :]
 
 
-def _d_dz(kernel: np.ndarray, rows: _Rows) -> np.ndarray:
-    """The one d/dz rule: z enters through _phased alone, so d/dz K[a,b] = i(p_b - p_a) K[a,b]."""
+def _i_d_dz(kernel: np.ndarray, rows: _Rows) -> np.ndarray:
+    """The one d/dz rule, times i, on these rows: z enters through _phased alone, so i d/dz K = (p_a - p_b) K."""
     p = _mode_table(rows.cfg).p
-    return kernel * (1j * (p[None, :] - p[rows.slots, None]))
+    return (p[rows.slots, None] - p[None, :]) * kernel
+
+
+def _placed(z: float, dz: bool, cfg: LatticeConfig, kernel_on) -> ModeOperator:
+    """The bilinear of the z-free kernel kernel_on(rows) over all rows placed at z; dz takes -i _i_d_dz of it."""
+    rows = _Rows(cfg)
+    kernel = -1j * _i_d_dz(kernel_on(rows), rows) if dz else kernel_on(rows)
+    return _bilinear(_entries(_phased(kernel, z, cfg)), cfg)
 
 
 def charge_density(z: float, cfg: LatticeConfig) -> ModeOperator:
     """psi'(z) psi(z), hermitian; carries the constant background (2n_max+1)/L."""
-    return _bilinear(_entries(_phased(_field_kernel(0.0, ID2, _Rows(cfg)), z, cfg)), cfg)
+    return _placed(z, False, cfg, lambda rows: _field_kernel(_plane_wave(cfg, 0.0), ID2, rows))
 
 
 def current_shifted(z: float, shift: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
     """One-sided bilinear psi'(z + shift) sigma_x psi(z) (no gamma average)."""
-    kernel = _field_kernel(shift, SIGMA_X, _Rows(cfg))
-    return _bilinear(_entries(_phased(_d_dz(kernel, _Rows(cfg)) if dz else kernel, z, cfg)), cfg)
+    return _placed(z, dz, cfg, lambda rows: _field_kernel(_plane_wave(cfg, shift), SIGMA_X, rows))
 
 
 def current_density(z: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -438,9 +444,9 @@ def split_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) ->
     return 0.5 * (current_shifted(z, +eps, cfg, dz) + current_shifted(z, -eps, cfg, dz))
 
 
-def _field_kernel(shift: float, matrix: np.ndarray, rows: _Rows) -> np.ndarray:
-    """z-free kernel of psi'(z + shift) M psi(z) on these rows: K[a,b] = u_a' M u_b conj(e(shift))_a / L."""
-    return rows.sandwich(matrix) / rows.cfg.box_length * _plane_wave(rows.cfg, shift).conj()[rows.slots, None]
+def _field_kernel(e: np.ndarray, matrix: np.ndarray, rows: _Rows) -> np.ndarray:
+    """z-free kernel of psi'(z + shift) M psi(z) on these rows, e = e(shift): K[a,b] = u_a' M u_b conj(e)_a / L."""
+    return rows.sandwich(matrix) / rows.cfg.box_length * e.conj()[rows.slots, None]
 
 
 def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False) -> ModeOperator:
@@ -459,14 +465,12 @@ def boulware_current(z: float, eps: float, cfg: LatticeConfig, dz: bool = False)
     q = p_b - p_a, and just g when q = 0.  It multiplies the shifted field's
     conj(e(g))_a, and since |e(g)| = 1 the gamma average is real: with
     c + i s = e(eps), the line factor is (c_a - c_b)/q, or eps s_a where q = 0.
-    _phased places the kernel at z; dz=True applies the one d/dz rule to it.
     """
-    kernel = _boulware_kernel(eps, _Rows(cfg))
-    return _bilinear(_entries(_phased(_d_dz(kernel, _Rows(cfg)) if dz else kernel, z, cfg)), cfg)
+    return _placed(z, dz, cfg, lambda rows: _boulware_kernel(eps, _plane_wave(cfg, eps), rows))
 
 
-def _boulware_kernel(eps: float, rows: _Rows) -> np.ndarray:
-    cfg, a, p, e = rows.cfg, rows.slots, _mode_table(rows.cfg).p, _plane_wave(rows.cfg, eps)
+def _boulware_kernel(eps: float, e: np.ndarray, rows: _Rows) -> np.ndarray:
+    cfg, a, p = rows.cfg, rows.slots, _mode_table(rows.cfg).p
     q, c = p[None, :] - p[a, None], e.real
     ins_x = rows.sandwich(SIGMA_X)
     ins_line = (-p[None, :]) * ins_x - cfg.mass * rows.sandwich(SIGMA_Z)  # line integrand, d/dz' -> i p_b
@@ -486,12 +490,12 @@ def charge_commutator_gradient_form(z: float, eps: float, cfg: LatticeConfig) ->
     Used as the independent cross-check against the commutator of
     split_hamiltonian with charge_density; the two agree term by term.
     """
-    return _bilinear(_entries(_phased(_gradient_kernel(eps, _Rows(cfg)), z, cfg)), cfg)
+    return _placed(z, False, cfg, lambda rows: _gradient_kernel(_plane_wave(cfg, eps), rows))
 
 
-def _gradient_kernel(eps: float, rows: _Rows) -> np.ndarray:
-    # the gamma average of either shifted field's factor, conj(e(g)) or e(g), is Re e(eps)
-    cfg, a, p, c = rows.cfg, rows.slots, _mode_table(rows.cfg).p, _plane_wave(rows.cfg, eps).real
+def _gradient_kernel(e: np.ndarray, rows: _Rows) -> np.ndarray:
+    # e = e(eps): the gamma average of either shifted field's factor, conj(e(g)) or e(g), is Re e(eps)
+    cfg, a, p, c = rows.cfg, rows.slots, _mode_table(rows.cfg).p, e.real
     ins_x, m_z = rows.sandwich(SIGMA_X), cfg.mass * rows.sandwich(SIGMA_Z)
     return ((p[a, None] * ins_x + m_z) * c[a, None] - (p[None, :] * ins_x + m_z) * c[None, :]) / cfg.box_length
 
@@ -528,6 +532,6 @@ def smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndar
     cols = j_b + cfg.n_max + np.array([0, _first_positron(cfg.n_max)])[:, None]
     band = np.broadcast_to(np.abs(j_b) <= cfg.n_max, cols.shape)
     rows, cols = np.broadcast_to(np.arange(len(t.j))[:, None, None], cols.shape)[band], cols[band]
-    values = coeffs[t.j[rows] - t.j[cols] + span] * _sandwich_at(cfg, ID2, rows, cols)
+    values = coeffs[t.j[rows] - t.j[cols] + span] * _sandwich_at(t.u[rows], ID2, t.u[cols])
     kept = values != 0
     return rows[kept], cols[kept], values[kept]

@@ -19,7 +19,7 @@ from pointsplit.anomaly import (
     split_commutator_integral,
     split_vev_kernel,
 )
-from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, n_slots_for, vacuum
+from pointsplit.fock import ELECTRON, POSITRON, SlotIndex, inner, vacuum
 from pointsplit.lattice import ID2, LatticeConfig, dispersion, spinor
 from pointsplit.modeops import (
     _bilinear,
@@ -314,8 +314,8 @@ def test_spectral_route_equals_the_normal_form_oracle(data):
     )
     f = TrigPoly.from_harmonics(cfg.box_length, [(0, data.draw(amplitude), 0.0)] + harmonics)
     # the band holds the nonzero entries, and their values, that evaluating f.coeff entry by entry gives
-    j, slots = _mode_table(cfg).j, np.arange(n_slots_for(cfg.n_max))
-    sandwiches = _sandwich_at(cfg, ID2, slots[:, None], slots)
+    j, u = _mode_table(cfg).j, _mode_table(cfg).u
+    sandwiches = _sandwich_at(u[:, None], ID2, u)
     entrywise = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * sandwiches
     kernel = rows, cols, values = smeared_kernel(f, cfg)
     nonzero = np.nonzero(entrywise)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pointsplit import checks, cli
+from pointsplit import checks, cli, modeops
 from pointsplit.checks import (
     TOL,
     _commute_diagonal,
@@ -43,11 +43,11 @@ from pointsplit.fock import _first_positron, n_slots_for
 from pointsplit.lattice import ID2, SIGMA_X, LatticeConfig, spinor
 from pointsplit.modeops import (
     _boulware_kernel,
-    _d_dz,
     _field_kernel,
     _gradient_kernel,
     _kernel_vev,
     _mode_table,
+    _plane_wave,
     _Rows,
     _split_hamiltonian_diagonal,
     _worst,
@@ -75,7 +75,7 @@ def dense_hermiticity(cfg: LatticeConfig, eps_values, f: TrigPoly):
     smeared = np.zeros((n_slots_for(cfg.n_max),) * 2, dtype=complex)
     smeared[rows, cols] = values
     kernels = [np.diag(_split_hamiltonian_diagonal(cfg, eps)) for eps in (0.0, *eps_values)]
-    kernels += [_field_kernel(0.0, ID2, _Rows(cfg)), smeared]
+    kernels += [_field_kernel(_plane_wave(cfg, 0.0), ID2, _Rows(cfg)), smeared]
     residuals = [_kernel_distance(k, k.conj().T, cfg) for k in kernels]
     return _result("hermiticity", _worst(residuals), TOL["hermiticity"])
 
@@ -84,9 +84,10 @@ def dense_split_current_consistency(cfg: LatticeConfig, eps_values):
     """The eps = 0 comparison of the corrected and unsplit current kernels, and
     the vacuum values off the full kernels psi'(z +- eps) sigma_x psi(z)."""
     rows = _Rows(cfg)
-    residuals = [_kernel_distance(_boulware_kernel(0.0, rows), _field_kernel(0.0, SIGMA_X, rows), cfg)]
+    corrected = _boulware_kernel(0.0, _plane_wave(cfg, 0.0), rows)
+    residuals = [_kernel_distance(corrected, _field_kernel(_plane_wave(cfg, 0.0), SIGMA_X, rows), cfg)]
     for eps in eps_values:
-        plus, minus = _field_kernel(+eps, SIGMA_X, rows), _field_kernel(-eps, SIGMA_X, rows)
+        plus, minus = (_field_kernel(_plane_wave(cfg, g), SIGMA_X, rows) for g in (+eps, -eps))
         residuals.append(abs(0.5 * (_kernel_vev(np.diagonal(plus), cfg) + _kernel_vev(np.diagonal(minus), cfg))))
     return _result("split_current_consistency", _worst(residuals), TOL["split_current_consistency"])
 
@@ -222,31 +223,42 @@ def dense_pairwise_residual(cfg: LatticeConfig) -> float:
     return _worst([np.hypot(d.real, d.imag).max()])
 
 
+def complex_i_d_dz(kernel: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+    """i d/dz of a whole kernel by the complex rule K[a,b] -> i(p_b - p_a) K[a,b], times i, not
+    through modeops' real-valued one."""
+    p = _mode_table(cfg).p
+    return 1j * (kernel * (1j * (p[None, :] - p[:, None])))
+
+
 def dense_continuity(cfg: LatticeConfig, corrupt_sign: bool):
     rows = _Rows(cfg)
     h = _split_hamiltonian_diagonal(cfg, 0.0)
     if corrupt_sign:
         h[_first_positron(cfg.n_max) :] *= -1
-    commuted = _commute_diagonal(h, _field_kernel(0.0, ID2, rows), rows)
+    e = _plane_wave(cfg, 0.0)
+    commuted = _commute_diagonal(h, _field_kernel(e, ID2, rows), rows)
     residuals = [0.0 if corrupt_sign else dense_pairwise_residual(cfg)]
-    residuals.append(_kernel_distance(commuted, 1j * _d_dz(_field_kernel(0.0, SIGMA_X, rows), rows), cfg))
+    residuals.append(_kernel_distance(commuted, complex_i_d_dz(_field_kernel(e, SIGMA_X, rows), cfg), cfg))
     return _result("continuity", _worst(residuals), TOL["continuity"])
 
 
 def dense_split_residual(cfg: LatticeConfig, eps_values, other_side) -> float:
     rows = _Rows(cfg)
-    rho = _field_kernel(0.0, ID2, rows)
+    rho = _field_kernel(_plane_wave(cfg, 0.0), ID2, rows)
     commuted = (_commute_diagonal(_split_hamiltonian_diagonal(cfg, eps), rho, rows) for eps in eps_values)
     return _worst(_kernel_distance(k, other_side(eps, rows), cfg) for eps, k in zip(eps_values, commuted))
 
 
 def dense_split_continuity(cfg: LatticeConfig, eps_values):
-    residual = dense_split_residual(cfg, eps_values, lambda eps, rows: 1j * _d_dz(_boulware_kernel(eps, rows), rows))
+    def other_side(eps, rows):
+        return complex_i_d_dz(_boulware_kernel(eps, _plane_wave(cfg, eps), rows), cfg)
+
+    residual = dense_split_residual(cfg, eps_values, other_side)
     return _result("split_continuity_defining_relation", residual, TOL["split_continuity_defining_relation"])
 
 
 def dense_gradient_form(cfg: LatticeConfig, eps_values):
-    residual = dense_split_residual(cfg, eps_values, _gradient_kernel)
+    residual = dense_split_residual(cfg, eps_values, lambda eps, rows: _gradient_kernel(_plane_wave(cfg, eps), rows))
     return _result("split_commutator_gradient_form", residual, TOL["split_commutator_gradient_form"])
 
 
@@ -285,6 +297,43 @@ def test_kernel_checks_in_row_blocks_equal_the_dense_routes_bit_for_bit(cfg, eps
         assert continuity_pairwise_residual(cfg).hex() == dense_pairwise_residual(cfg).hex()
     per_check = [height] * (n // height) + [n % height] * (n % height > 0)
     assert blocks == per_check * 4
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda cfg, eps_values: check_continuity(cfg),
+        check_split_continuity,
+        check_gradient_form,
+    ],
+    ids=["continuity", "split_continuity", "gradient_form"],
+)
+def test_kernel_checks_build_each_plane_wave_once_however_many_blocks(check):
+    """A block does only its O(rows x N) work: the plane waves e(eps) over all N slots are
+    built once per eps and handed to the blocks, so N in 5 blocks of 8 rows builds them
+    as often as N in one block, at most once per eps; 0.0 and -0.0 are two eps."""
+    cfg, eps_values = LatticeConfig(0.7, 1.3, 8), [0.3, 0.9, 0.0, -0.0]
+    n = n_slots_for(cfg.n_max)
+    built = []
+
+    def plane_wave(cfg, x):
+        built.append(x.hex())
+        return _plane_wave(cfg, x)
+
+    def calls(block_bytes):
+        built.clear()
+        with (
+            mock.patch.object(checks, "BLOCK_BYTES", block_bytes),
+            mock.patch.object(checks, "_plane_wave", plane_wave),
+            mock.patch.object(modeops, "_plane_wave", plane_wave),
+        ):
+            bits = _bits(check(cfg, eps_values))
+        return bits, list(built)
+
+    assert n == 34 and checks.BLOCK_BYTES >= 16 * n * n
+    whole, blocked = calls(checks.BLOCK_BYTES), calls(16 * n * 8)
+    assert blocked == whole
+    assert len(blocked[1]) <= len(eps_values)
 
 
 # A dense complex N x N kernel at n_max 512 (N = 2050) is 64 MiB.  Read in row blocks

@@ -33,13 +33,14 @@ from pointsplit.modeops import (
     ModeOperator,
     _bilinear,
     _boulware_kernel,
-    _d_dz,
     _entries,
     _field_kernel,
     _gradient_kernel,
+    _i_d_dz,
     _kernel_vev,
     _mode_table,
     _phased,
+    _plane_wave,
     _Rows,
     _sandwich_at,
     _split_hamiltonian_diagonal,
@@ -301,14 +302,14 @@ def test_sandwiches_are_plain_float_arithmetic(mass, delta_p, n_max):
     Python computes it: no fused multiply-add, whatever the CPU.  That holds
     because the spinors and the insertions are real, which is checked too."""
     cfg = LatticeConfig(mass, delta_p, n_max)
-    u, slots = _mode_table(cfg).u, np.arange(n_slots_for(n_max))
+    u = _mode_table(cfg).u
     assert not u.imag.any()
     spinors = u.real.tolist()
     for matrix in (ID2, SIGMA_X, SIGMA_Z):
         assert not matrix.imag.any()
         (m00, m01), (m10, m11) = matrix.real.tolist()
         v = [(x0 * m00 + x1 * m10, x0 * m01 + x1 * m11) for x0, x1 in spinors]
-        sandwiches = _sandwich_at(cfg, matrix, slots[:, None], slots)
+        sandwiches = _sandwich_at(u[:, None], matrix, u)
         assert sandwiches.tolist() == [[va0 * ub0 + va1 * ub1 for ub0, ub1 in spinors] for va0, va1 in v]
 
 
@@ -471,13 +472,14 @@ def test_boulware_eps_zero_is_plain_current():
 @example(LatticeConfig(1.0, 16.0, 32), 0.9)
 @settings(max_examples=60, deadline=None)
 def test_guarantees_of_construction_behind_the_slim_checks(cfg, eps):
-    slots = np.arange(n_slots_for(cfg.n_max))
+    u = _mode_table(cfg).u
     for matrix in (ID2, SIGMA_X, SIGMA_Z):
-        sandwiches = _sandwich_at(cfg, matrix, slots[:, None], slots)
+        sandwiches = _sandwich_at(u[:, None], matrix, u)
         assert np.array_equal(sandwiches, sandwiches.T)
     for g in (0.0, eps):
         assert _split_hamiltonian_diagonal(cfg, g).dtype == np.float64
-    assert np.array_equal(_boulware_kernel(0.0, _Rows(cfg)), _field_kernel(0.0, SIGMA_X, _Rows(cfg)))
+    corrected = _boulware_kernel(0.0, _plane_wave(cfg, 0.0), _Rows(cfg))
+    assert np.array_equal(corrected, _field_kernel(_plane_wave(cfg, 0.0), SIGMA_X, _Rows(cfg)))
 
 
 @given(LATTICES, st.floats(-3.0, 3.0), st.integers(0, 200), st.integers(0, 200))
@@ -489,13 +491,15 @@ def test_each_kernel_on_a_range_of_rows_is_those_rows_of_the_whole_kernel(cfg, e
     n = n_slots_for(cfg.n_max)
     start = first % n
     stop = min(n, start + 1 + count % n)
-    h = _split_hamiltonian_diagonal(cfg, eps)
+    h, e = _split_hamiltonian_diagonal(cfg, eps), _plane_wave(cfg, eps)
+    e_0 = _plane_wave(cfg, 0.0)
     kernels = {
-        "field": lambda rows: _field_kernel(eps, SIGMA_X, rows),
-        "boulware": lambda rows: _boulware_kernel(eps, rows),
-        "gradient": lambda rows: _gradient_kernel(eps, rows),
-        "d_dz": lambda rows: _d_dz(_boulware_kernel(eps, rows), rows),
-        "commuted": lambda rows: _commute_diagonal(h, _field_kernel(0.0, ID2, rows), rows),
+        "field": lambda rows: _field_kernel(e, SIGMA_X, rows),
+        "boulware": lambda rows: _boulware_kernel(eps, e, rows),
+        "gradient": lambda rows: _gradient_kernel(e, rows),
+        "i_d_dz": lambda rows: _i_d_dz(_boulware_kernel(eps, e, rows), rows),
+        "i_d_dz of the shifted field": lambda rows: _i_d_dz(_field_kernel(e, SIGMA_X, rows), rows),
+        "commuted": lambda rows: _commute_diagonal(h, _field_kernel(e_0, ID2, rows), rows),
     }
     for name, kernel in kernels.items():
         block, whole = kernel(_Rows(cfg, start, stop)), kernel(_Rows(cfg))[start:stop]
@@ -635,7 +639,7 @@ def _slot_modes(cfg: LatticeConfig) -> list[tuple[int, int]]:
 @example(LatticeConfig(0.7, 1.3, 4), 0.9, 0.4)
 @settings(max_examples=30, deadline=None)
 def test_placed_field_kernels_are_mode_function_sandwiches(cfg, z, g):
-    """_phased(_field_kernel(g, M), z)[a, b] is mode_function(a, z + g)' M
+    """_phased(_field_kernel(e(g), M), z)[a, b] is mode_function(a, z + g)' M
     mode_function(b, z): the oracle mode_function states where a mode sits without
     _plane_wave or _phased, so this pins psi' at z + g and psi at z."""
     modes = _slot_modes(cfg)
@@ -643,7 +647,8 @@ def test_placed_field_kernels_are_mode_function_sandwiches(cfg, z, g):
     placed = [mode_function(lam, j, z, cfg) for lam, j in modes]
     for matrix in (ID2, SIGMA_X, SIGMA_Z):
         oracle = np.array([[np.vdot(sa, matrix @ sb) for sb in placed] for sa in shifted])
-        assert np.abs(_phased(_field_kernel(g, matrix, _Rows(cfg)), z, cfg) - oracle).max() <= 1e-12
+        kernel = _field_kernel(_plane_wave(cfg, g), matrix, _Rows(cfg))
+        assert np.abs(_phased(kernel, z, cfg) - oracle).max() <= 1e-12
 
 
 @st.composite
@@ -679,7 +684,7 @@ def test_smeared_charge_is_the_box_integral_of_the_placed_density(case):
     f(z_k) rho(z_k) with rho placed at each node by _phased: this ties the
     anomaly's F to verify's rho(z)."""
     cfg, f = case
-    nodes, rho = _box_nodes(cfg), _field_kernel(0.0, ID2, _Rows(cfg))
+    nodes, rho = _box_nodes(cfg), _field_kernel(_plane_wave(cfg, 0.0), ID2, _Rows(cfg))
     integral = cfg.box_length / len(nodes) * sum(f(z) * _phased(rho, z, cfg) for z in nodes)
     rows, cols, values = smeared_kernel(f, cfg)
     band = np.zeros_like(integral)
@@ -696,13 +701,36 @@ def test_d_dz_rule_integrates_by_parts(case, g):
     rule is the derivative of the z-dependence _phased gives a kernel."""
     cfg, f = case
     nodes, df = _box_nodes(cfg), f.derivative()
-    rows = _Rows(cfg)
-    for kernel in (_field_kernel(g, SIGMA_X, rows), _boulware_kernel(g, rows)):
-        dz = _d_dz(kernel, rows)
+    rows, e = _Rows(cfg), _plane_wave(cfg, g)
+    for kernel in (_field_kernel(e, SIGMA_X, rows), _boulware_kernel(g, e, rows)):
+        dz = -1j * _i_d_dz(kernel, rows)
         lhs = sum(f(z) * _phased(dz, z, cfg) for z in nodes)
         rhs = -sum(df(z) * _phased(kernel, z, cfg) for z in nodes)
         scale = sum(abs(f(z)) for z in nodes) * np.abs(dz).max() + sum(abs(df(z)) for z in nodes) * np.abs(kernel).max()
         assert np.abs(lhs - rhs).max() <= 1e-13 * scale
+
+
+def _complex_dz_operator(kernel: np.ndarray, z: float, cfg: LatticeConfig) -> ModeOperator:
+    """The bilinear of d/dz of a z-free kernel placed at z, by the complex rule
+    K[a,b] -> K[a,b] i(p_b - p_a), not through modeops' real one."""
+    p = _mode_table(cfg).p
+    return _bilinear(_entries(_phased(kernel * (1j * (p[None, :] - p[:, None])), z, cfg)), cfg)
+
+
+@pytest.mark.parametrize("cfg", [CFG2, LatticeConfig(0.7, 1.3, 4), LatticeConfig(1.0, 16.0, 8)])
+@pytest.mark.parametrize("z, eps", [(0.45, 0.3), (-3.3, 1.7)])
+def test_dz_builders_are_the_complex_d_dz_rule_term_for_term(cfg, z, eps):
+    """dz=True takes -i times the one real rule, (p_a - p_b) K[a,b]: the same monomials and
+    coefficients as the complex rule, as only the sign of an exact zero may differ."""
+    rows = _Rows(cfg)
+    shifted = {
+        g: _complex_dz_operator(_field_kernel(_plane_wave(cfg, g), SIGMA_X, rows), z, cfg) for g in (0.0, eps, -eps)
+    }
+    boulware = _complex_dz_operator(_boulware_kernel(eps, _plane_wave(cfg, eps), rows), z, cfg)
+    assert current_density(z, cfg, dz=True).terms == shifted[0.0].terms
+    assert split_current(z, eps, cfg, dz=True).terms == (0.5 * (shifted[eps] + shifted[-eps])).terms
+    assert boulware_current(z, eps, cfg, dz=True).terms == boulware.terms
+    assert len(boulware.terms) > 0
 
 
 # -- smeared charge -------------------------------------------------------------
@@ -739,10 +767,8 @@ def test_smeared_charge_terms_follow_the_row_major_bilinear_contract(cfg, harmon
     order, b'_a b_b, b'_a d'_b, d_a b_b or -d'_b d_a by block.  The direct
     anomaly route applies F's terms in this order, so it fixes its sums."""
     f = TrigPoly.from_harmonics(cfg.box_length, harmonics)
-    j, slots = _mode_table(cfg).j, np.arange(n_slots_for(cfg.n_max))
-    kernel = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * _sandwich_at(
-        cfg, ID2, slots[:, None], slots
-    )
+    j, u = _mode_table(cfg).j, _mode_table(cfg).u
+    kernel = np.vectorize(f.coeff, otypes=[complex])(j[:, None] - j[None, :]) * _sandwich_at(u[:, None], ID2, u)
     first_positron = _first_positron(cfg.n_max)
     c_number, items = 0j, []
     for a, b in zip(*(x.tolist() for x in np.nonzero(kernel))):
