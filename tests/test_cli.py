@@ -880,6 +880,15 @@ def test_derive_golden_structure(tmp_path):
     assert "f'(z)" in finals["split"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_derive_report_is_pinned_byte_for_byte(tmp_path, fmt):
+    """All ten rows of derive, every step of both pipelines, in the exact bytes it writes."""
+    out = tmp_path / f"derive.{fmt}"
+    assert run_cli(["derive", "--format", fmt, "--out", str(out)]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"derive.{fmt}"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_csv_emission(tmp_path):
     out = tmp_path / "vac.csv"
     code = run_cli(["vacuum", "--n-max", "3", "--eps", "2", "--format", "csv", "--out", str(out)])

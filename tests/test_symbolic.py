@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointsplit.symbolic import (
     MAT_ID,
@@ -145,3 +146,34 @@ def test_pretty_printer_deterministic_ordering():
     a = formal_smeared_commutator(split=True)
     b = formal_smeared_commutator(split=True)
     assert format_expr(a) == format_expr(b)
+
+
+_points = st.builds(SymPoint, st.sampled_from(["z", "z'"]), st.integers(-2, 2))
+_terms = st.lists(
+    st.tuples(
+        # small Gaussian integers, so that merged sums are exact in any order
+        st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)),
+        st.lists(st.builds(DeltaFactor.of, _points, _points), max_size=3),
+        st.lists(st.builds(SmearFactor, point=_points, order=st.integers(0, 1)), max_size=3),
+        st.one_of(
+            st.none(),
+            # sz.sx prints in the general-matrix form
+            st.builds(Bilinear, _points, st.sampled_from([MAT_ID, MAT_SX, MAT_SZ, (0j, 1 + 0j, -1 + 0j, 0j)]), _points),
+        ),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=_terms, data=st.data())
+def test_canonical_form_ignores_the_order_of_factors_and_terms(terms, data):
+    def build(terms):
+        expr = SymExpr()
+        for coeff, deltas, smears, bil in terms:
+            expr.add_term(coeff, data.draw(st.permutations(deltas)), data.draw(st.permutations(smears)), bil)
+        return expr
+
+    first, second = build(terms), build(data.draw(st.permutations(terms)))
+    assert first.terms == second.terms
+    assert format_expr(first) == format_expr(second)
