@@ -281,8 +281,9 @@ def _kernel_defaults(eps: float, eta: float | None, cutoff: float | None) -> tup
         raise ValueError(f"kernel asymptote needs eps > 0, got {eps}")
     if eta is None:
         eta = eps * eps
-        if eta == 0:
-            raise ValueError(f"the default eta = eps*eps underflows to 0 at eps {eps!r}; pass --eta")
+        if eta == 0 or eta == math.inf:
+            leaves = "underflows to 0" if eta == 0 else "overflows to inf"
+            raise ValueError(f"the default eta = eps*eps {leaves} at eps {eps!r}; pass --eta")
     if cutoff is None:
         cutoff = max(1e4, 100.0 / eps)
         if cutoff == math.inf:

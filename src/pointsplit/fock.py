@@ -93,7 +93,8 @@ class FockVector:
         return not self.amp
 
 
-def _check_same_space(v: FockVector, w: FockVector) -> None:
+def _check_same_space(v, w) -> None:
+    """Raise unless v and w, states or operators, act on the same number of slots."""
     if v.n_slots != w.n_slots:
         raise ValueError(f"lattice mismatch: {v.n_slots} vs {w.n_slots} slots")
 

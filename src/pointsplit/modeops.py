@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .fock import FockVector, _first_positron, n_slots_for
+from .fock import FockVector, _check_same_space, _first_positron, n_slots_for
 from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, _spinor_components, dispersion
 from .trigpoly import TrigPoly
 
@@ -95,14 +95,10 @@ class ModeOperator:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "ModeOperator") -> "ModeOperator":
-        _check_same(self, other)
+        _check_same_space(self, other)
         out = dict(self.terms)
         for sig, c in other.terms.items():
-            s = out.get(sig, 0j) + c
-            if s == 0:
-                out.pop(sig, None)
-            else:
-                out[sig] = s
+            _accumulate(out, sig, c)
         return ModeOperator._of(self.n_slots, out)
 
     def __sub__(self, other: "ModeOperator") -> "ModeOperator":
@@ -123,11 +119,6 @@ class ModeOperator:
 
     def __repr__(self) -> str:
         return f"ModeOperator(n_slots={self.n_slots}, n_terms={len(self.terms)})"
-
-
-def _check_same(a: ModeOperator, b: ModeOperator) -> None:
-    if a.n_slots != b.n_slots:
-        raise ValueError(f"lattice mismatch: {a.n_slots} vs {b.n_slots} slots")
 
 
 def constant_op(value: complex, n_slots: int) -> ModeOperator:
@@ -175,8 +166,12 @@ def _reduce_word(word: tuple, coeff: complex, out: dict[Signature, complex]) -> 
     ann, sign_a = _sort_with_parity((s for s, _ in word[n_cre:]), descending=True)
     if ann is None:
         return
-    sig = (cre, ann)
-    s = out.get(sig, 0j) + coeff * sign_c * sign_a
+    _accumulate(out, (cre, ann), coeff * sign_c * sign_a)
+
+
+def _accumulate(out: dict[Signature, complex], sig: Signature, c: complex) -> None:
+    """out[sig] += c, dropping the monomial when the sum is exactly zero."""
+    s = out.get(sig, 0j) + c
     if s == 0:
         out.pop(sig, None)
     else:
@@ -185,7 +180,7 @@ def _reduce_word(word: tuple, coeff: complex, out: dict[Signature, complex]) -> 
 
 def multiply(a: ModeOperator, b: ModeOperator) -> ModeOperator:
     """Exact normal-ordered product; bilinear and associative."""
-    _check_same(a, b)
+    _check_same_space(a, b)
     out: dict[Signature, complex] = {}
     for (c1, a1), x in a.terms.items():
         w1 = tuple((s, True) for s in c1) + tuple((s, False) for s in a1)
@@ -215,7 +210,7 @@ def _worst(residuals) -> float:
 
 def coeff_distance(a: ModeOperator, b: ModeOperator) -> float:
     """Largest coefficient difference over the union of monomials."""
-    _check_same(a, b)
+    _check_same_space(a, b)
     keys = set(a.terms) | set(b.terms)
     return _worst(abs(a.coefficient(k) - b.coefficient(k)) for k in keys)
 
@@ -225,8 +220,7 @@ def coeff_distance(a: ModeOperator, b: ModeOperator) -> float:
 
 def apply_operator(a: ModeOperator, v: FockVector) -> FockVector:
     """Apply the operator to a sparse state, monomial by monomial."""
-    if a.n_slots != v.n_slots:
-        raise ValueError(f"lattice mismatch: {a.n_slots} vs {v.n_slots} slots")
+    _check_same_space(a, v)
     return fock._apply_terms(a.terms.items(), v)
 
 

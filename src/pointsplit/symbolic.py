@@ -13,13 +13,17 @@ rewriting rules are the ones the formal derivation uses:
           = psi'(x1) M1 M2 psi(y2) delta(y1 - x2)
             - psi'(x2) M2 M1 psi(y1) delta(y2 - x1),
     which follows from the canonical anticommutation relations alone;
-  * substitution of a delta root under a formal integral sign; and
-  * translation of an integration variable.
+  * one substitution, every point var+s of a term made to+s (_substitute):
+    integrating var against delta(var+s - r) sets `to` to r-s, and
+    translating the integration variable var by t sets it to var+t.
 
 Smearing functions are never evaluated, only tagged (f or f' at a point).
-Expressions are kept canonical: structurally equal terms merge, zero
-coefficients vanish, so "is the result identically zero" is a syntactic
-question.  Matrix insertions are stored as explicit entries (exact small
+Expressions are kept canonical: structurally equal terms merge and zero
+coefficients vanish (SymExpr._merge), so "is the result identically zero"
+is a syntactic question.  The canonical order is the factor dataclasses'
+field order: a point sorts by (base, shift), a delta by its two points and
+a smearing tag by (order, point), and add_term sorts each factor tuple
+plainly.  Matrix insertions are stored as explicit entries (exact small
 integers here), making equality of insertions plain numeric equality.
 """
 
@@ -52,9 +56,6 @@ class SymPoint:
     base: str
     shift: int = 0
 
-    def shifted(self, amount: int) -> "SymPoint":
-        return SymPoint(self.base, self.shift + amount)
-
     def __str__(self) -> str:
         if self.shift == 0:
             return self.base
@@ -63,7 +64,7 @@ class SymPoint:
         return f"{self.base}{'+' if self.shift > 0 else '-'}{stem}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class DeltaFactor:
     """delta(a - b); even, so the two points are stored in sorted order."""
 
@@ -82,16 +83,15 @@ class DeltaFactor:
         return f"d({self.a} - {rhs})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SmearFactor:
     """Formal smearing tag: f (order 0) or its derivative f' (order 1) at a point."""
 
+    order: int
     point: SymPoint
-    order: int = 0
-    name: str = "f"
 
     def __str__(self) -> str:
-        return f"{self.name}{chr(39) * self.order}({self.point})"
+        return f"f{chr(39) * self.order}({self.point})"
 
 
 @dataclass(frozen=True)
@@ -112,40 +112,12 @@ class Bilinear:
 TermKey = tuple[tuple[DeltaFactor, ...], tuple[SmearFactor, ...], Bilinear | None]
 
 
-def _point_key(p: SymPoint):
-    return (p.base, p.shift)
-
-
-def _smear_key(s: SmearFactor):
-    return (s.name, s.order, _point_key(s.point))
-
-
-def _delta_key(d: DeltaFactor):
-    return (_point_key(d.a), _point_key(d.b))
-
-
-def _term_key(deltas, smears, bilinear) -> TermKey:
-    deltas = tuple(sorted(deltas, key=_delta_key))
-    smears = tuple(sorted(smears, key=_smear_key))
-    return (deltas, smears, bilinear)
-
-
 def _term_sort_key(key: TermKey):
+    """Bilinear terms first, by bilinear, then by the factor tuples; complex entries do not
+    order, so the matrix compares as (real, imag) pairs."""
     deltas, smears, bil = key
-    if bil is None:
-        bil_part = ((), (), ())
-    else:
-        bil_part = (
-            _point_key(bil.left),
-            tuple((c.real, c.imag) for c in bil.matrix),
-            _point_key(bil.right),
-        )
-    return (
-        bil is None,
-        bil_part,
-        tuple(_delta_key(d) for d in deltas),
-        tuple(_smear_key(s) for s in smears),
-    )
+    bil_part = () if bil is None else (bil.left, tuple((c.real, c.imag) for c in bil.matrix), bil.right)
+    return (bil is None, bil_part, deltas, smears)
 
 
 class SymExpr:
@@ -153,31 +125,19 @@ class SymExpr:
 
     def __init__(self, terms: dict[TermKey, complex] | None = None):
         self.terms: dict[TermKey, complex] = {}
-        if terms:
-            for k, c in terms.items():
-                if c != 0:
-                    self.terms[k] = complex(c)
+        for key, coeff in (terms or {}).items():
+            self._merge(key, coeff)
 
-    def add_term(self, coeff: complex, deltas=(), smears=(), bilinear: Bilinear | None = None) -> None:
-        key = _term_key(deltas, smears, bilinear)
+    def _merge(self, key: TermKey, coeff: complex) -> None:
+        """Add coeff to the term of this canonical key, dropping the term when the sum is exactly zero."""
         s = self.terms.get(key, 0j) + coeff
         if s == 0:
             self.terms.pop(key, None)
         else:
             self.terms[key] = s
 
-    def __add__(self, other: "SymExpr") -> "SymExpr":
-        out = SymExpr(self.terms)
-        for k, c in other.terms.items():
-            s = out.terms.get(k, 0j) + c
-            if s == 0:
-                out.terms.pop(k, None)
-            else:
-                out.terms[k] = s
-        return out
-
-    def scaled(self, c: complex) -> "SymExpr":
-        return SymExpr({k: c * v for k, v in self.terms.items()})
+    def add_term(self, coeff: complex, deltas=(), smears=(), bilinear: Bilinear | None = None) -> None:
+        self._merge((tuple(sorted(deltas)), tuple(sorted(smears)), bilinear), coeff)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -202,10 +162,18 @@ def commute_bilinears(first: Bilinear, second: Bilinear) -> SymExpr:
     return expr
 
 
-def _substitute_point(p: SymPoint, var: str, target: SymPoint) -> SymPoint:
-    if p.base != var:
-        return p
-    return SymPoint(target.base, target.shift + p.shift)
+def _substitute(key: TermKey, var: str, to: SymPoint) -> TermKey:
+    """The factors of the term with every point var+s made to+s: its deltas, smears and bilinear."""
+
+    def put(p: SymPoint) -> SymPoint:
+        return SymPoint(to.base, to.shift + p.shift) if p.base == var else p
+
+    deltas, smears, bil = key
+    return (
+        tuple(DeltaFactor.of(put(d.a), put(d.b)) for d in deltas),
+        tuple(SmearFactor(s.order, put(s.point)) for s in smears),
+        None if bil is None else Bilinear(put(bil.left), bil.matrix, put(bil.right)),
+    )
 
 
 def integrate_delta(expr: SymExpr, var: str) -> SymExpr:
@@ -226,46 +194,10 @@ def integrate_delta(expr: SymExpr, var: str) -> SymExpr:
         delta = matching[0]
         if delta.a.base == var and delta.b.base == var:
             raise ValueError(f"delta factor {delta} is degenerate in {var!r}")
-        if delta.a.base == var:
-            # var + shift_a = b  =>  var -> b - shift_a
-            target = SymPoint(delta.b.base, delta.b.shift - delta.a.shift)
-        else:
-            target = SymPoint(delta.a.base, delta.a.shift - delta.b.shift)
-        rest = tuple(
-            DeltaFactor.of(
-                _substitute_point(d.a, var, target), _substitute_point(d.b, var, target)
-            )
-            for d in deltas
-            if d is not delta
-        )
-        new_smears = tuple(
-            SmearFactor(_substitute_point(s.point, var, target), s.order, s.name) for s in smears
-        )
-        new_bil = None
-        if bil is not None:
-            new_bil = Bilinear(
-                _substitute_point(bil.left, var, target),
-                bil.matrix,
-                _substitute_point(bil.right, var, target),
-            )
-        out.add_term(coeff, rest, new_smears, new_bil)
-    return out
-
-
-def shift_variable(expr: SymExpr, var: str, amount: int) -> SymExpr:
-    """Translate the integration variable: every point var+s becomes var+s+amount.
-
-    Legitimate under the formal integral over var (periodic or whole-line)."""
-    out = SymExpr()
-    for (deltas, smears, bil), coeff in expr.terms.items():
-
-        def mv(p: SymPoint) -> SymPoint:
-            return p.shifted(amount) if p.base == var else p
-
-        new_deltas = tuple(DeltaFactor.of(mv(d.a), mv(d.b)) for d in deltas)
-        new_smears = tuple(SmearFactor(mv(s.point), s.order, s.name) for s in smears)
-        new_bil = None if bil is None else Bilinear(mv(bil.left), bil.matrix, mv(bil.right))
-        out.add_term(coeff, new_deltas, new_smears, new_bil)
+        # var + s = root  =>  var -> root - s
+        pinned, root = (delta.a, delta.b) if delta.a.base == var else (delta.b, delta.a)
+        rest = tuple(d for d in deltas if d is not delta)
+        out.add_term(coeff, *_substitute((rest, smears, bil), var, SymPoint(root.base, root.shift - pinned.shift)))
     return out
 
 
@@ -289,35 +221,27 @@ def formal_smeared_commutator(split: bool = False, record: list | None = None) -
         if record is not None:
             record.append((label, format_expr(expr)))
 
-    if split:
-        comm = SymExpr()
-        for gamma in (+1, -1):
-            shifted = Bilinear(SymPoint(zp, gamma), MAT_SX, SymPoint(zp))
-            comm = comm + commute_bilinears(density, shifted).scaled(0.5)
-    else:
-        comm = commute_bilinears(density, Bilinear(SymPoint(zp), MAT_SX, SymPoint(zp)))
+    shifts = (+1, -1) if split else (0,)
+    comm = SymExpr()
+    for gamma in shifts:  # the split current is the mean of its two shifted currents
+        current = Bilinear(SymPoint(zp, gamma), MAT_SX, SymPoint(zp))
+        for key, coeff in commute_bilinears(density, current).terms.items():
+            comm._merge(key, coeff / len(shifts))
     note("commutator", comm)
 
     smeared = SymExpr()
     for (deltas, smears, bil), coeff in comm.terms.items():
         assert not smears
-        smeared.add_term(
-            -1j * coeff,
-            deltas,
-            (SmearFactor(SymPoint(z), 0), SmearFactor(SymPoint(zp), 1)),
-            bil,
-        )
+        smeared.add_term(-1j * coeff, deltas, (SmearFactor(0, SymPoint(z)), SmearFactor(1, SymPoint(zp))), bil)
     note("smeared", smeared)
 
     integrated = integrate_delta(smeared, zp)
     note("integrated", integrated)
 
     aligned = SymExpr()
-    for (deltas, smears, bil), coeff in integrated.terms.items():
-        piece = SymExpr({(deltas, smears, bil): coeff})
-        if bil is not None and bil.right.base == z and bil.right.shift != 0:
-            piece = shift_variable(piece, z, -bil.right.shift)
-        aligned = aligned + piece
+    for key, coeff in integrated.terms.items():
+        # translate z (legitimate under the formal integral over z) so that the bilinear ends at z
+        aligned.add_term(coeff, *_substitute(key, z, SymPoint(z, -key[2].right.shift)))
     note("aligned", aligned)
     return aligned
 

@@ -749,6 +749,8 @@ def test_kernel_asymptote_principal_value():
 def test_kernel_asymptote_names_a_default_that_leaves_the_float_range():
     with pytest.raises(ValueError, match=r"default eta = eps\*eps underflows to 0 at eps 1e-300; pass --eta"):
         kernel_asymptote(1e-300)
+    with pytest.raises(ValueError, match=r"default eta = eps\*eps overflows to inf at eps 1e\+200; pass --eta"):
+        kernel_asymptote(1e200)
     with pytest.raises(ValueError, match=r"default cutoff = max\(1e4, 100/eps\) overflows to inf at eps 1e-307"):
         kernel_asymptote(1e-307, eta=1e-3)
     with pytest.raises(ValueError, match="kernel asymptote needs eps > 0, got 0.0"):

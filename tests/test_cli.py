@@ -666,6 +666,14 @@ def test_kernel_names_the_underflowed_default_eta(capsys):
     assert captured.err == "error: the default eta = eps*eps underflows to 0 at eps 1e-300; pass --eta\n"
 
 
+def test_kernel_names_the_overflowed_default_eta(capsys):
+    # every value passed is finite; only the derived eta = eps*eps is inf
+    assert run_cli(["kernel", "--eps", "1e200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the default eta = eps*eps overflows to inf at eps 1e+200; pass --eta\n"
+
+
 def test_kernel_names_the_overflowed_default_cutoff(capsys):
     # eta is given, so only the derived cutoff = max(1e4, 100/eps) is out of range;
     # the check comes before any quadrature

@@ -119,7 +119,7 @@ def test_bruteforce_eps_zero():
     rep = ground_state_bruteforce(0.0, CFG3)
     assert rep.energy == 0.0
     assert rep.degeneracy == 1
-    assert rep.state_bits == 0
+    assert _mask(split_spectrum(0.0, CFG3).negative_modes, CFG3.n_max) == 0
     assert rep.matches_redefined_vacuum
 
 
@@ -131,8 +131,9 @@ def test_bruteforce_eps2_frozen_example():
     assert rep.matches_redefined_vacuum
     assert rep.energy < 0.0  # strictly below the empty state
     # the minimizer is exactly the redefined vacuum bitstring
-    (bits,) = redefined_vacuum(split_spectrum(2.0, CFG3)).amp
-    assert rep.state_bits == bits
+    spec = split_spectrum(2.0, CFG3)
+    (bits,) = redefined_vacuum(spec).amp
+    assert bits == _mask(spec.negative_modes, CFG3.n_max)
 
 
 def test_bruteforce_negative_whenever_set_nonempty():
@@ -237,7 +238,6 @@ def _full_array_bruteforce(eps, cfg):
     return EnergyReport(
         energy=float(energies[ground]),
         degeneracy=1 << len(free),
-        state_bits=neg_mask,
         matches_redefined_vacuum=((ground ^ neg_mask) & ~free_mask) == 0,
     )
 
@@ -255,7 +255,6 @@ def _lattice_and_eps(draw):
 
 def _assert_same_report(rep, oracle):
     assert rep.energy.hex() == oracle.energy.hex()
-    assert rep.state_bits == oracle.state_bits
     assert rep.degeneracy == oracle.degeneracy
     assert rep.matches_redefined_vacuum == oracle.matches_redefined_vacuum
     assert rep == oracle
