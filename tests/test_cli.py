@@ -12,6 +12,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -376,6 +377,13 @@ def test_invariant_failure_exits_1_with_one_error_line(monkeypatch, capsys):
     assert run_cli(["anomaly", "--f-harmonic", "1:0.5:0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: exact routes disagree") and err.count("\n") == 1
+
+
+def test_a_negative_spectral_sum_exits_1_with_one_error_line(monkeypatch, capsys):
+    # the spectral route sums squared moduli, so a negative value is an internal invariant failure
+    monkeypatch.setattr(cli, "double_commutator_spectral", lambda kernel, cfg: -1.0)
+    assert run_cli(["anomaly", "--f-harmonic", "1:0.5:0"]) == 1
+    assert capsys.readouterr() == ("", "error: spectral sum came out negative: -1.0\n")
 
 
 JSON_SCALARS = (
@@ -895,6 +903,25 @@ def test_derive_report_is_pinned_byte_for_byte(tmp_path, fmt):
     assert run_cli(["derive", "--format", fmt, "--out", str(out)]) == 0
     golden = Path(__file__).resolve().parent / "golden" / f"derive.{fmt}"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_every_benchmark_report_matches_its_pinned_digests():
+    """Every ladder call at seeds 1-10, in JSON and CSV with --out, writes the report, exit code,
+    stdout and stderr whose digests tests/golden/make_reports.py pinned."""
+    from golden import make_reports
+
+    pinned = json.loads(make_reports.GOLDEN.read_text())
+    runs = make_reports.measure()
+    assert sorted(runs) == sorted(pinned["runs"])
+    moved = [
+        f"{argv}: " + ", ".join(key for key in digests if digests[key] != pinned["runs"][argv][key])
+        for argv, digests in runs.items()
+        if digests != pinned["runs"][argv]
+    ]
+    numpy_note = []
+    if np.__version__ != pinned["numpy"]:
+        numpy_note = [f"numpy is {np.__version__}, the digests were taken with numpy {pinned['numpy']}"]
+    assert not moved, "\n".join(numpy_note + [f"{len(moved)} of {len(runs)} calls moved:"] + moved)
 
 
 def test_csv_emission(tmp_path):
