@@ -430,8 +430,8 @@ def cmd_vacuum(config: RunConfig) -> int:
     ground_rows = []
     for eps in sorted(config.eps):
         spec = split_spectrum(eps, lattice)
-        if lattice.cutoff * abs(eps) <= math.pi / 2:
-            sys.stdout.write(
+        if lattice.cutoff * abs(eps) <= math.pi / 2:  # a notice, kept off stdout when the report is there
+            (sys.stdout if config.out else sys.stderr).write(
                 f"WARNING eps={eps}: cutoff*|eps| = {lattice.cutoff * abs(eps):.3f} <= pi/2; "
                 "no mode can reach a negative split energy at this cutoff\n"
             )

@@ -654,8 +654,28 @@ def test_vacuum_fails_when_the_operator_route_disagrees(monkeypatch, tmp_path):
 def test_vacuum_warns_below_threshold(capsys):
     # cutoff*eps = 0.2 < pi/2: no negative modes possible, warning emitted
     assert run_cli(["vacuum", "--n-max", "2", "--eps", "0.1"]) == 0
-    out = capsys.readouterr().out
-    assert "WARNING" in out
+    err = capsys.readouterr().err
+    assert "WARNING" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_vacuum_keeps_its_notice_out_of_a_report_on_stdout(tmp_path, capsys, fmt):
+    """Without --out the report alone is on stdout and the notice on stderr; with --out the
+    notice is on stdout, as verify's PASS lines are, and stderr stays empty."""
+    notice = (
+        "WARNING eps=0.1: cutoff*|eps| = 0.100 <= pi/2; "
+        "no mode can reach a negative split energy at this cutoff\n"
+    )
+    argv = ["vacuum", "--n-max", "1", "--eps", "0.1", "--format", fmt]
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == notice
+    if fmt == "json":
+        assert json.loads(captured.out)["tables"]["spectrum"]
+    out = tmp_path / f"vacuum.{fmt}"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == (notice, "")
+    assert out.read_text() == captured.out
 
 
 def test_kernel_report(tmp_path):
