@@ -50,7 +50,6 @@ from .modeops import (
     vev,
 )
 from .anomaly import (
-    AnomalyReport,
     double_commutator_direct,
     double_commutator_spectral,
     finite_difference_limit,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from itertools import pairwise
 
 import numpy as np
@@ -30,17 +29,6 @@ from .fock import _first_positron, _vacuum_part, inner, vacuum
 from .lattice import LatticeConfig
 from .modeops import _bilinear, _mode_table, _pair_blocks, apply_operator, hamiltonian
 from .trigpoly import TrigPoly
-
-__all__ = [
-    "AnomalyReport",
-    "double_commutator_direct",
-    "double_commutator_spectral",
-    "split_commutator_integral",
-    "split_vev_kernel",
-    "damped_kernel_integral",
-    "kernel_asymptote",
-    "finite_difference_limit",
-]
 
 _REAL_TOL = 1e-12
 
@@ -342,46 +330,10 @@ def _finite_difference(f: TrigPoly, eps: float, weights: list[float]) -> tuple[f
     return fd, 4.0 * f.derivative_power()
 
 
-@dataclass
-class AnomalyReport:
-    """One run of the full juxtaposition, ready for serialization.
-
-    Validates its own defining invariants: the spectral value is
-    nonnegative and the two exact routes agree to 1e-10 relative.
-    """
-
-    config: dict
-    exact_direct: float
-    exact_spectral: float
-    formal_zero: bool
-    formal_transcript: str
-    pointsplit: list[dict] = field(default_factory=list)
-    kernel: list[dict] = field(default_factory=list)
-    continuum: list[dict] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.exact_spectral < -1e-12:
-            raise RuntimeError(f"spectral sum came out negative: {self.exact_spectral}")
-        scale = max(1.0, abs(self.exact_direct), abs(self.exact_spectral))
-        if abs(self.exact_direct - self.exact_spectral) > 1e-10 * scale:
-            raise RuntimeError(
-                f"exact routes disagree: direct={self.exact_direct!r}, spectral={self.exact_spectral!r}"
-            )
-
-    def to_dict(self) -> dict:
-        summary = {
-            "exact_direct": self.exact_direct,
-            "exact_spectral": self.exact_spectral,
-            "formal_zero": self.formal_zero,
-        }
-        return {
-            "config": self.config,
-            "summary": summary,
-            "formal_transcript": self.formal_transcript,
-            "tables": {
-                "summary": [{"quantity": k, "value": v} for k, v in summary.items()],
-                "pointsplit": self.pointsplit,
-                "kernel": self.kernel,
-                "continuum": self.continuum,
-            },
-        }
+def _check_exact_routes(direct: float, spectral: float) -> None:
+    """The exact routes' invariants: the spectral value is nonnegative and the two agree to 1e-10 relative."""
+    if spectral < -1e-12:
+        raise RuntimeError(f"spectral sum came out negative: {spectral}")
+    scale = max(1.0, abs(direct), abs(spectral))
+    if abs(direct - spectral) > 1e-10 * scale:
+        raise RuntimeError(f"exact routes disagree: direct={direct!r}, spectral={spectral!r}")

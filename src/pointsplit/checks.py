@@ -64,9 +64,6 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 # Tolerance per check: a check passes when its worst residual is at most this.
 TOL = {

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .anomaly import (
-    AnomalyReport,
+    _check_exact_routes,
     _damped_and_extrapolated,
     _finite_difference,
     _kernel_defaults,
@@ -150,13 +150,6 @@ _FLAGS = {
     "--format": _Flag("format", str, choices=("json", "csv")),
     "--out": _Flag("out", str),
 }
-_COMMANDS = {
-    "verify": "run the identity suites (anticommutators, spinors, continuity, split continuity)",
-    "anomaly": "formal-vs-exact juxtaposition for a smearing function",
-    "vacuum": "split-Hamiltonian spectrum, negative set and redefined vacuum",
-    "kernel": "small-separation asymptotics of the split vacuum kernel",
-    "derive": "print the formal rewriting transcript",
-}
 _SIGN_HOOK = "--corrupt-sign-hook"  # verify's alone
 _FLOAT_FLAGS = tuple(name for name, flag in _FLAGS.items() if flag.type is float)
 
@@ -245,8 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for point-split commutators of a 1+1D fermion field.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, parents=[common])
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, parents=[common])
         if name == "verify":
             p.add_argument(_SIGN_HOOK, action="store_true", help=argparse.SUPPRESS)
     return parser
@@ -379,7 +372,7 @@ def cmd_verify(config: RunConfig, corrupt_sign: bool = False) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         sys.stdout.write(f"{status} {res.name} max_residual={res.residual:.3e} tol={res.tolerance:.1e}\n")
-    rows = [r.to_dict() for r in results]
+    rows = [{col: getattr(r, col) for col in _COLUMNS["checks"]} for r in results]
     report = {"config": config.to_dict(), "checks": rows, "tables": {"checks": rows}}
     if config.out:  # stdout already carries the human-readable lines
         _emit(report, config)
@@ -409,18 +402,21 @@ def cmd_anomaly(config: RunConfig) -> int:
                 {"eps": eps, "finite_difference": fd, "limit": limit, "abs_error": abs(fd - limit)}
             )
     kernel_rows.sort(key=lambda row: row["g"])
-    report_obj = AnomalyReport(
-        config=config.to_dict(),
-        exact_direct=direct,
-        exact_spectral=spectral,
-        formal_zero=formal.is_zero(),
-        formal_transcript=format_expr(formal),
-        pointsplit=pointsplit_rows,
-        kernel=kernel_rows,
-        continuum=continuum_rows,
-    )
-    _emit(report_obj.to_dict(), config)
-    return 0 if formal.is_zero() else 1
+    _check_exact_routes(direct, spectral)
+    summary = {"exact_direct": direct, "exact_spectral": spectral, "formal_zero": formal.is_zero()}
+    report = {
+        "config": config.to_dict(),
+        "summary": summary,
+        "formal_transcript": format_expr(formal),
+        "tables": {
+            "summary": [{"quantity": k, "value": v} for k, v in summary.items()],
+            "pointsplit": pointsplit_rows,
+            "kernel": kernel_rows,
+            "continuum": continuum_rows,
+        },
+    }
+    _emit(report, config)
+    return 0 if summary["formal_zero"] else 1
 
 
 def cmd_vacuum(config: RunConfig) -> int:
@@ -513,20 +509,37 @@ def cmd_derive(config: RunConfig) -> int:
     return 0
 
 
-# the inputs each subcommand's arithmetic reads: the ones its error lines name
-_READS = dict(
-    verify=("mass", "delta_p", "n_max", "eps", "f_harmonics"),
-    anomaly=("mass", "delta_p", "n_max", "eps", "f_harmonics"),
-    vacuum=("mass", "delta_p", "n_max", "eps"),
-    kernel=("mass", "eps", "eta", "cutoff"),
-    derive=(),
-)
+class _Command(NamedTuple):
+    run: Callable[..., int]
+    help: str
+    reads: tuple[str, ...]  # the inputs its arithmetic reads: the ones its error lines name
+
+
+_COMMANDS = {
+    "verify": _Command(
+        cmd_verify,
+        "run the identity suites (anticommutators, spinors, continuity, split continuity)",
+        ("mass", "delta_p", "n_max", "eps", "f_harmonics"),
+    ),
+    "anomaly": _Command(
+        cmd_anomaly,
+        "formal-vs-exact juxtaposition for a smearing function",
+        ("mass", "delta_p", "n_max", "eps", "f_harmonics"),
+    ),
+    "vacuum": _Command(
+        cmd_vacuum, "split-Hamiltonian spectrum, negative set and redefined vacuum", ("mass", "delta_p", "n_max", "eps")
+    ),
+    "kernel": _Command(
+        cmd_kernel, "small-separation asymptotics of the split vacuum kernel", ("mass", "eps", "eta", "cutoff")
+    ),
+    "derive": _Command(cmd_derive, "print the formal rewriting transcript", ()),
+}
 
 
 def _failure_line(failure: str, command: str, config: RunConfig) -> str:
     """The one error line for a run that failed past RunConfig, naming the inputs its command reads."""
     used = dict(vars(config), f_harmonics=config.f_harmonics or VERIFY_HARMONICS)
-    inputs = ", ".join(f"{key}={used[key]!r}" for key in _READS[command])
+    inputs = ", ".join(f"{key}={used[key]!r}" for key in _COMMANDS[command].reads)
     return f"the {command} run {failure}" + (f" at {inputs}" if inputs else "")
 
 
@@ -546,10 +559,8 @@ def main(argv=None) -> int:
             if args is None:
                 args = _build_parser().parse_args(_attach_negative_values(argv))
             config = _load_config(args)
-            if args.command == "verify":
-                return cmd_verify(config, corrupt_sign=args.corrupt_sign_hook)
-            commands = {"anomaly": cmd_anomaly, "vacuum": cmd_vacuum, "kernel": cmd_kernel, "derive": cmd_derive}
-            return commands[args.command](config)
+            sign_hook = {"corrupt_sign": args.corrupt_sign_hook} if args.command == "verify" else {}
+            return _COMMANDS[args.command].run(config, **sign_hook)
     except ArithmeticError:  # raised only past RunConfig, which makes every input finite: the arithmetic left the range
         code, message = 2, _failure_line("leaves the float range", args.command, config)
     except MemoryError:  # numpy's text, if any, names an array shape, not the inputs behind it

@@ -497,20 +497,28 @@ def test_exact_routes_name_the_harmonic_where_they_leave_the_float_range(monkeyp
     )
 
 
-@pytest.mark.parametrize("table, row", [("kernel", {"g": 0.3, "kernel_imag": math.inf}), ("continuum", {"abs_error": math.nan})])
-def test_the_anomaly_report_refuses_a_non_finite_number(tmp_path, monkeypatch, capsys, table, row):
-    def with_row(**fields):
-        return anomaly.AnomalyReport(**{**fields, table: fields[table] + [row]})
+def _with_infinite_kernel(f, eps, cfg):
+    """_split_commutator, with an infinite imaginary part in the kernel at g = eps."""
+    value, kernels, weights = anomaly._split_commutator(f, eps, cfg)
+    return value, (complex(kernels[0].real, math.inf), kernels[1]), weights
 
+
+def _with_nan_difference(f, eps, weights):
+    """_finite_difference, with a nan finite difference and so a nan abs_error."""
+    return math.nan, anomaly._finite_difference(f, eps, weights)[1]
+
+
+@pytest.mark.parametrize("layer, stub", [("_split_commutator", _with_infinite_kernel), ("_finite_difference", _with_nan_difference)])
+def test_the_anomaly_report_refuses_a_non_finite_number(tmp_path, monkeypatch, capsys, layer, stub):
     def exact_inf(kernel, cfg):
         return math.inf
 
     argv = ["anomaly", "--f-harmonic", "1:0.5:0"]
     err = "error: the anomaly run leaves the float range at mass=1.0, delta_p=1.0, n_max=2, eps=[0.3], "
     err += "f_harmonics=[(1, 0.5, 0.0)]\n"
-    # a non-finite row in the table, then non-finite exact values in the summary
+    # a non-finite kernel or continuum row, then non-finite exact values in the summary
     both_routes = {"double_commutator_direct": exact_inf, "double_commutator_spectral": exact_inf}
-    for patches in ({"AnomalyReport": with_row}, both_routes):
+    for patches in ({layer: stub}, both_routes):
         with monkeypatch.context() as m:
             for name, stub in patches.items():
                 m.setattr(cli, name, stub)

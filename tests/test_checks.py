@@ -29,6 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 from pointsplit import checks, cli, modeops
 from pointsplit.checks import (
     TOL,
+    CheckResult,
     _commute_diagonal,
     _result,
     check_continuity,
@@ -442,12 +443,11 @@ def test_the_benchmark_tracer_runs_every_subcommand(tmp_path):
 def test_each_check_row_is_its_fields_in_order_and_serves_both_tables(tmp_path):
     cfg = LatticeConfig(1.0, 1.0, 1)
     f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0)])
-    for result in run_verify_suite(cfg, [0.3], f):
-        row = result.to_dict()
-        assert list(row.items()) == [(field.name, getattr(result, field.name)) for field in dataclasses.fields(result)]
-        assert row is not result.to_dict()
+    results = run_verify_suite(cfg, [0.3], f)
+    assert cli._COLUMNS["checks"] == [field.name for field in dataclasses.fields(CheckResult)]
     out = tmp_path / "verify.json"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--n-max", "1", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["checks"] == report["tables"]["checks"] and len(report["checks"]) == 10
+    assert report["checks"] == [dataclasses.asdict(result) for result in results]

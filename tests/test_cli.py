@@ -1180,7 +1180,7 @@ def test_a_run_at_the_float_range_names_its_input_or_reports_finite_numbers(argv
             assert not any(bare in stderr for bare in _BARE_MESSAGES), stderr
             # past the input checks that reject a phase or a quadrature input, main's line names the inputs
             if "float range" in stderr and not re.match(r"error: the (phase|kernel quadrature) ", stderr):
-                assert all(f"{name}=" in stderr for name in cli._READS[argv[0]]), stderr
+                assert all(f"{name}=" in stderr for name in cli._COMMANDS[argv[0]].reads), stderr
         elif out.exists():  # an internal invariant that fails writes no report
             tokens = set(re.split(r"[\s,:\[\]{}]+", out.read_text()))
             assert not tokens & {"inf", "-inf", "nan", "Infinity", "-Infinity", "NaN"}, tokens
