@@ -10,8 +10,8 @@ A change that moves a report on purpose regenerates the file with
 
     PYTHONPATH=src python tests/golden/make_reports.py
 
-and names the argvs that moved.  tests/test_cli.py reruns every argv in
-process and compares.
+and lists in CHANGES.md the argvs that moved.  tests/test_cli.py reruns
+every argv in process and compares.
 """
 
 from __future__ import annotations
@@ -36,26 +36,25 @@ SEEDS = range(1, 11)
 FORMATS = ("json", "csv")
 
 
-def _workloads():
-    """perfbench's workloads module, loaded from its file without importing the benchmark as a package."""
+def ladder(workload: str, seed: int) -> list[list[str]]:
+    """perfbench's ladder for a seed, loaded from its file without importing the benchmark as a package."""
     path = GOLDEN.parents[2] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     with mock.patch.dict(sys.modules, {spec.name: module}):  # dataclasses look their module up
         spec.loader.exec_module(module)
-    return module
+    return [list(inv.argv) for inv in module.build(workload, seed)]
 
 
 def argvs() -> list[list[str]]:
     """Every ladder invocation at every seed in both formats, without --out, each once."""
-    workloads = _workloads()
     calls = {}
     for workload in LADDERS:
         for seed in SEEDS:
-            for inv in workloads.build(workload, seed):
+            for argv in ladder(workload, seed):
                 for fmt in FORMATS:
-                    argv = [*inv.argv, "--format", fmt]
-                    calls[" ".join(argv)] = argv
+                    call = argv + ["--format", fmt]
+                    calls[" ".join(call)] = call
     return list(calls.values())
 
 

@@ -508,8 +508,8 @@ def _with_nan_difference(f, eps, weights):
     return math.nan, anomaly._finite_difference(f, eps, weights)[1]
 
 
-@pytest.mark.parametrize("layer, stub", [("_split_commutator", _with_infinite_kernel), ("_finite_difference", _with_nan_difference)])
-def test_the_anomaly_report_refuses_a_non_finite_number(tmp_path, monkeypatch, capsys, layer, stub):
+@pytest.mark.parametrize("layer, nonfinite", [("_split_commutator", _with_infinite_kernel), ("_finite_difference", _with_nan_difference)])
+def test_the_anomaly_report_refuses_a_non_finite_number(tmp_path, monkeypatch, capsys, layer, nonfinite):
     def exact_inf(kernel, cfg):
         return math.inf
 
@@ -518,7 +518,7 @@ def test_the_anomaly_report_refuses_a_non_finite_number(tmp_path, monkeypatch, c
     err += "f_harmonics=[(1, 0.5, 0.0)]\n"
     # a non-finite kernel or continuum row, then non-finite exact values in the summary
     both_routes = {"double_commutator_direct": exact_inf, "double_commutator_spectral": exact_inf}
-    for patches in ({layer: stub}, both_routes):
+    for patches in ({layer: nonfinite}, both_routes):
         with monkeypatch.context() as m:
             for name, stub in patches.items():
                 m.setattr(cli, name, stub)

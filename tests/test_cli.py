@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import importlib.util
 import io
 import json
 import math
@@ -10,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from pointsplit import anomaly, cli, groundstate, modeops, symbolic
 from pointsplit.cli import RunConfig, main
 from pointsplit.trigpoly import TrigPoly
+
+from golden import make_reports
 
 
 def run_cli(args):
@@ -142,16 +142,6 @@ def test_the_parser_is_built_once_and_keeps_no_parse_state(tmp_path, monkeypatch
     assert capsys.readouterr().out == _SUBCOMMAND_HELP.format(name="verify", pad=pad)
 
 
-def _benchmark_ladder(workload: str, seed: int) -> list[list[str]]:
-    """perfbench's ladder for a seed, loaded from its file without importing the benchmark as a package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(sys.modules, {spec.name: module}):  # dataclasses look their module up
-        spec.loader.exec_module(module)
-    return [list(inv.argv) for inv in module.build(workload, seed)]
-
-
 def _assert_each_call_matches_a_fresh_interpreter(argvs, tmp_path, capsys):
     """Run each argv here, one after another, and in a fresh interpreter of its own: the
     exit code, stdout, stderr and --out bytes must agree."""
@@ -173,7 +163,7 @@ def test_back_to_back_calls_match_a_fresh_interpreter_each(tmp_path, capsys):
     the parser, the CAR sweeps and the mode tables are cached, each write the --out
     bytes, stdout and exit code of a fresh interpreter running that call alone."""
     ladders = ("verify-ladder", "anomaly-ladder", "vacuum-kernel")
-    argvs = [argv for workload in ladders for argv in _benchmark_ladder(workload, 1)]
+    argvs = [argv for workload in ladders for argv in make_reports.ladder(workload, 1)]
     _assert_each_call_matches_a_fresh_interpreter(argvs, tmp_path, capsys)
 
 
@@ -247,7 +237,7 @@ def test_the_plain_argv_reader_returns_what_argparse_returns(argv):
 
 def test_the_plain_argv_reader_takes_every_benchmark_call():
     ladders = ("verify-ladder", "anomaly-ladder", "vacuum-kernel")
-    argvs = [argv + ["--out", "report.json"] for workload in ladders for argv in _benchmark_ladder(workload, 1)]
+    argvs = [argv + ["--out", "report.json"] for workload in ladders for argv in make_reports.ladder(workload, 1)]
     argvs += [["anomaly", "--eps=-0.3", "--f-harmonic=1:0.5:0", "--format=csv", "--out="], ["verify", "--corrupt-sign-hook"]]
     for argv in argvs:
         read = cli._read_plain_argv(argv)
@@ -928,8 +918,6 @@ def test_derive_report_is_pinned_byte_for_byte(tmp_path, fmt):
 def test_every_benchmark_report_matches_its_pinned_digests():
     """Every ladder call at seeds 1-10, in JSON and CSV with --out, writes the report, exit code,
     stdout and stderr whose digests tests/golden/make_reports.py pinned."""
-    from golden import make_reports
-
     pinned = json.loads(make_reports.GOLDEN.read_text())
     runs = make_reports.measure()
     assert sorted(runs) == sorted(pinned["runs"])
