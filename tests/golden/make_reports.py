@@ -1,7 +1,8 @@
 """Pin the bytes of every benchmark report in tests/golden/reports.json.
 
-For each invocation of perfbench's three ladders at seeds 1-10, in JSON and
-in CSV, each written with --out, the file maps the argv to four values: the
+For each invocation of perfbench's three ladders at seeds 1-10, and each of
+the larger rungs in RUNGS, in JSON and in CSV, each written with --out, the
+file maps the argv to four values: the
 sha256 of the report, the exit code, and the sha256 of stdout and of stderr.
 It also records the numpy version the digests were taken with, because
 numpy's own sin, cos and exp may change bits between releases.
@@ -34,6 +35,14 @@ GOLDEN = Path(__file__).resolve().with_name("reports.json")
 LADDERS = ("verify-ladder", "anomaly-ladder", "vacuum-kernel")
 SEEDS = range(1, 11)
 FORMATS = ("json", "csv")
+# rungs past the ladders' n_max: verify where its kernels span several row blocks, anomaly at n_max 1024
+RUNGS = [
+    *(
+        ["verify", "--n-max", str(n), "--eps", "0.3", "--eps", "0.9", "--f-harmonic", "1:0.5:0"]
+        for n in (24, 32, 48, 64, 96, 128, 256)
+    ),
+    ["anomaly", "--n-max", "1024", "--f-harmonic", "1:0.5:0", "--f-harmonic", "2:0.3:0", "--eps", "0.01"],
+]
 
 
 def ladder(workload: str, seed: int) -> list[list[str]]:
@@ -47,14 +56,13 @@ def ladder(workload: str, seed: int) -> list[list[str]]:
 
 
 def argvs() -> list[list[str]]:
-    """Every ladder invocation at every seed in both formats, without --out, each once."""
+    """Every ladder invocation at every seed and every rung in RUNGS, in both formats, without --out, each once."""
     calls = {}
-    for workload in LADDERS:
-        for seed in SEEDS:
-            for argv in ladder(workload, seed):
-                for fmt in FORMATS:
-                    call = argv + ["--format", fmt]
-                    calls[" ".join(call)] = call
+    ladders = [argv for workload in LADDERS for seed in SEEDS for argv in ladder(workload, seed)]
+    for argv in ladders + RUNGS:
+        for fmt in FORMATS:
+            call = argv + ["--format", fmt]
+            calls[" ".join(call)] = call
     return list(calls.values())
 
 
