@@ -58,7 +58,7 @@ big = LatticeConfig(mass=1.0, delta_p=1.0, n_max=60)
 fb = TrigPoly.from_harmonics(big.box_length, [(1, 0.5, 0.0)])
 print("\nsplit-current evaluation on a lattice with cutoff", big.cutoff, ":")
 for eps in (0.4, 0.2, 0.1):
-    val = split_commutator_integral(fb, eps, big)
+    val = split_commutator_integral(fb, eps, big)[0]
     kern = split_vev_kernel(eps, big).imag
     print(f"  eps={eps:<5} kernel Im = {kern:+.6f}   value = {val:+.6f}")
 print("exact value on the same lattice:", double_commutator_direct(smeared_kernel(fb, big), big))

@@ -97,21 +97,17 @@ def split_vev_kernel(g: float, cfg: LatticeConfig) -> complex:
     return -total / cfg.box_length
 
 
-def split_commutator_integral(f: TrigPoly, eps: float, cfg: LatticeConfig) -> float:
+def split_commutator_integral(f: TrigPoly, eps: float, cfg: LatticeConfig) -> tuple[float, list[complex], list[float]]:
     """The smeared double commutator evaluated through the split current:
 
         (-i/2) sum_gamma integral (f(z+g) - f(z)) f'(z) K(g) dz,  g = gamma*eps,
 
     with K the split vacuum kernel and the z-integral exact over harmonics.
     Real by the odd/imaginary structure of K; zero for constant f and at
-    eps = 0.
+    eps = 0.  Returns the value, the kernels [K(eps), K(-eps)] it reads and the
+    shift weights [w(eps), w(-eps)] it reads, w(g) = integral (f(z+g) - f(z)) f'(z) dz,
+    each pair in that order; each weight is computed before its kernel.
     """
-    return _split_commutator(f, eps, cfg)[0]
-
-
-def _split_commutator(f: TrigPoly, eps: float, cfg: LatticeConfig) -> tuple[float, list[complex], list[float]]:
-    """split_commutator_integral, the kernels [K(eps), K(-eps)] it reads and the shift
-    weights [w(eps), w(-eps)] it reads, each pair in that order."""
     f.check_on_lattice(cfg)
     total, kernels, weights = 0j, [], []
     for g in (eps, -eps):
@@ -262,9 +258,19 @@ def damped_kernel_integral(eps: float, eta: float, cutoff: float, m: float) -> f
     return value
 
 
-def _kernel_defaults(eps: float, eta: float | None, cutoff: float | None) -> tuple[float, float]:
-    """eta and cutoff for the kernel integrals at eps, defaulting to eps*eps and max(1e4, 100/eps);
-    a ValueError names an eps that is not positive or a default that leaves the float range."""
+def kernel_asymptote(
+    eps: float, eta: float | None = None, cutoff: float | None = None, m: float = 1.0
+) -> tuple[float, float, float, float]:
+    """Damping-free limit of the kernel integral via extrapolation eta -> 0.
+
+    Evaluates the damped integral at eta, eta/2, ..., eta/16 and removes the
+    damping by Neville polynomial extrapolation.  The small-eps asymptote is
+    the principal value 1/eps: eps * extrapolated -> 1 from below.
+    eta and cutoff default to eps*eps and max(1e4, 100/eps); a ValueError names
+    an eps that is not positive or a default that leaves the float range.
+    Returns (eta, cutoff, damped, extrapolated): eta and cutoff as used, the
+    damped integral at eta, the first of the five, and the extrapolation.
+    """
     if not eps > 0:
         raise ValueError(f"kernel asymptote needs eps > 0, got {eps}")
     if eta is None:
@@ -276,25 +282,6 @@ def _kernel_defaults(eps: float, eta: float | None, cutoff: float | None) -> tup
         cutoff = max(1e4, 100.0 / eps)
         if cutoff == math.inf:
             raise ValueError(f"the default cutoff = max(1e4, 100/eps) overflows to inf at eps {eps!r}; pass --cutoff")
-    return eta, cutoff
-
-
-def kernel_asymptote(
-    eps: float, eta: float | None = None, cutoff: float | None = None, m: float = 1.0
-) -> float:
-    """Damping-free limit of the kernel integral via extrapolation eta -> 0.
-
-    Evaluates the damped integral at eta, eta/2, ..., eta/16 and removes the
-    damping by Neville polynomial extrapolation.  The small-eps asymptote is
-    the principal value 1/eps: eps * kernel_asymptote(eps) -> 1 from below.
-    """
-    eta, cutoff = _kernel_defaults(eps, eta, cutoff)
-    return _damped_and_extrapolated(eps, eta, cutoff, m)[1]
-
-
-def _damped_and_extrapolated(eps: float, eta: float, cutoff: float, m: float) -> tuple[float, float]:
-    """(damped, extrapolated): the damped integral at eta, the first of the five that
-    kernel_asymptote extrapolates, and the extrapolation."""
     etas = [eta / (2.0**k) for k in range(5)]
     vals = [damped_kernel_integral(eps, e, cutoff, m) for e in etas]
     damped = vals[0]
@@ -303,11 +290,12 @@ def _damped_and_extrapolated(eps: float, eta: float, cutoff: float, m: float) ->
         for i in range(len(etas) - level):
             x0, x1 = etas[i], etas[i + level]
             vals[i] = (x0 * vals[i + 1] - x1 * vals[i]) / (x0 - x1)
-    return damped, vals[0]
+    return eta, cutoff, damped, vals[0]
 
 
-def finite_difference_limit(f: TrigPoly, eps: float) -> tuple[float, float]:
-    """Symmetric difference-quotient integral and its derivative-squared limit.
+def finite_difference_limit(f: TrigPoly, eps: float, weights: list[float]) -> tuple[float, float]:
+    """Symmetric difference-quotient integral and its derivative-squared limit,
+    from the shift weights [w(eps), w(-eps)] that split_commutator_integral returns.
 
     Returns (finite_difference, limit) where
 
@@ -319,11 +307,6 @@ def finite_difference_limit(f: TrigPoly, eps: float) -> tuple[float, float]:
     """
     if eps == 0:
         raise ValueError("eps must be nonzero")
-    return _finite_difference(f, eps, [_shift_weight(f, g) for g in (eps, -eps)])
-
-
-def _finite_difference(f: TrigPoly, eps: float, weights: list[float]) -> tuple[float, float]:
-    """finite_difference_limit at a nonzero eps from the shift weights [w(eps), w(-eps)]."""
     fd = 0.0
     for g, weight in zip((eps, -eps), weights):
         fd += 2.0 * weight / g

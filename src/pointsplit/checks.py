@@ -80,7 +80,8 @@ TOL = {
 }
 
 
-def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckResult:
+def _result(name: str, residual: float, detail: str = "") -> CheckResult:
+    tol = TOL[name]
     return CheckResult(name=name, passed=residual <= tol, residual=float(residual), tolerance=tol, detail=detail)
 
 
@@ -96,7 +97,7 @@ def check_dispersion(cfg: LatticeConfig) -> CheckResult:
         if e < prev - tol or e < cfg.mass - tol:
             residuals.append(abs(min(e - prev, e - cfg.mass)))
         prev = e
-    return _result("dispersion_properties", _worst(residuals), tol)
+    return _result("dispersion_properties", _worst(residuals))
 
 
 def check_spinors(cfg: LatticeConfig) -> CheckResult:
@@ -119,7 +120,7 @@ def check_spinors(cfg: LatticeConfig) -> CheckResult:
         np.abs(a0 * a1 + b0 * b1),
         np.abs(a1 * a1 + b1 * b1 - 1.0),
     )
-    return _result("spinor_identities", _worst(r.max() for r in residuals), TOL["spinor_identities"])
+    return _result("spinor_identities", _worst(r.max() for r in residuals))
 
 
 def _factor_table(n: int, apply_word):
@@ -180,14 +181,14 @@ def check_car(cfg: LatticeConfig) -> CheckResult:
     """
     n = n_slots_for(cfg.n_max)
     worst = _car_worst(n, fock._apply_word)
-    return _result("car_relations", math.sqrt(worst), TOL["car_relations"], detail=f"{n} slots, dim {1 << n}")
+    return _result("car_relations", math.sqrt(worst), detail=f"{n} slots, dim {1 << n}")
 
 
 def check_hermiticity(cfg: LatticeConfig, f: TrigPoly) -> CheckResult:
     """coeff_distance(F, F') for F = smeared_charge(f): nonzero where one of f's
     c_{-n} sits off conj(c_n), as TrigPoly allows within its tolerance."""
     F = smeared_charge(f, cfg)
-    return _result("hermiticity", coeff_distance(F, F.adjoint()), TOL["hermiticity"])
+    return _result("hermiticity", coeff_distance(F, F.adjoint()))
 
 
 def _commute_diagonal(h: np.ndarray, k: np.ndarray, rows: _Rows) -> np.ndarray:
@@ -234,7 +235,7 @@ def check_continuity(cfg: LatticeConfig, corrupt_sign: bool = False) -> CheckRes
         rho, current = rows.sandwich(ID2) / cfg.box_length, rows.sandwich(SIGMA_X) / cfg.box_length
         yield _commute_diagonal(h, rho, rows), _i_d_dz(current, rows)
 
-    return _result("continuity", _largest_difference(cfg, identities), TOL["continuity"])
+    return _result("continuity", _largest_difference(cfg, identities))
 
 
 def _split_residual(cfg: LatticeConfig, eps_values, other_side) -> float:
@@ -256,13 +257,13 @@ def check_split_continuity(cfg: LatticeConfig, eps_values) -> CheckResult:
 
     checked monomial by monomial for every eps, on the z-free kernels."""
     residual = _split_residual(cfg, eps_values, lambda eps, e, rows: _i_d_dz(_boulware_kernel(eps, e, rows), rows))
-    return _result("split_continuity_defining_relation", residual, TOL["split_continuity_defining_relation"])
+    return _result("split_continuity_defining_relation", residual)
 
 
 def check_gradient_form(cfg: LatticeConfig, eps_values) -> CheckResult:
     """[H_split, rho(z)] against its point-shifted field-gradient expansion."""
     residual = _split_residual(cfg, eps_values, lambda eps, e, rows: _gradient_kernel(e, rows))
-    return _result("split_commutator_gradient_form", residual, TOL["split_commutator_gradient_form"])
+    return _result("split_commutator_gradient_form", residual)
 
 
 def check_split_renormalization(cfg: LatticeConfig, eps_values) -> CheckResult:
@@ -270,7 +271,7 @@ def check_split_renormalization(cfg: LatticeConfig, eps_values) -> CheckResult:
     equals the diagonal form.  At eps = 0 there is nothing to compare:
     hamiltonian is split_hamiltonian at eps 0."""
     residuals = (coeff_distance(split_hamiltonian_raw(cfg, eps), split_hamiltonian(cfg, eps)) for eps in eps_values)
-    return _result("split_hamiltonian_renormalization", _worst(residuals), TOL["split_hamiltonian_renormalization"])
+    return _result("split_hamiltonian_renormalization", _worst(residuals))
 
 
 def check_split_current_consistency(cfg: LatticeConfig, eps_values) -> CheckResult:
@@ -282,7 +283,7 @@ def check_split_current_consistency(cfg: LatticeConfig, eps_values) -> CheckResu
     for eps in eps_values:
         plus, minus = (diagonal * _plane_wave(cfg, g).conj() for g in (+eps, -eps))
         residuals.append(abs(0.5 * (_kernel_vev(plus, cfg) + _kernel_vev(minus, cfg))))
-    return _result("split_current_consistency", _worst(residuals), TOL["split_current_consistency"])
+    return _result("split_current_consistency", _worst(residuals))
 
 
 def check_vacuum_annihilation(cfg: LatticeConfig) -> CheckResult:
@@ -293,7 +294,7 @@ def check_vacuum_annihilation(cfg: LatticeConfig) -> CheckResult:
         for species in (fock.ELECTRON, fock.POSITRON)
         for j in cfg.mode_indices()
     )
-    return _result("vacuum_annihilation", worst, TOL["vacuum_annihilation"])
+    return _result("vacuum_annihilation", worst)
 
 
 # The anticommutator sweep is exhaustive over the Fock basis, so it runs on a

@@ -26,12 +26,11 @@ import numpy as np
 
 from .anomaly import (
     _check_exact_routes,
-    _damped_and_extrapolated,
-    _finite_difference,
-    _kernel_defaults,
-    _split_commutator,
     double_commutator_direct,
     double_commutator_spectral,
+    finite_difference_limit,
+    kernel_asymptote,
+    split_commutator_integral,
 )
 from .checks import run_verify_suite
 from .fock import inner, n_slots_for
@@ -392,12 +391,12 @@ def cmd_anomaly(config: RunConfig) -> int:
     kernel_rows = []
     continuum_rows = []
     for eps in sorted(config.eps):
-        value, kernels, weights = _split_commutator(f, eps, lattice)
+        value, kernels, weights = split_commutator_integral(f, eps, lattice)
         pointsplit_rows.append({"eps": eps, "value": value, "positive": value > 0})
         for g, kernel in zip((eps, -eps), kernels):
             kernel_rows.append({"g": g, "kernel_imag": kernel.imag})
         if eps != 0:
-            fd, limit = _finite_difference(f, eps, weights)
+            fd, limit = finite_difference_limit(f, eps, weights)
             continuum_rows.append(
                 {"eps": eps, "finite_difference": fd, "limit": limit, "abs_error": abs(fd - limit)}
             )
@@ -479,8 +478,7 @@ def cmd_kernel(config: RunConfig) -> int:
     lattice = config.lattice()
     rows = []
     for eps in sorted(config.eps):
-        eta, cutoff = _kernel_defaults(eps, config.eta, config.cutoff)
-        damped, extrapolated = _damped_and_extrapolated(eps, eta, cutoff, lattice.mass)
+        eta, cutoff, damped, extrapolated = kernel_asymptote(eps, config.eta, config.cutoff, lattice.mass)
         rows.append(
             {
                 "eps": eps,

@@ -218,5 +218,5 @@ def inner(v: FockVector, w: FockVector) -> complex:
     """<v|w>, conjugate-linear in the first argument."""
     _check_same_space(v, w)
     if len(w.amp) < len(v.amp):
-        return sum(v.amp[b].conjugate() * a for b, a in w.amp.items() if b in v.amp)
-    return sum(a.conjugate() * w.amp[b] for b, a in v.amp.items() if b in w.amp)
+        return sum((v.amp[b].conjugate() * a for b, a in w.amp.items() if b in v.amp), 0j)
+    return sum((a.conjugate() * w.amp[b] for b, a in v.amp.items() if b in w.amp), 0j)

@@ -127,7 +127,7 @@ def redefined_vacuum(spectrum: SplitSpectrum) -> FockVector:
 def redefined_vacuum_energy(spectrum: SplitSpectrum) -> float:
     """Additive energy of the redefined vacuum: sum over S of 2 E_q cos(p_q eps) <= 0."""
     negative = set(spectrum.negative_modes)
-    return sum(2.0 * row[3] for row in spectrum.entries if row[0] in negative)
+    return sum((2.0 * row[3] for row in spectrum.entries if row[0] in negative), 0.0)
 
 
 def _aligned_empty(size: int) -> np.ndarray:

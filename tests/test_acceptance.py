@@ -109,7 +109,7 @@ def test_criterion_05_pointsplit_reconciliation():
     cfg = LatticeConfig(1.0, 1.0, 60)
     f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0)])
     assert cfg.cutoff * 0.1 > math.pi and cfg.mass * 0.1 < 0.2
-    value = split_commutator_integral(f, 0.1, cfg)
+    value = split_commutator_integral(f, 0.1, cfg)[0]
     exact = double_commutator_direct(smeared_kernel(f, cfg), cfg)
     ok = value > 0 and exact > 0
     report(5, "split current gives the exact sign", ok,
@@ -118,7 +118,7 @@ def test_criterion_05_pointsplit_reconciliation():
 
 def test_criterion_06_kernel_asymptote():
     start = time.perf_counter()
-    scaled = {eps: eps * kernel_asymptote(eps, m=1.0) for eps in (0.1, 0.05, 0.01)}
+    scaled = {eps: eps * kernel_asymptote(eps, m=1.0)[3] for eps in (0.1, 0.05, 0.01)}
     elapsed = time.perf_counter() - start
     in_window = 0.95 <= scaled[0.01] <= 1.05
     gaps = [abs(1.0 - scaled[eps]) for eps in (0.1, 0.05, 0.01)]
@@ -131,9 +131,11 @@ def test_criterion_06_kernel_asymptote():
 def test_criterion_07_continuum_limit_rate():
     cfg = LatticeConfig(1.0, 1.0, 2)
     f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0)])
-    err1 = abs(finite_difference_limit(f, 0.1)[0] - finite_difference_limit(f, 0.1)[1])
-    err2 = abs(finite_difference_limit(f, 0.05)[0] - finite_difference_limit(f, 0.05)[1])
-    ratio = err1 / err2
+    errors = []
+    for eps in (0.1, 0.05):
+        fd, limit = finite_difference_limit(f, eps, split_commutator_integral(f, eps, cfg)[2])
+        errors.append(abs(fd - limit))
+    ratio = errors[0] / errors[1]
     ok = abs(ratio - 4.0) <= 0.15 * 4.0
     report(7, "finite difference converges at second order", ok,
            f"error ratio eps 0.1/0.05 = {ratio:.4f} (4 within 15%)")

@@ -410,17 +410,17 @@ def test_kernel_odd_and_imaginary(g):
 
 
 def test_split_integral_zero_cases():
-    assert split_commutator_integral(COS1, 0.0, CFG2) == pytest.approx(0.0, abs=1e-14)
+    assert split_commutator_integral(COS1, 0.0, CFG2)[0] == pytest.approx(0.0, abs=1e-14)
     const = TrigPoly(CFG2.box_length, {0: 3.0})
     for eps in (0.1, 0.8):
-        assert split_commutator_integral(const, eps, CFG2) == pytest.approx(0.0, abs=1e-14)
+        assert split_commutator_integral(const, eps, CFG2)[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_split_integral_positive_in_asymptotic_regime():
     # cutoff*eps = 6 > pi while mass*eps = 0.1 << 1
     cfg = LatticeConfig(1.0, 1.0, 60)
     f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0)])
-    value = split_commutator_integral(f, 0.1, cfg)
+    value = split_commutator_integral(f, 0.1, cfg)[0]
     assert value > 0
     exact = double_commutator_direct(smeared_kernel(f, cfg), cfg)
     assert exact > 0  # same sign as the split-current evaluation
@@ -446,7 +446,7 @@ def test_split_integral_matches_quadrature_oracle():
     # independent route: dense trapezoid in z (exact for trig integrands)
     cfg = LatticeConfig(1.0, 1.0, 5)
     f = TrigPoly.from_harmonics(cfg.box_length, [(1, 0.5, 0.0), (2, -0.2, 0.1)])
-    assert split_commutator_integral(f, 0.37, cfg) == pytest.approx(_trapezoid_split_value(f, 0.37, cfg), abs=1e-12)
+    assert split_commutator_integral(f, 0.37, cfg)[0] == pytest.approx(_trapezoid_split_value(f, 0.37, cfg), abs=1e-12)
 
 
 def test_large_smearing_amplitudes_match_the_quadrature_oracle(tmp_path, capsys):
@@ -475,10 +475,10 @@ def test_shift_integral_past_the_float_range_raises():
     # harmonic 34 of a lattice at delta_p 1e307 has an infinite wavenumber
     cfg = LatticeConfig(1.0, 1e307, 17)
     f = TrigPoly.from_harmonics(cfg.box_length, [(34, 0.5, 0.0)])
-    with pytest.raises(ValueError):
-        split_commutator_integral(f, 0.1, cfg)
-    with pytest.raises(ValueError):
-        finite_difference_limit(f, 0.1)
+    # the shift weights leave it, and split_commutator_integral computes them for finite_difference_limit too
+    for g in (0.1, -0.1):
+        with pytest.raises(ValueError, match=r"the phase k_n \* g leaves the float range at harmonic 34"):
+            split_commutator_integral(f, g, cfg)
 
 
 @pytest.mark.parametrize("route", [double_commutator_direct, double_commutator_spectral])
@@ -498,17 +498,20 @@ def test_exact_routes_name_the_harmonic_where_they_leave_the_float_range(monkeyp
 
 
 def _with_infinite_kernel(f, eps, cfg):
-    """_split_commutator, with an infinite imaginary part in the kernel at g = eps."""
-    value, kernels, weights = anomaly._split_commutator(f, eps, cfg)
+    """split_commutator_integral, with an infinite imaginary part in the kernel at g = eps."""
+    value, kernels, weights = anomaly.split_commutator_integral(f, eps, cfg)
     return value, (complex(kernels[0].real, math.inf), kernels[1]), weights
 
 
 def _with_nan_difference(f, eps, weights):
-    """_finite_difference, with a nan finite difference and so a nan abs_error."""
-    return math.nan, anomaly._finite_difference(f, eps, weights)[1]
+    """finite_difference_limit, with a nan finite difference and so a nan abs_error."""
+    return math.nan, anomaly.finite_difference_limit(f, eps, weights)[1]
 
 
-@pytest.mark.parametrize("layer, nonfinite", [("_split_commutator", _with_infinite_kernel), ("_finite_difference", _with_nan_difference)])
+@pytest.mark.parametrize(
+    "layer, nonfinite",
+    [("split_commutator_integral", _with_infinite_kernel), ("finite_difference_limit", _with_nan_difference)],
+)
 def test_the_anomaly_report_refuses_a_non_finite_number(tmp_path, monkeypatch, capsys, layer, nonfinite):
     def exact_inf(kernel, cfg):
         return math.inf
@@ -572,9 +575,11 @@ def test_shift_weight_is_the_trigpoly_route_to_the_bit(delta_p, n_max, data):
     for s, weight in zip((g, -g), weights):
         total += weight * split_vev_kernel(s, cfg)
         fd += 2.0 * weight / s if g else 0.0
-    assert split_commutator_integral(f, g, cfg).hex() == (-0.5j * total).real.hex()
+    value, kernels, returned = split_commutator_integral(f, g, cfg)
+    assert [w.hex() for w in returned] == [w.hex() for w in weights]
+    assert value.hex() == (-0.5j * total).real.hex()
     if g:
-        assert finite_difference_limit(f, g)[0].hex() == fd.hex()
+        assert finite_difference_limit(f, g, returned)[0].hex() == fd.hex()
 
 
 # -- continuum kernel integral -----------------------------------------------------
@@ -750,7 +755,7 @@ def test_pinned_quadrature_tables_are_leggauss_to_the_last_bit(n):
 
 
 def test_kernel_asymptote_principal_value():
-    scaled = 0.01 * kernel_asymptote(0.01, m=1.0)
+    scaled = 0.01 * kernel_asymptote(0.01, m=1.0)[3]
     assert 0.95 <= scaled <= 1.05
 
 
@@ -766,11 +771,16 @@ def test_kernel_asymptote_names_a_default_that_leaves_the_float_range():
 
 
 def test_kernel_asymptote_monotone_trend():
-    gaps = [abs(1.0 - eps * kernel_asymptote(eps, m=1.0)) for eps in (0.1, 0.05, 0.01)]
+    gaps = [abs(1.0 - eps * kernel_asymptote(eps, m=1.0)[3]) for eps in (0.1, 0.05, 0.01)]
     assert gaps[0] > gaps[1] > gaps[2]
 
 
 # -- finite-difference limit ----------------------------------------------------
+
+
+def _finite_difference(f: TrigPoly, eps: float) -> tuple[float, float]:
+    """finite_difference_limit on the shift weights split_commutator_integral returns on CFG2."""
+    return finite_difference_limit(f, eps, split_commutator_integral(f, eps, CFG2)[2])
 
 
 def test_finite_difference_limit_formula():
@@ -778,22 +788,21 @@ def test_finite_difference_limit_formula():
     # limit is 4 * (c^2 k^2 L / 2) = 2 c^2 k^2 L
     L = CFG2.box_length
     c, k = 1.0, 2 * math.pi / L
-    fd, limit = finite_difference_limit(COS1, 0.1)
+    fd, limit = _finite_difference(COS1, 0.1)
     assert limit == pytest.approx(2 * c**2 * k**2 * L, rel=1e-12)
     assert fd == pytest.approx(limit * math.sin(k * 0.1) / (k * 0.1), rel=1e-12)
 
 
 def test_finite_difference_quadratic_convergence():
-    errors = [abs(finite_difference_limit(COS1, eps)[0] - finite_difference_limit(COS1, eps)[1])
-              for eps in (0.1, 0.05, 0.025)]
+    errors = [abs(fd - limit) for fd, limit in (_finite_difference(COS1, eps) for eps in (0.1, 0.05, 0.025))]
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.01)
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.01)
 
 
 def test_finite_difference_constant_smearing():
     const = TrigPoly(CFG2.box_length, {0: 1.0})
-    fd, limit = finite_difference_limit(const, 0.2)
+    fd, limit = _finite_difference(const, 0.2)
     assert fd == 0.0
     assert limit == 0.0
     with pytest.raises(ValueError):
-        finite_difference_limit(COS1, 0.0)
+        _finite_difference(COS1, 0.0)

@@ -78,7 +78,7 @@ def dense_hermiticity(cfg: LatticeConfig, eps_values, f: TrigPoly):
     kernels = [np.diag(_split_hamiltonian_diagonal(cfg, eps)) for eps in (0.0, *eps_values)]
     kernels += [_field_kernel(_plane_wave(cfg, 0.0), ID2, _Rows(cfg)), smeared]
     residuals = [_kernel_distance(k, k.conj().T, cfg) for k in kernels]
-    return _result("hermiticity", _worst(residuals), TOL["hermiticity"])
+    return _result("hermiticity", _worst(residuals))
 
 
 def dense_split_current_consistency(cfg: LatticeConfig, eps_values):
@@ -90,7 +90,7 @@ def dense_split_current_consistency(cfg: LatticeConfig, eps_values):
     for eps in eps_values:
         plus, minus = (_field_kernel(_plane_wave(cfg, g), SIGMA_X, rows) for g in (+eps, -eps))
         residuals.append(abs(0.5 * (_kernel_vev(np.diagonal(plus), cfg) + _kernel_vev(np.diagonal(minus), cfg))))
-    return _result("split_current_consistency", _worst(residuals), TOL["split_current_consistency"])
+    return _result("split_current_consistency", _worst(residuals))
 
 
 @st.composite
@@ -240,7 +240,7 @@ def dense_continuity(cfg: LatticeConfig, corrupt_sign: bool):
     commuted = _commute_diagonal(h, _field_kernel(e, ID2, rows), rows)
     residuals = [0.0 if corrupt_sign else dense_pairwise_residual(cfg)]
     residuals.append(_kernel_distance(commuted, complex_i_d_dz(_field_kernel(e, SIGMA_X, rows), cfg), cfg))
-    return _result("continuity", _worst(residuals), TOL["continuity"])
+    return _result("continuity", _worst(residuals))
 
 
 def dense_split_residual(cfg: LatticeConfig, eps_values, other_side) -> float:
@@ -255,12 +255,12 @@ def dense_split_continuity(cfg: LatticeConfig, eps_values):
         return complex_i_d_dz(_boulware_kernel(eps, _plane_wave(cfg, eps), rows), cfg)
 
     residual = dense_split_residual(cfg, eps_values, other_side)
-    return _result("split_continuity_defining_relation", residual, TOL["split_continuity_defining_relation"])
+    return _result("split_continuity_defining_relation", residual)
 
 
 def dense_gradient_form(cfg: LatticeConfig, eps_values):
     residual = dense_split_residual(cfg, eps_values, lambda eps, rows: _gradient_kernel(_plane_wave(cfg, eps), rows))
-    return _result("split_commutator_gradient_form", residual, TOL["split_commutator_gradient_form"])
+    return _result("split_commutator_gradient_form", residual)
 
 
 def _bits(result):
@@ -400,8 +400,8 @@ def test_every_per_layer_metric_name_resolves_under_the_tracer():
 TRACED_RUNS = [
     ["vacuum", "--n-max", "3", "--eps", "2"],
     ["verify", "--n-max", "1", "--eps", "0.7"],
-    ["anomaly", "--n-max", "4", "--f-harmonic", "1:0.5:0", "--eps", "0.05"],
-    ["kernel", "--eps", "0.05"],
+    ["anomaly", "--n-max", "4", "--f-harmonic", "1:0.5:0", "--eps", "0.05", "--eps", "0.3"],
+    ["kernel", "--eps", "0.05", "--eps", "0.3"],
     ["derive"],
 ]
 
@@ -410,7 +410,8 @@ def test_the_benchmark_tracer_runs_every_subcommand(tmp_path):
     """perfbench/run.py --trace 1 installs spans.Tracer in a fresh interpreter and reads its
     counters off each wrapped call's arguments, so a signature change that breaks a counter
     fails here, not only in the benchmark.  The tracer times only public functions, so each
-    exact anomaly route must stay public and run once per anomaly run to keep its span."""
+    exact anomaly route must stay public and run once per anomaly run to keep its span, and
+    the split-current value, the finite difference and the kernel asymptote once per eps."""
     code = (
         "import contextlib, importlib.util, io, json, sys\n"
         "import pointsplit.cli as cli\n"
@@ -438,6 +439,14 @@ def test_the_benchmark_tracer_runs_every_subcommand(tmp_path):
     anomaly_run = [i for i, argv in enumerate(TRACED_RUNS) if argv[0] == "anomaly"]
     for route in ("anomaly.double_commutator_direct", "anomaly.double_commutator_spectral"):
         assert [inv for name, inv, _ in result["spans"] if name == route] == anomaly_run
+    for command, layer in (
+        ("anomaly", "anomaly.split_commutator_integral"),
+        ("anomaly", "anomaly.finite_difference_limit"),
+        ("kernel", "anomaly.kernel_asymptote"),
+    ):
+        per_eps = [i for i, argv in enumerate(TRACED_RUNS) if argv[0] == command for _ in range(argv.count("--eps"))]
+        assert len(per_eps) == 2
+        assert [inv for name, inv, _ in result["spans"] if name == layer] == per_eps
 
 
 def test_each_check_row_is_its_fields_in_order_and_serves_both_tables(tmp_path):

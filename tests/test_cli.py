@@ -404,7 +404,7 @@ def test_report_writer_writes_what_the_reference_encoder_writes(tree):
 @pytest.mark.parametrize("value, name", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
 def test_a_non_finite_report_value_exits_2_naming_the_value(tmp_path, monkeypatch, capsys, value, name):
     # the JSON encoder and the CSV writer both refuse the value, and main names the run's inputs
-    monkeypatch.setattr(cli, "_damped_and_extrapolated", lambda eps, eta, cutoff, m: (1.0, value))
+    monkeypatch.setattr(cli, "kernel_asymptote", lambda *args: anomaly.kernel_asymptote(*args)[:3] + (value,))
     for fmt in ("json", "csv"):
         out = tmp_path / f"kernel-{name}.{fmt}"
         assert run_cli(["kernel", "--eps", "0.1", "--format", fmt, "--out", str(out)]) == 2
@@ -441,7 +441,7 @@ def test_an_empty_memory_error_still_names_the_inputs(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "_damped_and_extrapolated", refuse)
+    monkeypatch.setattr(cli, "kernel_asymptote", refuse)
     assert run_cli(["kernel", "--eps", "0.1", "--eta", "0.01"]) == 2
     err = capsys.readouterr().err
     assert err == "error: the kernel run runs out of memory at mass=1.0, eps=[0.1], eta=0.01, cutoff=None\n"
@@ -612,6 +612,24 @@ def test_vacuum_report(tmp_path):
     assert rows["bruteforce_matches_redefined_vacuum[eps=2.0]"] is True
     negatives = [r["j"] for r in report["tables"]["spectrum"] if r["negative"]]
     assert sorted(negatives) == [-2, -1, 1, 2]
+
+
+def test_vacuum_writes_each_energy_as_a_float_when_the_negative_set_is_empty(tmp_path):
+    """Below the threshold the additive and the operator energies are sums over no mode; they
+    are written 0.0, as the brute-force minimum is, not the int 0, in JSON and in CSV.  The
+    degeneracy and the match flag are an int and a bool by design."""
+    energies = ("redefined_vacuum_energy[", "redefined_vacuum_energy_operator[", "bruteforce_minimum[")
+    argv = ["vacuum", "--n-max", "1", "--eps", "0.1"]
+    json_out, csv_out = tmp_path / "vacuum.json", tmp_path / "vacuum.csv"
+    assert run_cli(argv + ["--out", str(json_out)]) == 0
+    assert run_cli(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+    rows = json.loads(json_out.read_text())["tables"]["ground_state"]
+    values = {row["quantity"]: row["value"] for row in rows if row["quantity"].startswith(energies)}
+    assert len(values) == 3 and all(type(value) is float for value in values.values())
+    block = csv_out.read_text().split("\n\n")[0].splitlines()
+    assert block[:2] == ["# table: ground_state", "quantity,value"]
+    cells = dict(line.split(",") for line in block[2:])
+    assert {quantity: cells[quantity] for quantity in values} == {quantity: "0.0" for quantity in values}
 
 
 @pytest.mark.parametrize("n_max, per_eps", [(5, 2), (16, 1)])
@@ -809,9 +827,9 @@ def test_the_blas_scan_sees_every_form():
 
 def test_the_package_holds_no_code_that_only_tests_run():
     """Every function and method of the package is named somewhere in the package past its own
-    def and __init__'s re-exports, or in a demo, or is a per-layer metric of the benchmark, the
-    console script cli.entry, the argparse hook _Parser.error or a dunder.  Names are matched
-    without types, so a method sharing its name with another name that is used passes."""
+    def and __init__'s re-exports, or in a demo, or is the console script cli.entry, the argparse
+    hook _Parser.error or a dunder.  Names are matched without types, so a method sharing its
+    name with another name that is used passes."""
     package = Path(cli.__file__).parent
     root = Path(__file__).resolve().parents[1]
     used = set()
@@ -821,8 +839,7 @@ def test_the_package_holds_no_code_that_only_tests_run():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    per_layer = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
-    exempt = {tuple(metric["name"].split(".")[:2]) for metric in per_layer} | {("cli", "entry"), ("cli", "error")}
+    exempt = {("cli", "entry"), ("cli", "error")}
     unused = [
         f"{path.stem}.{node.name}"
         for path in sorted(package.glob("*.py"))
@@ -892,7 +909,7 @@ def test_kernel_rows_take_five_integrals_per_eps_and_equal_the_public_functions(
     assert len(calls) == 10
     for row in json.loads(out.read_text())["tables"]["kernel_asymptote"]:
         assert row["damped"] == integral(row["eps"], row["eta"], row["cutoff"], 0.7)
-        assert row["extrapolated"] == anomaly.kernel_asymptote(row["eps"], m=0.7)
+        assert row["extrapolated"] == anomaly.kernel_asymptote(row["eps"], m=0.7)[3]
 
 
 def test_derive_golden_structure(tmp_path):

@@ -567,4 +567,4 @@ def test_vacuum_read_drops_an_entry_that_cancels():
     terms = [(((), ()), 0.5 + 0j), (((), (1, 0)), 0.5 + 0j)]
     assert fock._apply_terms(terms, v).amp == {0b11: -0.5}
     assert fock._vacuum_part(terms, v).amp == {}
-    assert repr(inner(vacuum(CFG1), fock._vacuum_part(terms, v))) == "0"
+    assert repr(inner(vacuum(CFG1), fock._vacuum_part(terms, v))) == "0j"

@@ -911,4 +911,4 @@ def test_nan_residual_fails_its_check():
     # the builtin max would drop the NaN: max(0.0, nan) is 0.0
     worst = _worst([0.0, math.nan, 1e-15])
     assert math.isnan(worst)
-    assert not _result("nan_residual", worst, 1e-12).passed
+    assert not _result("continuity", worst).passed
