@@ -575,7 +575,7 @@ def test_shift_weight_is_the_trigpoly_route_to_the_bit(delta_p, n_max, data):
     for s, weight in zip((g, -g), weights):
         total += weight * split_vev_kernel(s, cfg)
         fd += 2.0 * weight / s if g else 0.0
-    value, kernels, returned = split_commutator_integral(f, g, cfg)
+    value, _, returned = split_commutator_integral(f, g, cfg)
     assert [w.hex() for w in returned] == [w.hex() for w in weights]
     assert value.hex() == (-0.5j * total).real.hex()
     if g:
