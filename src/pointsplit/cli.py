@@ -2,7 +2,7 @@
 
 Every subcommand resolves a RunConfig (defaults < config file < flags),
 runs pure computations, and emits a self-describing report: a single JSON
-object {config, checks, tables} or one flat CSV per table.  Identical
+object holding the config and the tables, or one flat CSV per table.  Identical
 configs produce byte-identical reports; there are no timestamps and all
 orderings are fixed.
 
@@ -317,18 +317,22 @@ def _json_report(report: dict) -> str:
         raise OverflowError from None
 
 
+def _row(table: str, *values) -> dict:
+    """A row of `table`: its values, one for each of the table's `_COLUMNS`, in that order."""
+    return dict(zip(_COLUMNS[table], values, strict=True))
+
+
 def _emit(report: dict, config: RunConfig) -> None:
     if config.format == "json":
         text = _json_report(report)
     else:
         lines: list[str] = []
-        for name in sorted(report.get("tables", {})):
-            rows = report["tables"][name]
+        for name, rows in sorted(report["tables"].items()):
             cols = _COLUMNS[name]
             lines.append(f"# table: {name}")
             lines.append(",".join(cols))
             for row in rows:
-                lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
+                lines.append(",".join(_csv_cell(row[c]) for c in cols))
             lines.append("")
         text = "\n".join(lines)
     if config.out:
@@ -348,8 +352,6 @@ def _csv_cell(value) -> str:
         if not math.isfinite(value):
             raise OverflowError
         return repr(value)
-    if value is None:
-        return ""
     text = str(value)
     if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
@@ -388,19 +390,15 @@ def cmd_anomaly(config: RunConfig) -> int:
     direct = double_commutator_direct(charge_kernel, lattice)
     spectral = double_commutator_spectral(charge_kernel, lattice)
     pointsplit_rows = []
-    kernel_rows = []
+    kernel_values = []  # (g, Im K(g)) for g = eps, -eps of every eps
     continuum_rows = []
     for eps in sorted(config.eps):
         value, kernels, weights = split_commutator_integral(f, eps, lattice)
-        pointsplit_rows.append({"eps": eps, "value": value, "positive": value > 0})
-        for g, kernel in zip((eps, -eps), kernels):
-            kernel_rows.append({"g": g, "kernel_imag": kernel.imag})
+        pointsplit_rows.append(_row("pointsplit", eps, value, value > 0))
+        kernel_values += zip((eps, -eps), (kernel.imag for kernel in kernels))
         if eps != 0:
             fd, limit = finite_difference_limit(f, eps, weights)
-            continuum_rows.append(
-                {"eps": eps, "finite_difference": fd, "limit": limit, "abs_error": abs(fd - limit)}
-            )
-    kernel_rows.sort(key=lambda row: row["g"])
+            continuum_rows.append(_row("continuum", eps, fd, limit, abs(fd - limit)))
     _check_exact_routes(direct, spectral)
     summary = {"exact_direct": direct, "exact_spectral": spectral, "formal_zero": formal.is_zero()}
     report = {
@@ -408,9 +406,9 @@ def cmd_anomaly(config: RunConfig) -> int:
         "summary": summary,
         "formal_transcript": format_expr(formal),
         "tables": {
-            "summary": [{"quantity": k, "value": v} for k, v in summary.items()],
+            "summary": [_row("summary", *item) for item in summary.items()],
             "pointsplit": pointsplit_rows,
-            "kernel": kernel_rows,
+            "kernel": [_row("kernel", *gk) for gk in sorted(kernel_values, key=lambda gk: gk[0])],
             "continuum": continuum_rows,
         },
     }
@@ -433,6 +431,7 @@ def cmd_vacuum(config: RunConfig) -> int:
         zero_set = set(spec.zero_modes)
         neg_set = set(spec.negative_modes)
         for j, p, energy, split_energy in spec.entries:
+            # a literal, not _row: 2*n_max+1 rows per eps make the call cost time; a test holds its keys to _COLUMNS
             spectrum_rows.append(
                 {
                     "eps": eps,
@@ -448,24 +447,19 @@ def cmd_vacuum(config: RunConfig) -> int:
         state = redefined_vacuum(spec)
         h = split_hamiltonian(lattice, eps)
         via_ops = inner(state, apply_operator(h, state)).real
-        ground_rows.append({"quantity": f"redefined_vacuum_energy[eps={eps!r}]", "value": additive})
-        ground_rows.append({"quantity": f"redefined_vacuum_energy_operator[eps={eps!r}]", "value": via_ops})
+        ground = {"redefined_vacuum_energy": additive, "redefined_vacuum_energy_operator": via_ops}
         if not _energies_agree(via_ops, additive):
             failed = True
         if n_slots_for(lattice.n_max) <= ENUMERATION_MAX_SLOTS:
             rep = ground_state_bruteforce(eps, lattice)
-            ground_rows.append({"quantity": f"bruteforce_minimum[eps={eps!r}]", "value": rep.energy})
-            ground_rows.append({"quantity": f"bruteforce_degeneracy[eps={eps!r}]", "value": rep.degeneracy})
-            ground_rows.append(
-                {
-                    "quantity": f"bruteforce_matches_redefined_vacuum[eps={eps!r}]",
-                    "value": rep.matches_redefined_vacuum,
-                }
-            )
+            ground["bruteforce_minimum"] = rep.energy
+            ground["bruteforce_degeneracy"] = rep.degeneracy
+            ground["bruteforce_matches_redefined_vacuum"] = rep.matches_redefined_vacuum
             if not _energies_agree(rep.energy, additive):
                 failed = True
         else:
-            ground_rows.append({"quantity": f"bruteforce_skipped[eps={eps!r}]", "value": "enumeration bound"})
+            ground["bruteforce_skipped"] = "enumeration bound"
+        ground_rows += (_row("ground_state", f"{quantity}[eps={eps!r}]", value) for quantity, value in ground.items())
     report = {
         "config": config.to_dict(),
         "tables": {"spectrum": spectrum_rows, "ground_state": ground_rows},
@@ -479,16 +473,7 @@ def cmd_kernel(config: RunConfig) -> int:
     rows = []
     for eps in sorted(config.eps):
         eta, cutoff, damped, extrapolated = kernel_asymptote(eps, config.eta, config.cutoff, lattice.mass)
-        rows.append(
-            {
-                "eps": eps,
-                "eta": eta,
-                "cutoff": cutoff,
-                "damped": damped,
-                "extrapolated": extrapolated,
-                "eps_times_extrapolated": eps * extrapolated,
-            }
-        )
+        rows.append(_row("kernel_asymptote", eps, eta, cutoff, damped, extrapolated, eps * extrapolated))
     report = {"config": config.to_dict(), "tables": {"kernel_asymptote": rows}}
     _emit(report, config)
     return 0
@@ -499,9 +484,8 @@ def cmd_derive(config: RunConfig) -> int:
     for label, split in (("coincident", False), ("split", True)):
         steps: list = []
         final = formal_smeared_commutator(split=split, record=steps)
-        for step_name, text in steps:
-            rows.append({"pipeline": label, "step": step_name, "expression": text})
-        rows.append({"pipeline": label, "step": "final", "expression": format_expr(final)})
+        steps.append(("final", format_expr(final)))
+        rows += (_row("derivation", label, step_name, text) for step_name, text in steps)
     report = {"config": config.to_dict(), "tables": {"derivation": rows}}
     _emit(report, config)
     return 0

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import io
 import json
 import math
@@ -949,15 +950,57 @@ def test_every_benchmark_report_matches_its_pinned_digests():
     assert not moved, "\n".join(numpy_note + [f"{len(moved)} of {len(runs)} calls moved:"] + moved)
 
 
+# one call of every subcommand, and every row-building path: anomaly's empty continuum
+# table at eps 0, vacuum below and above the brute-force enumeration bound
+SCHEMA_CALLS = [
+    ["verify", "--n-max", "1"],
+    ["anomaly", "--n-max", "2", "--f-harmonic", "1:0.5:0", "--eps", "0"],
+    ["anomaly", "--n-max", "2", "--f-harmonic", "1:0.5:0", "--eps", "0.1"],
+    ["vacuum", "--n-max", "3", "--eps", "2"],
+    ["vacuum", "--n-max", "16", "--eps", "2"],
+    ["kernel", "--eps", "0.01", "--eps", "0.1"],
+    ["derive"],
+]
+
+
 def test_csv_emission(tmp_path):
-    out = tmp_path / "vac.csv"
-    code = run_cli(["vacuum", "--n-max", "3", "--eps", "2", "--format", "csv", "--out", str(out)])
-    assert code == 0
-    text = out.read_text()
-    assert "# table: spectrum" in text
-    header = [line for line in text.splitlines() if line.startswith("eps,j,")]
-    assert header == ["eps,j,p,energy,split_energy,negative,zero"]
-    assert ",true," in text or text.rstrip().endswith("true")
+    """JSON and CSV carry one schema: the same tables, each JSON row keyed by exactly the table's
+    _COLUMNS, which head its CSV section, and each CSV cell _csv_cell of the JSON value."""
+    empty = []
+    for argv in SCHEMA_CALLS:
+        reports = {}
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"report.{fmt}"
+            assert run_cli(argv + ["--format", fmt, "--out", str(out)]) == 0, argv
+            reports[fmt] = out.read_text()
+        tables = json.loads(reports["json"])["tables"]
+        first, *sections = reports["csv"].split("# table: ")
+        assert first == "", argv
+        csv_tables = {}
+        for section in sections:
+            name, header, body = (section.rstrip("\n") + "\n").split("\n", 2)
+            assert header.split(",") == cli._COLUMNS[name], (argv, name)
+            assert all(len(cells) == len(cli._COLUMNS[name]) for cells in csv.reader(io.StringIO(body))), (argv, name)
+            csv_tables[name] = body
+        assert sorted(csv_tables) == sorted(tables), argv
+        for name, rows in tables.items():
+            cols = cli._COLUMNS[name]
+            assert all(sorted(row) == sorted(cols) for row in rows), (argv, name)
+            cells = "".join(",".join(cli._csv_cell(row[c]) for c in cols) + "\n" for row in rows)
+            assert csv_tables[name] == cells, (argv, name)
+            if not rows:
+                empty.append((argv, name))
+                assert f"# table: {name}\n{','.join(cols)}\n\n" in reports["csv"]
+    assert empty == [(SCHEMA_CALLS[1], "continuum")]
+
+
+def test_readme_states_the_frozen_columns_of_cli():
+    """README's table of frozen column names is cli._COLUMNS: every table, in order, with its columns in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("names are frozen:") :].split("\n\n")[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    stated = {name.strip(" `"): [col.strip() for col in cols.strip(" `").split(",")] for name, cols in rows}
+    assert list(stated.items()) == list(cli._COLUMNS.items())
 
 
 def test_config_file_with_flag_override(tmp_path):
