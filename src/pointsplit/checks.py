@@ -267,9 +267,10 @@ def check_gradient_form(cfg: LatticeConfig, eps_values) -> CheckResult:
 
 
 def check_split_renormalization(cfg: LatticeConfig, eps_values) -> CheckResult:
-    """Raw (pre-normal-ordered) split Hamiltonian plus its subtraction constant
-    equals the diagonal form.  At eps = 0 there is nothing to compare:
-    hamiltonian is split_hamiltonian at eps 0."""
+    """Two independent normal orderings of the split Hamiltonian's one diagonal kernel agree:
+    _bilinear's (split_hamiltonian) and the engine's, word by word, with the subtraction constant
+    added back (split_hamiltonian_raw).  At eps = 0 there is nothing to compare: hamiltonian
+    is split_hamiltonian at eps 0."""
     residuals = (coeff_distance(split_hamiltonian_raw(cfg, eps), split_hamiltonian(cfg, eps)) for eps in eps_values)
     return _result("split_hamiltonian_renormalization", _worst(residuals))
 

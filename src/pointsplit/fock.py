@@ -3,7 +3,7 @@
 Basis states are occupation bitstrings over M_tot = 2*(2*n_max+1) slots:
 electron modes sit at slots 0..2*n_max (ascending mode index j), positron
 modes at slots 2*n_max+1..4*n_max+1 (ascending j), from _first_positron on.
-Bit k of the integer key is slot k.
+Bit k of the integer key is slot k; _mode_slots gives mode j's two slots.
 
 This fixed slot order is the single source of truth for every fermionic
 sign in the package: creating or annihilating in slot k multiplies the
@@ -49,13 +49,19 @@ class SlotIndex:
         """Position of this slot in the fixed linear order."""
         if abs(self.j) > n_max:
             raise ValueError(f"mode index {self.j} out of range for n_max={n_max}")
-        offset = 0 if self.species == ELECTRON else _first_positron(n_max)
-        return offset + (self.j + n_max)
+        electron, positron = _mode_slots(self.j, n_max)
+        return electron if self.species == ELECTRON else positron
 
 
 def _first_positron(n_max: int) -> int:
     """Linear slots below this one are electron slots, the rest positron slots."""
     return 2 * n_max + 1
+
+
+def _mode_slots(j, n_max: int):
+    """(electron slot, positron slot) of mode j, an int or an integer array, at this n_max."""
+    electron = j + n_max
+    return electron, electron + _first_positron(n_max)
 
 
 def n_slots_for(n_max: int) -> int:

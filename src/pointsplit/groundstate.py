@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, SlotIndex, _first_positron, apply_create, inner, n_slots_for, vacuum
+from .fock import FockVector, SlotIndex, _first_positron, _mode_slots, apply_create, inner, n_slots_for, vacuum
 from .lattice import LatticeConfig
-from .modeops import _mode_table, _split_energies, apply_operator, split_hamiltonian
+from .modeops import _mode_table, _split_hamiltonian_diagonal, apply_operator, split_hamiltonian
 
 ENUMERATION_MAX_SLOTS = 24
 
@@ -98,17 +98,15 @@ def split_spectrum(eps: float, cfg: LatticeConfig) -> SplitSpectrum:
     t = _mode_table(cfg)
     electrons = slice(_first_positron(cfg.n_max))
     columns = (t.j[electrons].tolist(), t.p[electrons].tolist(), t.energy[electrons].tolist())
-    entries = tuple(zip(*columns, _split_energies(cfg, eps)))
+    entries = tuple(zip(*columns, _split_hamiltonian_diagonal(cfg, eps)[electrons].tolist()))
     zero = tuple(j for j, _, energy, split in entries if _is_zero_energy(split, energy))
     negative = tuple(j for j, _, energy, split in entries if split < 0 and not _is_zero_energy(split, energy))
     return SplitSpectrum(eps=eps, entries=entries, negative_modes=negative, zero_modes=zero)
 
 
 def _mask(modes, n_max: int) -> int:
-    """Bitmask of the electron and positron slots of the given modes at this n_max: mode j's
-    electron slot is j + n_max, and its positron slot lies _first_positron(n_max) above that."""
-    electrons = sum(1 << (j + n_max) for j in set(modes))
-    return electrons | electrons << _first_positron(n_max)
+    """Bitmask of the electron and positron slots of the given modes at this n_max."""
+    return sum(1 << slot for j in set(modes) for slot in _mode_slots(j, n_max))
 
 
 def redefined_vacuum(spectrum: SplitSpectrum) -> FockVector:

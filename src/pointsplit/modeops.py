@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .fock import FockVector, _check_same_space, _first_positron, n_slots_for
+from .fock import FockVector, _check_same_space, _first_positron, _mode_slots, n_slots_for
 from .lattice import ID2, SIGMA_X, SIGMA_Z, LatticeConfig, _spinor_components, dispersion
 from .trigpoly import TrigPoly
 
@@ -349,49 +349,40 @@ def hamiltonian(cfg: LatticeConfig) -> ModeOperator:
     return split_hamiltonian(cfg, 0.0)
 
 
-def _split_energies(cfg: LatticeConfig, eps: float) -> list[float]:
-    """E_j cos(p_j eps) for modes j = -n_max .. n_max, the energy of both of mode j's slots."""
+def _split_hamiltonian_diagonal(cfg: LatticeConfig, eps: float) -> np.ndarray:
+    """The split Hamiltonian's kernel, which is diagonal, as the vector of its diagonal, and the
+    one place a split energy is computed: E_j cos(p_j eps), by math.cos per mode, on mode j's
+    electron slot, and its negative on the positron slot (there A'A = d d' = 1 - d'd)."""
     cfg.check_phase(eps)
     t = _mode_table(cfg)
     electrons = slice(_first_positron(cfg.n_max))
-    return [e * math.cos(p * eps) for e, p in zip(t.energy[electrons].tolist(), t.p[electrons].tolist())]
+    splits = np.array([e * math.cos(p * eps) for e, p in zip(t.energy[electrons].tolist(), t.p[electrons].tolist())])
+    return np.concatenate((splits, -splits))
 
 
 def split_hamiltonian(cfg: LatticeConfig, eps: float) -> ModeOperator:
-    """Point-split Hamiltonian: per-mode energies E_j cos(p_j eps), renormalized."""
-    first_positron = _first_positron(cfg.n_max)
-    terms: dict[Signature, complex] = {}
-    for se, w in enumerate(_split_energies(cfg, eps)):
-        if w != 0:
-            terms[((se,), (se,))] = complex(w)
-            terms[((se + first_positron,), (se + first_positron,))] = complex(w)
-    return ModeOperator._of(n_slots_for(cfg.n_max), terms)
-
-
-def _split_hamiltonian_diagonal(cfg: LatticeConfig, eps: float) -> np.ndarray:
-    """Kernel of split_hamiltonian up to its c-number, as the vector of its
-    diagonal: E_j cos(p_j eps) on the electron slots and its negative on the
-    positron slots (d'd = 1 - d d')."""
-    splits = _split_energies(cfg, eps)
-    return np.array(splits + [-w for w in splits])
+    """Point-split Hamiltonian: the bilinear of its diagonal kernel without the c-number, the filled
+    sea's energy, whose drop is the renormalization.  The nonzero entries go in mode by mode, electron
+    slot then positron slot, the term order in which <state|H|state> sums; off row-major order, only
+    the dropped c-number would be summed differently."""
+    h = _split_hamiltonian_diagonal(cfg, eps)
+    modes = np.flatnonzero(h[: _first_positron(cfg.n_max)]) - cfg.n_max
+    slots = np.ravel(_mode_slots(modes, cfg.n_max), order="F")  # each mode's (electron, positron) pair
+    op = _bilinear((slots, slots, h[slots]), cfg)
+    op.terms.pop(_IDENTITY_SIG, None)
+    return op
 
 
 def split_hamiltonian_raw(cfg: LatticeConfig, eps: float) -> ModeOperator:
-    """Pre-normal-ordered form sum_j E_j cos(p_j eps)(b'_j b_j - d_j d'_j) + const.
-
-    Each word is normal-ordered by _reduce_word, the engine under multiply,
-    and the d d' word exposes the c-number -sum_j E_j cos(p_j eps).  With the renormalization
-    constant +sum_j E_j cos(p_j eps) the result equals split_hamiltonian
-    coefficient for coefficient.
-    """
-    n = n_slots_for(cfg.n_max)
-    splits = _split_energies(cfg, eps)
-    terms = constant_op(sum(splits), n).terms
-    for se, w in enumerate(splits):
-        sp = se + _first_positron(cfg.n_max)
-        _reduce_word(((se, True), (se, False)), w, terms)
-        _reduce_word(((sp, False), (sp, True)), -w, terms)
-    return ModeOperator(n, terms)
+    """sum_a h_a A'_a A_a - Tr(P_- h) over the split Hamiltonian's diagonal h, each word (b'b, or d d' on
+    a positron slot) normal-ordered by _reduce_word, the engine under multiply, apart from _bilinear: the
+    d d' words' c-number cancels -_kernel_vev(h), leaving split_hamiltonian coefficient for coefficient."""
+    h = _split_hamiltonian_diagonal(cfg, eps)
+    terms = constant_op(-_kernel_vev(h, cfg), len(h)).terms
+    for a, w in enumerate(h.tolist()):
+        electron = a < _first_positron(cfg.n_max)
+        _reduce_word(((a, electron), (a, not electron)), w, terms)
+    return ModeOperator(len(h), terms)
 
 
 def _plane_wave(cfg: LatticeConfig, x: float) -> np.ndarray:
@@ -519,11 +510,10 @@ def smeared_kernel(f: TrigPoly, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndar
     span = 2 * cfg.n_max  # j_a - j_b runs over -span .. span
     coeffs = np.zeros(2 * span + 1, dtype=complex)  # c_n at n + span; check_on_lattice bounds |n| by span
     coeffs[np.array(list(f.coeffs), dtype=int) + span] = list(f.coeffs.values())
-    # row a meets j_b = j_a - offset at electron slot j_b + n_max and at the
-    # positron slot first_positron further on; with the offsets descending,
-    # the (row, block, offset) axes run in row-major order
+    # row a meets mode j_b = j_a - offset at both its slots; with the offsets
+    # descending, the (row, block, offset) axes run in row-major order
     j_b = t.j[:, None, None] - (np.flatnonzero(coeffs) - span)[::-1]
-    cols = j_b + cfg.n_max + np.array([0, _first_positron(cfg.n_max)])[:, None]
+    cols = np.concatenate(_mode_slots(j_b, cfg.n_max), axis=1)
     band = np.broadcast_to(np.abs(j_b) <= cfg.n_max, cols.shape)
     rows, cols = np.broadcast_to(np.arange(len(t.j))[:, None, None], cols.shape)[band], cols[band]
     values = coeffs[t.j[rows] - t.j[cols] + span] * _sandwich_at(t.u[rows], ID2, t.u[cols])

@@ -37,6 +37,7 @@ from pointsplit.checks import (
     check_hermiticity,
     check_split_continuity,
     check_split_current_consistency,
+    check_split_renormalization,
     check_spinors,
     run_verify_suite,
 )
@@ -191,6 +192,26 @@ def test_spinor_check_fails_on_a_broken_spinor(monkeypatch, lam, breaking):
     result = check_spinors(cfg)
     assert not result.passed
     assert result.residual.hex() == _worst(spinor_residuals(cfg, broken_spinor)).hex()
+
+
+def test_renormalization_check_fails_when_bilinear_flips_the_positron_diagonal(monkeypatch):
+    """The check compares _bilinear's normal ordering of the split Hamiltonian's diagonal with the
+    engine's, word by word: a _bilinear whose d'd diagonal has the wrong sign fails it, by 2 |E cos|."""
+    cfg, eps_values = LatticeConfig(1.0, 1.0, 2), [0.3, 0.9]
+    assert check_split_renormalization(cfg, eps_values).passed
+    bilinear = modeops._bilinear
+
+    def flipped(entries, cfg_):
+        op = bilinear(entries, cfg_)
+        for (cre, ann), c in op.terms.items():
+            if cre == ann and cre and cre[0] >= _first_positron(cfg_.n_max):
+                op.terms[cre, ann] = -c
+        return op
+
+    monkeypatch.setattr(modeops, "_bilinear", flipped)
+    result = check_split_renormalization(cfg, eps_values)
+    assert not result.passed
+    assert result.residual == pytest.approx(2 * math.sqrt(5) * math.cos(2 * 0.3), rel=1e-12)
 
 
 def _perfbench_module(name: str):

@@ -75,6 +75,20 @@ def test_slot_linearization_roundtrip():
     assert n_max_from_slots(n_slots_for(n_max)) == n_max
 
 
+def test_mode_slots_are_the_slots_of_each_species():
+    # the one mode-to-slot map, on an int and on an array, against SlotIndex.linear and the oracle
+    for n_max in range(1, 9):
+        modes = np.arange(-n_max, n_max + 1)
+        electrons, positrons = fock._mode_slots(modes, n_max)
+        for j, from_array in zip(modes.tolist(), zip(electrons.tolist(), positrons.tolist())):
+            slots = fock._mode_slots(j, n_max)
+            assert slots == from_array
+            for species, k in zip((ELECTRON, POSITRON), slots):
+                assert type(k) is int
+                assert k == SlotIndex(species, j).linear(n_max)
+                assert slot_from_linear(k, n_max) == SlotIndex(species, j)
+
+
 def test_slot_validation():
     with pytest.raises(ValueError):
         SlotIndex("muon", 0)

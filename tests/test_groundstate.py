@@ -154,7 +154,7 @@ def test_bruteforce_enumerates_the_energies_of_its_one_spectrum(monkeypatch):
     calls = []
     monkeypatch.setattr(groundstate, "split_spectrum", lambda *args: calls.append(args) or halved)
     monkeypatch.setattr(groundstate, "_mode_table", None)
-    monkeypatch.setattr(groundstate, "_split_energies", None)
+    monkeypatch.setattr(groundstate, "_split_hamiltonian_diagonal", None)
     rep = ground_state_bruteforce(2.0, CFG3)
     assert calls == [(2.0, CFG3)]
     assert rep.energy == 0.5 * minimum

@@ -196,6 +196,23 @@ def test_split_hamiltonian_cos_pi_flip():
     assert H.coefficient(((slot,), (slot,))).real == pytest.approx(-dispersion(1.0, 1.0))
 
 
+def test_split_hamiltonian_terms_go_mode_by_mode_and_skip_zero_energies():
+    # vacuum's <state|H|state> sums in this order: mode j's electron term just before its
+    # positron term, and no term for a mode whose split energy is exactly zero.  Here
+    # E_1 cos(p_1 eps) underflows to 0.0 and E_-1 cos(p_-1 eps) likewise.
+    cfg, eps = LatticeConfig(1e-310, 1e-308, 2), (math.pi / 2) / 1e-308
+    energies = _split_hamiltonian_diagonal(cfg, eps)[: _first_positron(cfg.n_max)].tolist()
+    assert [j for j, w in zip(range(-2, 3), energies) if w == 0] == [-1, 1]
+    order = []
+    for j, w in zip(range(-2, 3), energies):
+        if w != 0:
+            order += [((k,), (k,)) for k in (SlotIndex(ELECTRON, j).linear(2), SlotIndex(POSITRON, j).linear(2))]
+    h = split_hamiltonian(cfg, eps)
+    assert list(h.terms) == order
+    assert [h.terms[sig] for sig in order] == [complex(energies[sig[0][0] % 5]) for sig in order]
+    assert list(split_hamiltonian(CFG2, 0.7).terms) == [((a,), (a,)) for j in range(5) for a in (j, j + 5)]
+
+
 def test_split_hamiltonian_raw_renormalization():
     for eps in (0.0, 0.3, 1.7):
         raw = split_hamiltonian_raw(CFG2, eps)
