@@ -92,6 +92,9 @@ class RunConfig:
             if not isinstance(getattr(self, key), list):
                 raise ConfigError(f"{key} must be a list, got {getattr(self, key)!r}")
         self.eps = [_finite("eps", x) for x in self.eps]
+        for i, x in enumerate(self.eps):
+            if x in self.eps[:i]:  # by float equality, so 0.0 and -0.0 are one value
+                raise ConfigError(f"eps must not repeat a value, got {x!r} more than once")
         self.f_harmonics = [_harmonic(h) for h in self.f_harmonics]
         for key in ("eta", "cutoff"):
             if getattr(self, key) is not None:

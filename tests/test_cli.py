@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -174,7 +175,8 @@ def test_anomaly_edge_calls_match_a_fresh_interpreter_each(tmp_path, capsys):
     large = ["--f-harmonic", "1:1000:0.37", "--f-harmonic", "2:1000:-0.21", "--f-harmonic", "3:0.3:1000"]
     argvs = [
         ["anomaly", "--n-max", "8", *large, "--eps", "0.05"],
-        ["anomaly", "--n-max", "8", "--f-harmonic", "1:0.5:0", "--eps", "0", "--eps=-0.0"],
+        ["anomaly", "--n-max", "8", "--f-harmonic", "1:0.5:0", "--eps", "0"],
+        ["anomaly", "--n-max", "8", "--f-harmonic", "1:0.5:0", "--eps=-0.0"],
         ["anomaly", "--n-max", "64", "--f-harmonic", "1:0.5:0", "--f-harmonic", "2:0.3:0.1", "--eps", "0.3", "--eps=-0.7"],
     ]
     _assert_each_call_matches_a_fresh_interpreter(argvs + argvs, tmp_path, capsys)
@@ -523,6 +525,27 @@ def test_non_finite_input_exits_2_before_any_work(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, in_file, value",
+    [
+        (["vacuum", "--n-max", "1", "--eps", "2", "--eps", "2", "--format", "csv"], None, "2.0"),
+        (["anomaly", "--f-harmonic", "1:0.5:0", "--eps", "0.3", "--eps=-0.0", "--eps", "0"], None, "0.0"),
+        (["kernel", "--eps", "0.01", "--eps", "0.1", "--eps", "1e-2"], None, "0.01"),
+        (["verify", "--n-max", "1"], {"eps": [0.3, 0.9, 0.3]}, "0.3"),
+    ],
+)
+def test_a_repeated_eps_exits_2_naming_it(tmp_path, capsys, argv, in_file, value):
+    # by float equality, so 0.0 and -0.0 are one value; a config file's list is read alike
+    if in_file is not None:
+        (tmp_path / "run.json").write_text(json.dumps(in_file))
+        argv = argv + ["--config", str(tmp_path / "run.json")]
+    out = tmp_path / "report"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: eps must not repeat a value, got {value} more than once\n"
+
+
 @pytest.mark.parametrize("command", ["vacuum", "kernel", "derive", "verify", "anomaly"])
 def test_a_cutoff_past_the_float_range_exits_2_naming_both_inputs(capsys, command):
     assert run_cli([command, "--delta-p", "1e307", "--n-max", "64", "--f-harmonic", "1:0.5:0"]) == 2
@@ -761,16 +784,20 @@ CROSS_KERNEL_RUNS = [
 ]
 
 
-def _reports_under(tmp_path, name: str, variable: str, value: str | None, runs) -> list[bytes]:
-    """The --out bytes of each run, all in one fresh interpreter with the
-    environment variable set to value, or unset for None."""
+def _reports_under(tmp_path, name: str, variable: str, value: str | None, runs) -> list[tuple]:
+    """(exit code, stderr, --out bytes or None) of each run, all in one fresh interpreter
+    with the environment variable set to value, or unset for None."""
     root = Path(__file__).resolve().parents[1]
     code = (
         "import contextlib, io, json, sys\n"
         "import pointsplit.cli as cli\n"
+        "results = []\n"
         "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        cli.main(argv + ['--out', f'{sys.argv[2]}/{i}.json'])\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        code = cli.main(argv + ['--out', f'{sys.argv[2]}/{i}.json'])\n"
+        "    results.append([code, err.getvalue()])\n"
+        "json.dump(results, sys.stdout)\n"
     )
     env = {k: v for k, v in os.environ.items() if k != variable}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -780,7 +807,11 @@ def _reports_under(tmp_path, name: str, variable: str, value: str | None, runs) 
     argv = [sys.executable, "-c", code, json.dumps(runs), str(tmp_path / name)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return [(tmp_path / name / f"{i}.json").read_bytes() for i in range(len(runs))]
+    outcomes = []
+    for i, (code, err) in enumerate(json.loads(proc.stdout)):
+        out = tmp_path / name / f"{i}.json"
+        outcomes.append((code, err, out.read_bytes() if out.exists() else None))
+    return outcomes
 
 
 # numpy calls that may reach a BLAS kernel, whose rounding depends on the CPU it selects
@@ -884,6 +915,62 @@ def test_reports_are_byte_identical_with_numpy_simd_dispatch_off(tmp_path):
     native = _reports_under(tmp_path, "native", "NPY_DISABLE_CPU_FEATURES", None, SIMD_RUNS)
     off = _reports_under(tmp_path, "off", "NPY_DISABLE_CPU_FEATURES", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR", SIMD_RUNS)
     assert native == off
+
+
+def _near_zero_eps(rng: random.Random, delta_p: float, n_max: int) -> float:
+    """An eps near a zero of cos(p_j eps), (k + 1/2) pi / p_j for a drawn mode j and half-period k,
+    moved off it by a drawn relative amount, none included."""
+    j, k = rng.randint(1, n_max), rng.randint(0, 2)
+    nudge = rng.choice([0.0, 1e-16, -1e-16, 1e-13, -1e-12, 1e-9, -1e-9])
+    return (k + 0.5) * math.pi / (j * delta_p) * (1.0 + nudge)
+
+
+def _drawn_runs(rng: random.Random, count: int) -> list[list[str]]:
+    """count argvs over the five subcommands, in the property tests' ranges: lattices of mass 0.05-5
+    or 1, 2, 1e10 and spacing 0.1-3 or 0.25, 1, 16, eps in [-3, 3] or near a zero of cos(p_j eps),
+    smearings of up to three harmonics, and kernel eps, eta, cutoff and mass over decades."""
+    runs = []
+    for _ in range(count):
+        # derive reads no input, so it is drawn a quarter as often as the others
+        command = rng.choices(["verify", "anomaly", "vacuum", "kernel", "derive"], weights=[4, 4, 4, 4, 1])[0]
+        argv = [command, f"--format={rng.choice(['json', 'csv'])}"]
+        if command == "kernel":
+            eps = {10 ** rng.uniform(-4, 1) for _ in range(rng.randint(1, 3))}
+            if rng.random() < 0.5:
+                argv.append(f"--eta={min(eps) * 10 ** rng.uniform(-1, 1)!r}")
+            if rng.random() < 0.3:
+                argv.append(f"--cutoff={10 ** rng.uniform(0, 4)!r}")
+            if rng.random() < 0.5:
+                argv.append(f"--mass={10 ** rng.uniform(-1, 1)!r}")
+        elif command != "derive":
+            n_max = rng.randint(1, {"verify": 8, "anomaly": 12, "vacuum": 6}[command])
+            mass = rng.choice([rng.uniform(0.05, 5.0), 1.0, 2.0, 1e10])
+            delta_p = rng.choice([rng.uniform(0.1, 3.0), 0.25, 1.0, 16.0])
+            argv += [f"--n-max={n_max}", f"--mass={mass!r}", f"--delta-p={delta_p!r}"]
+            draw = lambda: _near_zero_eps(rng, delta_p, n_max) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+            eps = {draw() for _ in range(rng.randint(1, 3))}
+            if command == "anomaly" or (command == "verify" and rng.random() < 0.5):
+                for n in rng.sample(range(2 * n_max + 1), rng.randint(1, 3)):
+                    re_, im = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0) if n else 0.0
+                    argv.append(f"--f-harmonic={n}:{re_!r}:{im!r}")
+        if command != "derive":
+            argv += [f"--eps={x!r}" for x in sorted(eps)]
+        runs.append(argv)
+    return runs
+
+
+def test_drawn_reports_are_byte_identical_under_every_simd_and_blas_setting(tmp_path):
+    """Every report, exit code and error line is the same run natively, with numpy's AVX2 and
+    AVX-512 dispatch off and under OpenBLAS's Nehalem kernel, on the fixed runs above and on
+    200 argvs drawn from a fixed seed over all five subcommands.  The three children take about
+    5 s together on a 2-vCPU x86-64 VM; the budget is 30 s."""
+    runs = SIMD_RUNS + _drawn_runs(random.Random(20260), 200)
+    native = _reports_under(tmp_path, "native", "NPY_DISABLE_CPU_FEATURES", None, runs)
+    assert sum(out is not None for _, _, out in native) > len(runs) // 2  # most runs write a report
+    off = _reports_under(tmp_path, "off", "NPY_DISABLE_CPU_FEATURES", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR", runs)
+    nehalem = _reports_under(tmp_path, "nehalem", "OPENBLAS_CORETYPE", "Nehalem", runs)
+    for argv, a, b, c in zip(runs, native, off, nehalem):
+        assert a == b == c, argv
 
 
 def test_kernel_above_eps_065_matches_the_bessel_limit(tmp_path):
