@@ -106,7 +106,8 @@ def split_spectrum(eps: float, cfg: LatticeConfig) -> SplitSpectrum:
 
 def _mask(modes, n_max: int) -> int:
     """Bitmask of the electron and positron slots of the given modes at this n_max."""
-    return sum(1 << slot for j in set(modes) for slot in _mode_slots(j, n_max))
+    electrons = sum(1 << _mode_slots(j, n_max)[0] for j in set(modes))
+    return electrons | electrons << _first_positron(n_max)  # one shift carries each to its positron slot
 
 
 def redefined_vacuum(spectrum: SplitSpectrum) -> FockVector:

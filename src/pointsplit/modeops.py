@@ -309,8 +309,8 @@ def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
     The entries are nonzero, so only a c-number that sums to zero is dropped.
     """
     first_positron = _first_positron(cfg.n_max)
-    terms: dict[Signature, complex] = {_IDENTITY_SIG: 0j}
-    rows, cols, values = entries
+    terms: dict[Signature, complex] = {_IDENTITY_SIG: 0j}  # the c-number's place, first
+    (rows, cols, values), vev = entries, 0j
     for a, b, c in zip(rows.tolist(), cols.tolist(), values.astype(complex, copy=False).tolist()):
         if a < first_positron:
             # b'b, or b'd' with the electron slot below the positron slot
@@ -320,8 +320,9 @@ def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
         else:
             terms[((b,), (a,))] = -c  # d_a d'_b = delta_ab - d'_b d_a; the delta is the c-number
             if a == b:
-                terms[_IDENTITY_SIG] += c
-    if not terms[_IDENTITY_SIG]:
+                vev += c
+    terms[_IDENTITY_SIG] = vev
+    if not vev:
         del terms[_IDENTITY_SIG]
     return ModeOperator._of(n_slots_for(cfg.n_max), terms)
 
@@ -363,11 +364,10 @@ def _split_hamiltonian_diagonal(cfg: LatticeConfig, eps: float) -> np.ndarray:
 def split_hamiltonian(cfg: LatticeConfig, eps: float) -> ModeOperator:
     """Point-split Hamiltonian: the bilinear of its diagonal kernel without the c-number, the filled
     sea's energy, whose drop is the renormalization.  The nonzero entries go in mode by mode, electron
-    slot then positron slot, the term order in which <state|H|state> sums; off row-major order, only
-    the dropped c-number would be summed differently."""
+    slot then positron slot, the term order in which <state|H|state> sums."""
     h = _split_hamiltonian_diagonal(cfg, eps)
-    modes = np.flatnonzero(h[: _first_positron(cfg.n_max)]) - cfg.n_max
-    slots = np.ravel(_mode_slots(modes, cfg.n_max), order="F")  # each mode's (electron, positron) pair
+    modes = np.flatnonzero(h[: _first_positron(cfg.n_max)])[:, None] - cfg.n_max
+    slots = np.concatenate(_mode_slots(modes, cfg.n_max), axis=1).ravel()  # each mode's (electron, positron) pair
     op = _bilinear((slots, slots, h[slots]), cfg)
     op.terms.pop(_IDENTITY_SIG, None)
     return op
@@ -377,11 +377,10 @@ def split_hamiltonian_raw(cfg: LatticeConfig, eps: float) -> ModeOperator:
     """sum_a h_a A'_a A_a - Tr(P_- h) over the split Hamiltonian's diagonal h, each word (b'b, or d d' on
     a positron slot) normal-ordered by _reduce_word, the engine under multiply, apart from _bilinear: the
     d d' words' c-number cancels -_kernel_vev(h), leaving split_hamiltonian coefficient for coefficient."""
-    h = _split_hamiltonian_diagonal(cfg, eps)
+    h, first_positron = _split_hamiltonian_diagonal(cfg, eps), _first_positron(cfg.n_max)
     terms = constant_op(-_kernel_vev(h, cfg), len(h)).terms
     for a, w in enumerate(h.tolist()):
-        electron = a < _first_positron(cfg.n_max)
-        _reduce_word(((a, electron), (a, not electron)), w, terms)
+        _reduce_word(((a, a < first_positron), (a, a >= first_positron)), w, terms)
     return ModeOperator(len(h), terms)
 
 

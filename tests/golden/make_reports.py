@@ -18,6 +18,7 @@ every argv in process and compares.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -45,14 +46,20 @@ RUNGS = [
 ]
 
 
-def ladder(workload: str, seed: int) -> list[list[str]]:
-    """perfbench's ladder for a seed, loaded from its file without importing the benchmark as a package."""
+@functools.cache
+def _workloads():
+    """perfbench/workloads.py, loaded from its file once without importing the benchmark as a package."""
     path = GOLDEN.parents[2] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     with mock.patch.dict(sys.modules, {spec.name: module}):  # dataclasses look their module up
         spec.loader.exec_module(module)
-    return [list(inv.argv) for inv in module.build(workload, seed)]
+    return module
+
+
+def ladder(workload: str, seed: int) -> list[list[str]]:
+    """perfbench's ladder for a seed."""
+    return [list(inv.argv) for inv in _workloads().build(workload, seed)]
 
 
 def argvs() -> list[list[str]]:

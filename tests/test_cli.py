@@ -546,6 +546,19 @@ def test_a_repeated_eps_exits_2_naming_it(tmp_path, capsys, argv, in_file, value
     assert captured.err == f"error: eps must not repeat a value, got {value} more than once\n"
 
 
+def test_no_benchmark_call_repeats_an_eps():
+    """A repeated eps exits 2, so no benchmark call may carry one: the ladders' drawn eps, rounded
+    to 6 significant digits, are distinct by float equality in every call at seeds 0-999."""
+    repeats = [
+        (workload, seed, argv)
+        for workload in make_reports.LADDERS
+        for seed in range(1000)
+        for argv in make_reports.ladder(workload, seed)
+        if len(eps := [float(v) for flag, v in zip(argv, argv[1:]) if flag == "--eps"]) != len(set(eps))
+    ]
+    assert repeats == []
+
+
 @pytest.mark.parametrize("command", ["vacuum", "kernel", "derive", "verify", "anomaly"])
 def test_a_cutoff_past_the_float_range_exits_2_naming_both_inputs(capsys, command):
     assert run_cli([command, "--delta-p", "1e307", "--n-max", "64", "--f-harmonic", "1:0.5:0"]) == 2
@@ -784,9 +797,18 @@ CROSS_KERNEL_RUNS = [
 ]
 
 
-def _reports_under(tmp_path, name: str, variable: str, value: str | None, runs) -> list[tuple]:
-    """(exit code, stderr, --out bytes or None) of each run, all in one fresh interpreter
-    with the environment variable set to value, or unset for None."""
+# the settings the byte-identity tests compare: neither variable set, numpy's AVX2 and AVX-512
+# dispatch off, and OpenBLAS's Nehalem kernel, one without fused multiply-add
+SETTINGS = {
+    "native": {},
+    "simd_off": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    "nehalem": {"OPENBLAS_CORETYPE": "Nehalem"},
+}
+
+
+def _reports_under(tmp_path, setting: dict[str, str], runs) -> list[tuple]:
+    """(exit code, stderr, --out bytes or None) of each run, all in one fresh interpreter with the
+    setting's environment variables set and the other SETTINGS variables unset, within 10 s."""
     root = Path(__file__).resolve().parents[1]
     code = (
         "import contextlib, io, json, sys\n"
@@ -799,19 +821,31 @@ def _reports_under(tmp_path, name: str, variable: str, value: str | None, runs) 
         "    results.append([code, err.getvalue()])\n"
         "json.dump(results, sys.stdout)\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != variable}
+    env = {k: v for k, v in os.environ.items() if not any(k in other for other in SETTINGS.values())}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    if value is not None:
-        env[variable] = value
-    (tmp_path / name).mkdir()
-    argv = [sys.executable, "-c", code, json.dumps(runs), str(tmp_path / name)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    env.update(setting)
+    argv = [sys.executable, "-c", code, json.dumps(runs), str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
     outcomes = []
     for i, (code, err) in enumerate(json.loads(proc.stdout)):
-        out = tmp_path / name / f"{i}.json"
+        out = tmp_path / f"{i}.json"
         outcomes.append((code, err, out.read_bytes() if out.exists() else None))
     return outcomes
+
+
+@pytest.fixture(scope="module")
+def reports_under(tmp_path_factory):
+    """reports_under(name, runs): the outcomes of runs, SIMD_RUNS or DRAWN_RUNS, under SETTINGS[name].
+    One child per setting runs SIMD_RUNS + DRAWN_RUNS for all the byte-identity tests together."""
+    outcomes = {}
+
+    def under(name: str, runs) -> list[tuple]:
+        if name not in outcomes:
+            outcomes[name] = _reports_under(tmp_path_factory.mktemp(name), SETTINGS[name], SIMD_RUNS + DRAWN_RUNS)
+        return outcomes[name][: len(SIMD_RUNS)] if runs is SIMD_RUNS else outcomes[name][len(SIMD_RUNS) :]
+
+    return under
 
 
 # numpy calls that may reach a BLAS kernel, whose rounding depends on the CPU it selects
@@ -884,13 +918,15 @@ def test_the_package_holds_no_code_that_only_tests_run():
     assert unused == []
 
 
-def test_reports_are_byte_identical_under_another_blas_kernel(tmp_path):
+def test_reports_are_byte_identical_under_another_blas_kernel(reports_under):
     """The reports do not depend on which OpenBLAS kernel the CPU selects: run
     natively and with OPENBLAS_CORETYPE=Nehalem (a kernel without fused
-    multiply-add), every --out file has the same bytes.  A BLAS that ignores
-    the variable runs the same kernel twice and passes this trivially."""
-    native = _reports_under(tmp_path, "native", "OPENBLAS_CORETYPE", None, CROSS_KERNEL_RUNS)
-    assert native == _reports_under(tmp_path, "nehalem", "OPENBLAS_CORETYPE", "Nehalem", CROSS_KERNEL_RUNS)
+    multiply-add), every fixed run exits 0 and writes the same --out bytes.
+    A BLAS that ignores the variable runs the same kernel twice and passes
+    this trivially."""
+    native = reports_under("native", SIMD_RUNS)
+    assert [(code, out is not None) for code, _, out in native] == [(0, True)] * len(SIMD_RUNS)
+    assert native == reports_under("nehalem", SIMD_RUNS)
 
 
 # verify at small and large momenta and masses, where the split identities
@@ -906,15 +942,15 @@ SIMD_RUNS = CROSS_KERNEL_RUNS + [
 ]
 
 
-def test_reports_are_byte_identical_with_numpy_simd_dispatch_off(tmp_path):
+def test_reports_are_byte_identical_with_numpy_simd_dispatch_off(reports_under):
     """The reports do not depend on which SIMD kernels numpy dispatches: run
     natively and with NPY_DISABLE_CPU_FEATURES naming numpy's AVX2 and AVX-512
-    targets, every --out file has the same bytes.  The variable disables only
-    what the host offers, so on a host without AVX-512 the two runs use nearly
-    the same kernels and this passes trivially."""
-    native = _reports_under(tmp_path, "native", "NPY_DISABLE_CPU_FEATURES", None, SIMD_RUNS)
-    off = _reports_under(tmp_path, "off", "NPY_DISABLE_CPU_FEATURES", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR", SIMD_RUNS)
-    assert native == off
+    targets, every fixed run exits 0 and writes the same --out bytes.  The
+    variable disables only what the host offers, so on a host without AVX-512
+    the two runs use nearly the same kernels and this passes trivially."""
+    off = reports_under("simd_off", SIMD_RUNS)
+    assert [(code, out is not None) for code, _, out in off] == [(0, True)] * len(SIMD_RUNS)
+    assert reports_under("native", SIMD_RUNS) == off
 
 
 def _near_zero_eps(rng: random.Random, delta_p: float, n_max: int) -> float:
@@ -959,17 +995,19 @@ def _drawn_runs(rng: random.Random, count: int) -> list[list[str]]:
     return runs
 
 
-def test_drawn_reports_are_byte_identical_under_every_simd_and_blas_setting(tmp_path):
-    """Every report, exit code and error line is the same run natively, with numpy's AVX2 and
-    AVX-512 dispatch off and under OpenBLAS's Nehalem kernel, on the fixed runs above and on
-    200 argvs drawn from a fixed seed over all five subcommands.  The three children take about
-    5 s together on a 2-vCPU x86-64 VM; the budget is 30 s."""
-    runs = SIMD_RUNS + _drawn_runs(random.Random(20260), 200)
-    native = _reports_under(tmp_path, "native", "NPY_DISABLE_CPU_FEATURES", None, runs)
-    assert sum(out is not None for _, _, out in native) > len(runs) // 2  # most runs write a report
-    off = _reports_under(tmp_path, "off", "NPY_DISABLE_CPU_FEATURES", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR", runs)
-    nehalem = _reports_under(tmp_path, "nehalem", "OPENBLAS_CORETYPE", "Nehalem", runs)
-    for argv, a, b, c in zip(runs, native, off, nehalem):
+DRAWN_RUNS = _drawn_runs(random.Random(20260), 200)
+
+
+def test_drawn_reports_are_byte_identical_under_every_simd_and_blas_setting(reports_under):
+    """Every report, exit code and error line of 200 argvs drawn from a fixed seed over all five
+    subcommands is the same run natively, with numpy's AVX2 and AVX-512 dispatch off and under
+    OpenBLAS's Nehalem kernel; the children run them after the fixed runs the two tests above
+    check.  The three children take about 2.5 s together on a 2-vCPU x86-64 VM; each has 10 s,
+    so the draw stays within a 30 s budget."""
+    native = reports_under("native", DRAWN_RUNS)
+    assert sum(out is not None for _, _, out in native) > len(DRAWN_RUNS) // 2  # most runs write a report
+    off, nehalem = reports_under("simd_off", DRAWN_RUNS), reports_under("nehalem", DRAWN_RUNS)
+    for argv, a, b, c in zip(DRAWN_RUNS, native, off, nehalem):
         assert a == b == c, argv
 
 
