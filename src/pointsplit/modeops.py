@@ -310,7 +310,8 @@ def _bilinear(entries, cfg: LatticeConfig) -> ModeOperator:
     """
     first_positron = _first_positron(cfg.n_max)
     terms: dict[Signature, complex] = {_IDENTITY_SIG: 0j}  # the c-number's place, first
-    (rows, cols, values), vev = entries, 0j
+    rows, cols, values = entries
+    vev = 0j
     for a, b, c in zip(rows.tolist(), cols.tolist(), values.astype(complex, copy=False).tolist()):
         if a < first_positron:
             # b'b, or b'd' with the electron slot below the positron slot
